@@ -168,6 +168,17 @@ class ClickCounts:
                 f"pattern counts sum to {total}, expected n_all = {self.n_all}"
             )
 
+    @classmethod
+    def from_totals(cls, n_all: int, n_a: int, n_b: int, n_ab: int) -> ClickCounts:
+        """Tallies from pulses, A clicks, B clicks and coincidences."""
+        return cls(
+            n_all=n_all,
+            n_00=n_all - n_a - n_b + n_ab,
+            n_10=n_a - n_ab,
+            n_01=n_b - n_ab,
+            n_11=n_ab,
+        )
+
 
 def stats_from_counts(counts: ClickCounts) -> PhotonStats:
     """Empirical click-number distribution from raw tallies."""

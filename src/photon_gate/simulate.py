@@ -2,20 +2,23 @@
 
 Every click probability in this package has a closed form; the
 simulator exists to check them mechanically.  It samples the physical
-story photon by photon: per pulse the source emits its photons, each
-photon independently picks a beamsplitter output (probability 1/2) and
-then fires that channel's detector with the channel efficiency; stray
-background adds Poissonian clicks per channel (means gamma * eta_i / 2,
-i.e. background photons thinned by routing and detection); each
-detector reports at most one click per pulse.
+story photon by photon: per pulse the source emits its photons and each
+photon draws one uniform u.  The photon is routed to channel A and
+detected there when u < eta1/2, routed to B and detected there when
+u >= 1 - eta2/2, and lost otherwise; the two intervals are disjoint
+because eta1 + eta2 = 2 * eta <= 2.  Stray background is Poissonian
+per channel with mean gamma * eta_i / 2 (background photons thinned by
+routing and detection).  Each detector reports at most one click per
+pulse, so only "any background photon" matters: channel i gets a
+background click when its own uniform falls below
+1 - exp(-gamma * eta_i / 2).
 
 Determinism
 -----------
 Pulses are processed in fixed-size blocks.  Block k draws from its own
-counter-based stream, Philox(seed) jumped k times, and the four tallies
-are summed over blocks — so results depend only on (config), never on
-scheduling, worker count or kernel flavor.  The same pre-drawn arrays
-feed either kernel backend (see _kernels), keeping the two bit-equal.
+counter-based stream, Philox(seed) jumped k times, and results are
+assembled in block order — so they depend only on (config), never on
+scheduling or worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .model import (
     ClickCounts,
     Coherent,
@@ -75,93 +77,78 @@ def _source_plan(config: SimConfig) -> tuple[int, float, float]:
 
 
 def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Click indicators for one block of pulses.  Draw order is fixed
-    (background A, background B, photon routes, photon detections) so
-    that both kernel backends see identical arrays."""
+    """Click indicators for one block of pulses.  Draw order is fixed:
+    background (one uniform per pulse for channel A, then for channel
+    B; skipped when gamma = 0), then the photon numbers of a coherent
+    source, then one uniform per photon (for fixed sources photon 0 of
+    every pulse, then photon 1, ...)."""
     p = config.params
     s_fixed, mu, gamma = _source_plan(config)
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(index))
+    a_max, b_min = p.eta1 / 2.0, 1.0 - p.eta2 / 2.0
 
-    bg_a = rng.poisson(gamma * p.eta1 / 2.0, size)
-    bg_b = rng.poisson(gamma * p.eta2 / 2.0, size)
-    click_a = np.empty(size, dtype=np.bool_)
-    click_b = np.empty(size, dtype=np.bool_)
-    if s_fixed > 0:
-        routes = rng.random((size, s_fixed))
-        detects = rng.random((size, s_fixed))
-        _kernels.fixed_clicks(routes, detects, bg_a, bg_b, p.eta1, p.eta2, click_a, click_b)
+    if gamma > 0.0:
+        click_a = rng.random(size) < -math.expm1(-gamma * p.eta1 / 2.0)
+        click_b = rng.random(size) < -math.expm1(-gamma * p.eta2 / 2.0)
     else:
-        counts = rng.poisson(mu, size)
-        total = int(counts.sum())
-        routes = rng.random(total)
-        detects = rng.random(total)
-        _kernels.poisson_clicks(
-            counts, routes, detects, bg_a, bg_b, p.eta1, p.eta2, click_a, click_b
-        )
+        click_a = np.zeros(size, dtype=np.bool_)
+        click_b = np.zeros(size, dtype=np.bool_)
+    if s_fixed > 0:
+        # photon j of every pulse at a time: one block-sized array live
+        for _ in range(s_fixed):
+            u = rng.random(size)
+            click_a |= u < a_max
+            click_b |= u >= b_min
+    else:
+        photons = rng.poisson(mu, size)
+        u = rng.random(int(photons.sum()))
+        pulse = np.repeat(np.arange(size), photons)
+        click_a[pulse[u < a_max]] = True
+        click_b[pulse[u >= b_min]] = True
     return click_a, click_b
 
 
-def _blocks(config: SimConfig) -> list[tuple[int, int]]:
+def _map_blocks(config: SimConfig, fn, workers: int) -> list:
+    """fn(click_a, click_b) of every block, in block order."""
     cycles, block = config.params.cycles, config.block_size
-    return [(i, min(block, cycles - i * block)) for i in range(math.ceil(cycles / block))]
+    blocks = [(i, min(block, cycles - i * block)) for i in range(math.ceil(cycles / block))]
+
+    def run(b: tuple[int, int]):
+        return fn(*_block_clicks(config, *b))
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, blocks))
+    return [run(b) for b in blocks]
+
+
+def _totals(click_a: np.ndarray, click_b: np.ndarray) -> tuple[int, int, int, int]:
+    """(pulses, A clicks, B clicks, coincidences)."""
+    return (
+        int(click_a.size),
+        int(np.count_nonzero(click_a)),
+        int(np.count_nonzero(click_b)),
+        int(np.count_nonzero(click_a & click_b)),
+    )
 
 
 def simulate_click_arrays(config: SimConfig, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-pulse click indicators (channel A, channel B) over all
     cycles, concatenated in block order."""
-    blocks = _blocks(config)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: _block_clicks(config, *b), blocks))
-    else:
-        parts = [_block_clicks(config, i, size) for i, size in blocks]
-    return (
-        np.concatenate([a for a, _ in parts]),
-        np.concatenate([b for _, b in parts]),
-    )
+    parts = _map_blocks(config, lambda a, b: (a, b), workers)
+    return np.concatenate([a for a, _ in parts]), np.concatenate([b for _, b in parts])
 
 
 def counts_from_click_arrays(click_a: np.ndarray, click_b: np.ndarray) -> ClickCounts:
     """Tally the four per-pulse patterns from click indicators."""
-    n_all = int(click_a.size)
-    n_11 = int(np.count_nonzero(click_a & click_b))
-    n_10 = int(np.count_nonzero(click_a)) - n_11
-    n_01 = int(np.count_nonzero(click_b)) - n_11
-    return ClickCounts(
-        n_all=n_all,
-        n_00=n_all - n_10 - n_01 - n_11,
-        n_10=n_10,
-        n_01=n_01,
-        n_11=n_11,
-    )
+    return ClickCounts.from_totals(*_totals(click_a, click_b))
 
 
 def simulate_pulses(config: SimConfig, workers: int = 1) -> ClickCounts:
     """Run the pulse train and tally click patterns.
 
-    Deterministic in config alone: any workers value and either kernel
-    backend give identical counts.
+    Deterministic in config alone: any workers value gives identical
+    counts.
     """
-    blocks = _blocks(config)
-
-    def tally(block: tuple[int, int]) -> tuple[int, int, int]:
-        a, b = _block_clicks(config, *block)
-        n11 = int(np.count_nonzero(a & b))
-        return int(np.count_nonzero(a)) - n11, int(np.count_nonzero(b)) - n11, n11
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_block = list(pool.map(tally, blocks))
-    else:
-        per_block = [tally(block) for block in blocks]
-    n_10 = sum(t[0] for t in per_block)
-    n_01 = sum(t[1] for t in per_block)
-    n_11 = sum(t[2] for t in per_block)
-    n_all = config.params.cycles
-    return ClickCounts(
-        n_all=n_all,
-        n_00=n_all - n_10 - n_01 - n_11,
-        n_10=n_10,
-        n_01=n_01,
-        n_11=n_11,
-    )
+    per_block = _map_blocks(config, _totals, workers)
+    return ClickCounts.from_totals(*(sum(column) for column in zip(*per_block)))

@@ -229,15 +229,7 @@ def ingest_arrays(
         kept_pulses.append(np.unique(pulse[in_gate & in_window]))
     a, b = kept_pulses
     n_11 = int(np.intersect1d(a, b, assume_unique=True).size)
-    n_10 = int(a.size) - n_11
-    n_01 = int(b.size) - n_11
-    return ClickCounts(
-        n_all=n_pulses,
-        n_00=n_pulses - n_10 - n_01 - n_11,
-        n_10=n_10,
-        n_01=n_01,
-        n_11=n_11,
-    )
+    return ClickCounts.from_totals(n_pulses, int(a.size), int(b.size), n_11)
 
 
 def ingest_records(

@@ -228,8 +228,14 @@ def test_criterion_8_deterministic_runs(tmp_path):
         assert main(["simulate", "--config", str(cfg), "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+        # the CLI runs blocks on every core; its block must equal the
+        # one written from a serial run of the echoed config
         counts, config = read_counts_block(first)
+        serial = tmp_path / "serial.counts"
+        write_counts_block(serial, simulate_pulses(config, workers=1), config)
+        assert serial.read_bytes() == first.read_bytes()
         assert simulate_pulses(config, workers=4) == counts
+        assert simulate_pulses(config, workers=7) == counts
         a1, b1 = simulate_click_arrays(config)
         a4, b4 = simulate_click_arrays(config, workers=4)
         assert np.array_equal(a1, a4) and np.array_equal(b1, b4)

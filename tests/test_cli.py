@@ -1,5 +1,7 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from photon_gate import (
     write_timetags_binary,
     write_timetags_csv,
 )
+from photon_gate import cli
 from photon_gate.cli import main
 from photon_gate.timetags import GateConfig
 
@@ -118,6 +121,15 @@ class TestClassifyCountsBlock:
         rc = main(["classify", "--input", str(out), "--gamma", "1.5"])
         assert rc == EXIT_BY_DECISION[verdict.decision]
 
+    def test_reports_measured_duration(self, tmp_path, sim_cfg, capsys, monkeypatch):
+        out = tmp_path / "run.counts"
+        main(["simulate", "--config", str(sim_cfg), "--output", str(out)])
+        capsys.readouterr()
+        clock = iter([10.0, 12.5])
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(clock)))
+        main(["classify", "--input", str(out)])
+        assert "duration           2.500 s\n" in capsys.readouterr().out
+
     def test_heavy_background_is_indeterminate(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -155,7 +167,12 @@ class TestClassifyTimetags:
                        "--format", "binary", "--cycles", "50000"])
         out_bin = capsys.readouterr().out
         assert rc_csv == rc_bin == 0  # lone emitter, ample counts
-        assert out_csv == out_bin
+
+        def without_duration(out):
+            # the duration line is a measured time, not a result
+            return [line for line in out.splitlines() if not line.startswith("duration")]
+
+        assert without_duration(out_csv) == without_duration(out_bin)
 
     def test_pulse_count_inferred_from_last_tag(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

@@ -1,4 +1,4 @@
-"""Monte Carlo simulator: determinism, kernel-backend equivalence, and
+"""Monte Carlo simulator: determinism, the exact click rule, and
 agreement with the closed forms."""
 
 import math
@@ -19,7 +19,7 @@ from photon_gate import (
     simulate_pulses,
     stats_from_counts,
 )
-from photon_gate import _kernels
+from photon_gate.simulate import _block_clicks
 
 
 def pulls(counts, source, params):
@@ -74,40 +74,71 @@ class TestDeterminism:
         assert counts.n_all == 100_001
 
 
-class TestKernelBackends:
-    def test_fixed_kernels_bit_identical(self):
-        rng = np.random.default_rng(42)
-        m, s = 50_000, 3
-        routes = rng.random((m, s))
-        detects = rng.random((m, s))
-        bg_a = rng.poisson(0.01, m)
-        bg_b = rng.poisson(0.02, m)
-        ref_a = np.empty(m, np.bool_)
-        ref_b = np.empty(m, np.bool_)
-        _kernels._fixed_clicks_numpy(routes, detects, bg_a, bg_b, 0.13, 0.07, ref_a, ref_b)
-        got_a = np.empty(m, np.bool_)
-        got_b = np.empty(m, np.bool_)
-        _kernels.fixed_clicks(routes, detects, bg_a, bg_b, 0.13, 0.07, got_a, got_b)
-        assert np.array_equal(ref_a, got_a) and np.array_equal(ref_b, got_b)
+class TestClickRule:
+    """Exact consequences of the one-uniform-per-photon rule."""
 
-    def test_poisson_kernels_bit_identical(self):
-        rng = np.random.default_rng(43)
-        m = 50_000
-        counts = rng.poisson(0.4, m)
-        total = int(counts.sum())
-        routes = rng.random(total)
-        detects = rng.random(total)
-        bg_a = rng.poisson(0.01, m)
-        bg_b = rng.poisson(0.01, m)
-        ref_a = np.empty(m, np.bool_)
-        ref_b = np.empty(m, np.bool_)
-        _kernels._poisson_clicks_numpy(
-            counts, routes, detects, bg_a, bg_b, 0.9, 0.8, ref_a, ref_b
+    def test_perfect_single_emitter_always_clicks_once(self):
+        cfg = SimConfig(
+            source=IdealEmitters(1),
+            params=DetectionParams(eta=1.0, cycles=50_000),
+            seed=5,
+            block_size=1 << 12,
         )
-        got_a = np.empty(m, np.bool_)
-        got_b = np.empty(m, np.bool_)
-        _kernels.poisson_clicks(counts, routes, detects, bg_a, bg_b, 0.9, 0.8, got_a, got_b)
-        assert np.array_equal(ref_a, got_a) and np.array_equal(ref_b, got_b)
+        counts = simulate_pulses(cfg)
+        assert counts.n_00 == 0 and counts.n_11 == 0
+        assert counts.n_10 + counts.n_01 == counts.n_all
+
+    @pytest.mark.parametrize(
+        "source,params",
+        [
+            (IdealEmitters(3), DetectionParams(eta=0.0, cycles=50_000)),
+            (EmitterWithBackground(), DetectionParams(eta=0.0, gamma=0.5, cycles=50_000)),
+            (Coherent(0.0), DetectionParams(eta=0.5, delta=0.3, gamma=0.0, cycles=50_000)),
+        ],
+        ids=("eta-0", "eta-0-background", "coherent-0-gamma-0"),
+    )
+    def test_no_light_never_clicks(self, source, params):
+        counts = simulate_pulses(SimConfig(source=source, params=params, seed=6))
+        assert counts.n_00 == counts.n_all
+
+    @staticmethod
+    def _written_out(rng, size, source, params):
+        """The click rule pulse by pulse over the block's own draws:
+        background uniforms (row A, row B; none for a background-free
+        source), then a coherent source's photon numbers, then one
+        uniform per photon."""
+        eta1, eta2 = params.eta1, params.eta2
+        gamma = 0.0 if isinstance(source, IdealEmitters) else params.gamma
+        bg = rng.random((2, size)) if gamma > 0.0 else np.ones((2, size))
+        if isinstance(source, Coherent):
+            photons = rng.poisson(source.mu, size)
+            per_pulse = np.split(rng.random(int(photons.sum())), np.cumsum(photons)[:-1])
+        else:
+            s = source.s if isinstance(source, IdealEmitters) else 1
+            per_pulse = rng.random((s, size)).T
+        click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
+        for i in range(size):
+            click_a[i] = bg[0, i] < 1.0 - math.exp(-gamma * eta1 / 2.0)
+            click_b[i] = bg[1, i] < 1.0 - math.exp(-gamma * eta2 / 2.0)
+            for u in per_pulse[i]:
+                click_a[i] |= u < eta1 / 2.0
+                click_b[i] |= u >= 1.0 - eta2 / 2.0
+        return click_a, click_b
+
+    @pytest.mark.parametrize(
+        "source",
+        [IdealEmitters(3), EmitterWithBackground(), Coherent(0.7)],
+        ids=("fixed-3", "fixed-background", "coherent"),
+    )
+    def test_block_matches_written_out_rule(self, source):
+        params = DetectionParams(eta=0.6, delta=0.25, gamma=0.4, cycles=2_500)
+        cfg = SimConfig(source=source, params=params, seed=31, block_size=1_000)
+        for k, size in ((0, 1_000), (2, 500)):
+            rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(k))
+            want_a, want_b = self._written_out(rng, size, source, params)
+            got_a, got_b = _block_clicks(cfg, k, size)
+            assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+            assert want_a.any() and want_b.any() and (want_a & want_b).any()
 
 
 class TestAgainstClosedForms:
