@@ -159,7 +159,7 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
     if args.cycles is not None:
         n_pulses = args.cycles
     elif timestamps.size:
-        n_pulses = int(timestamps.max() // gate.pulse_period_ns) + 1
+        n_pulses = int(gate.fold(timestamps.max())[0]) + 1
     else:
         raise FormatError(
             f"{args.input}: no records and no --cycles; pulse count unknown"

@@ -12,12 +12,19 @@ click (the detector saturates).  The timing contract
 
 guarantees a detector fires at most once per gate and has recovered by
 the next one, so per-pulse saturation is the complete description; the
-dead time therefore enters validation only.
+dead time therefore enters validation only.  Integral-valued gate
+timings (of any numeric type) fold in exact int64 arithmetic at every
+timestamp; a non-integral period folds in float64, which is exact only
+below 2**53 ns.
 
-Two record formats are supported:
+Two record formats are supported, both with timestamps in [0, 2**63)
+ns, nondecreasing per channel:
 
-* CSV with header ``channel,timestamp_ns``; channel is A or B,
-  timestamp a nonnegative integer in ns, nondecreasing per channel.
+* CSV with header ``channel,timestamp_ns`` and one ``A,123`` or
+  ``B,123`` record per line.  A line may also carry surrounding
+  whitespace, a ``+`` sign, leading zeros or ``_`` digit separators;
+  LF, CRLF and CR line ends are accepted and blank lines skipped.
+  Malformed lines fail with ``file:line``.
 * A binary variant: an 8-byte little-endian record count, then 9 bytes
   per record (1 byte channel, ASCII A/B, and an 8-byte little-endian
   unsigned timestamp in ns).
@@ -97,6 +104,30 @@ class GateConfig:
                 f"{width!r} / {dead!r} / {period!r} ns"
             )
 
+    def fold(self, timestamps) -> tuple[np.ndarray, np.ndarray]:
+        """Pulse index floor(t / pulse_period) of each timestamp, and
+        whether its position in the period lies inside the gate.
+
+        Integral-valued timings, whatever their Python type, fold in
+        exact int64 arithmetic; a non-integral period folds in float64,
+        which is exact only below 2**53 ns.
+        """
+        t = np.asarray(timestamps, dtype=np.int64)
+        period, offset, width = (
+            _integral(v) for v in (self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns)
+        )
+        if isinstance(period, int):
+            pulse = t // period
+        else:
+            pulse = np.floor(t / period).astype(np.int64)
+        position = t - pulse * period
+        return pulse, (position >= offset) & (position < offset + width)
+
+
+def _integral(v: float) -> float:
+    """v as an int when it is integral-valued and fits int64."""
+    return int(v) if float(v).is_integer() and abs(v) < 2**63 else v
+
 
 class ClickRecord(NamedTuple):
     channel: str  # "A" or "B"
@@ -114,35 +145,79 @@ def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.nd
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+# 10**18 - 1 < 2**63, so an 18-digit timestamp cannot overflow int64
+_CSV_FAST_DIGITS = 18
+
+
 def read_timetags_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (channels, timestamps): uint8 codes (0=A, 1=B) and int64 ns."""
-    channels: list[int] = []
-    timestamps: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if header.strip() != CSV_HEADER:
-            raise FormatError(f"{path}:1: expected header {CSV_HEADER!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'channel,timestamp_ns'")
-            ch = parts[0].strip()
-            if ch not in _CHANNEL_CODE:
-                raise FormatError(f"{path}:{lineno}: channel must be A or B, got {ch!r}")
-            try:
-                t = int(parts[1])
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: timestamp must be an integer, got {parts[1]!r}"
-                ) from None
-            if t < 0:
-                raise FormatError(f"{path}:{lineno}: timestamp must be >= 0, got {t}")
-            channels.append(_CHANNEL_CODE[ch])
-            timestamps.append(t)
-    return np.asarray(channels, dtype=np.uint8), np.asarray(timestamps, dtype=np.int64)
+    """Returns (channels, timestamps): uint8 codes (0=A, 1=B) and int64 ns.
+
+    Lines in the canonical form ``[AB],[0-9]{1,18}`` (what
+    write_timetags_csv emits) are parsed in bulk; every other line goes
+    through _parse_csv_line, so both give the same records and errors.
+    """
+    data = Path(path).read_bytes()
+    if b"\r" in data:  # the universal newlines of a text-mode read
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, buf.size)
+    if data[: ends[0]].decode("ascii", "replace").strip() != CSV_HEADER:
+        raise FormatError(f"{path}:1: expected header {CSV_HEADER!r}")
+    starts, ends = ends[:-1] + 1, ends[1:]  # data lines; line i is lineno i + 2
+    digits = ends - starts - 2
+    first = buf[starts]
+    comma = np.take(buf, starts + 1, mode="clip")
+    canonical = ((first == ord("A")) | (first == ord("B"))) & (comma == ord(",")) & (
+        digits >= 1) & (digits <= _CSV_FAST_DIGITS)
+    timestamps = np.zeros(starts.size, dtype=np.int64)
+    # one gather per digit column, least significant first
+    for k in range(min(int(digits.max(initial=0)), _CSV_FAST_DIGITS)):
+        d = np.take(buf, ends - 1 - k, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
+        live = digits > k
+        canonical &= (d < 10) | ~live
+        timestamps += (d * live).astype(np.int64) * 10**k
+    channels = (first == ord("B")).astype(np.uint8)
+    other = np.flatnonzero(~canonical)
+    if other.size:
+        keep = canonical
+        for i, lo, hi in zip(other.tolist(), starts[other].tolist(), ends[other].tolist()):
+            record = _parse_csv_line(path, i + 2, data[lo:hi])
+            if record is not None:
+                channels[i], timestamps[i] = record
+                keep[i] = True
+        channels, timestamps = channels[keep], timestamps[keep]
+    return channels, timestamps
+
+
+def _parse_csv_line(path: str | Path, lineno: int, raw: bytes) -> tuple[int, int] | None:
+    """(channel code, timestamp) of one CSV data line, or None for a blank
+    line.  This is the line grammar: surrounding whitespace is ignored,
+    and the timestamp is anything int() accepts in [0, 2**63)."""
+    try:
+        line = raw.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}:{lineno}: line is not ASCII") from None
+    if not line:
+        return None
+    parts = line.split(",")
+    if len(parts) != 2:
+        raise FormatError(f"{path}:{lineno}: expected 'channel,timestamp_ns'")
+    ch = parts[0].strip()
+    if ch not in _CHANNEL_CODE:
+        raise FormatError(f"{path}:{lineno}: channel must be A or B, got {ch!r}")
+    try:
+        t = int(parts[1])
+    except ValueError:
+        raise FormatError(
+            f"{path}:{lineno}: timestamp must be an integer, got {parts[1]!r}"
+        ) from None
+    if t < 0:
+        raise FormatError(f"{path}:{lineno}: timestamp must be >= 0, got {t}")
+    if t >= 2**63:
+        raise FormatError(f"{path}:{lineno}: timestamp must be < 2**63, got {t}")
+    return _CHANNEL_CODE[ch], t
 
 
 # ------------------------------------------------------------- binary --
@@ -208,17 +283,11 @@ def ingest_arrays(
     kept_pulses: list[np.ndarray] = []
     for code in (0, 1):
         t = ts[channels == code]
-        if t.size > 1 and np.any(np.diff(t) < 0):
+        if np.any(t[1:] < t[:-1]):
             raise FormatError(
                 f"channel {_CHANNEL_NAME[code]} timestamps are not sorted"
             )
-        pulse = np.floor_divide(t, gate.pulse_period_ns).astype(np.int64) \
-            if isinstance(gate.pulse_period_ns, int) \
-            else np.floor(t / gate.pulse_period_ns).astype(np.int64)
-        position = t - pulse * gate.pulse_period_ns
-        in_gate = (position >= gate.gate_offset_ns) & (
-            position < gate.gate_offset_ns + gate.gate_width_ns
-        )
+        pulse, in_gate = gate.fold(t)
         in_window = pulse < n_pulses
         dropped = int(np.count_nonzero(in_gate & ~in_window))
         if dropped:
@@ -226,7 +295,11 @@ def ingest_arrays(
                 "channel %s: %d in-gate records beyond pulse window dropped",
                 _CHANNEL_NAME[code], dropped,
             )
-        kept_pulses.append(np.unique(pulse[in_gate & in_window]))
+        kept = pulse[in_gate & in_window]
+        # sorted, so one pass keeps the first record of each pulse (saturation)
+        if kept.size:
+            kept = kept[np.r_[True, kept[1:] != kept[:-1]]]
+        kept_pulses.append(kept)
     a, b = kept_pulses
     n_11 = int(np.intersect1d(a, b, assume_unique=True).size)
     return ClickCounts.from_totals(n_pulses, int(a.size), int(b.size), n_11)

@@ -3,12 +3,14 @@
 These deliberately avoid the package's algebra: click probabilities
 are obtained by literal enumeration of every photon routing/detection
 outcome, so agreement with the closed forms is a genuine two-route
-check.
+check.  Likewise the time-tag fold is redone one tag at a time in
+exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -107,3 +109,23 @@ def convolve_bernoulli_poisson(eta: float, lam: float, n_max: int = 24) -> np.nd
     Poisson(lam) background photons (truncated; tail left off)."""
     pois = np.array([math.exp(-lam) * lam**n / math.factorial(n) for n in range(n_max)])
     return np.convolve(np.array([1.0 - eta, eta]), pois)
+
+
+def ingest_oracle(
+    channels, timestamps, period, offset, width, n_pulses: int
+) -> tuple[int, int, int, int]:
+    """(n_00, n_10, n_01, n_11) by folding one tag at a time in exact
+    rational arithmetic: tag t lies in pulse k = floor(t / period) at
+    position t - k * period, and is kept when that position is in
+    [offset, offset + width) and k < n_pulses.  Each channel's kept
+    pulses form a set, so repeats within one pulse count once."""
+    period, offset, width = Fraction(period), Fraction(offset), Fraction(width)
+    fired = (set(), set())
+    for ch, t in zip(channels, timestamps):
+        k = math.floor(Fraction(int(t)) / period)
+        if offset <= int(t) - k * period < offset + width and k < n_pulses:
+            fired[int(ch)].add(k)
+    a, b = fired
+    n_11 = len(a & b)
+    n_10, n_01 = len(a) - n_11, len(b) - n_11
+    return n_pulses - n_10 - n_01 - n_11, n_10, n_01, n_11

@@ -202,6 +202,25 @@ class TestClassifyTimetags:
         assert main(["classify", "--input", str(path)]) == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_oversized_timestamp_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("channel,timestamp_ns\nA,10\nB,99999999999999999999\n")
+        assert main(["classify", "--input", str(path)]) == 2
+        assert ":3: timestamp must be < 2**63" in capsys.readouterr().err
+
+    def test_epoch_scale_tags_fold_exactly(self, tmp_path, capsys):
+        # Unix-epoch timestamps: float64 would round the A tag (last ns of
+        # pulse k - 1) up to 500 k, one pulse too many and inside a gate
+        k = 1_760_000_000_000_000_000 // 500
+        path = tmp_path / "t.csv"
+        path.write_text(f"channel,timestamp_ns\nB,{500 * k - 450}\nA,{500 * k - 1}\n")
+        expected = classify_counts(ClickCounts(k, k - 1, 0, 1, 0))
+        rc = main(["classify", "--input", str(path)])
+        assert rc == EXIT_BY_DECISION[expected.decision]
+        out = capsys.readouterr().out
+        assert f"pulses             {k}\n" in out
+        assert f"n00={k - 1} n10=0 n01=1 n11=0" in out
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["classify", "--input", str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")

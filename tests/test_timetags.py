@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from _oracles import ingest_oracle
 
 from photon_gate import (
     ClickCounts,
@@ -30,6 +31,7 @@ from photon_gate import (
     write_timetags_binary,
     write_timetags_csv,
 )
+from photon_gate.timetags import _parse_csv_line
 
 GATE = GateConfig(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=100)
 
@@ -81,11 +83,12 @@ class TestCsvFormat:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ["C,10", "A,ten", "A,-4", "A,10,extra", "A"],
+        ["C,10", "A,ten", "A,-4", "A,10,extra", "A", "A,1\u00e9",
+         "B,99999999999999999999", f"A,{2**63}"],
     )
     def test_bad_data_line_is_numbered(self, tmp_path, bad_line):
         path = tmp_path / "tags.csv"
-        path.write_text(f"channel,timestamp_ns\nA,10\n{bad_line}\n")
+        path.write_text(f"channel,timestamp_ns\nA,10\n{bad_line}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=":3:"):
             read_timetags_csv(path)
 
@@ -94,6 +97,89 @@ class TestCsvFormat:
         path.write_text("channel,timestamp_ns\n\nA,10\n\n")
         got_ch, got_ts = read_timetags_csv(path)
         assert got_ch.tolist() == [0] and got_ts.tolist() == [10]
+
+    def test_accepted_forms(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(
+            b"channel,timestamp_ns\r\n A , 7 \nB,+8\r\nA,1_0\rB,0009\n"
+            b"\tA,999999999999999999\nB,9223372036854775807"
+        )
+        got_ch, got_ts = read_timetags_csv(path)
+        assert got_ch.tolist() == [0, 1, 0, 1, 0, 1]
+        assert got_ts.tolist() == [7, 8, 10, 9, 10**18 - 1, 2**63 - 1]
+
+    def test_bad_line_after_many_good_ones(self, tmp_path):
+        path = tmp_path / "tags.csv"
+        write_timetags_csv(path, np.zeros(10_000, dtype=np.uint8),
+                           np.arange(10_000, dtype=np.int64))
+        with open(path, "a") as fh:
+            fh.write("B,1x\n")
+        with pytest.raises(FormatError, match=":10002: timestamp must be an integer"):
+            read_timetags_csv(path)
+
+
+def _csv_line(rng) -> str:
+    """One CSV data line: mostly canonical, else one of the other forms
+    the line grammar accepts."""
+    ch = "AB"[rng.integers(2)]
+    t = int(rng.integers(0, 10**12))
+    forms = [
+        f"{ch},{t}\n",
+        "\n",
+        " \t \n",
+        f"  {ch} ,\t{t}  \n",
+        f"{ch},{t}\r\n",
+        f"{ch},{t}\r",
+        f"{ch},{t:018d}\n",
+        f"{ch},{t:025d}\n",
+        f"{ch},+{t}\n",
+        f"{ch},{t:_}\n",
+        f"{ch},{int(rng.integers(10**17, 10**18))}\n",
+        f"{ch},{int(rng.integers(10**18, 2**63))}\n",
+    ]
+    return forms[0] if rng.random() < 0.5 else forms[rng.integers(len(forms))]
+
+
+BAD_CSV_LINES = ["C,5\n", "A,5,6\n", "A,-3\n", "B,1.5\n", f"A,{2**63 + 7}\n", "B\n"]
+
+
+class TestCsvReaderEquivalence:
+    """read_timetags_csv must equal _parse_csv_line applied to every line
+    of a text-mode (universal newlines) read of the same file, records
+    and errors alike."""
+
+    @staticmethod
+    def line_by_line(path):
+        with open(path, encoding="ascii") as fh:
+            next(fh)
+            records = [_parse_csv_line(path, lineno, raw.encode("ascii"))
+                       for lineno, raw in enumerate(fh, start=2)]
+        records = [r for r in records if r is not None]
+        return (np.array([c for c, _ in records], dtype=np.uint8),
+                np.array([t for _, t in records], dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_forms(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        lines = [_csv_line(rng) for _ in range(rng.integers(0, 300))]
+        if lines and rng.random() < 0.25:
+            lines.insert(rng.integers(len(lines)), BAD_CSV_LINES[rng.integers(len(BAD_CSV_LINES))])
+        text = "channel,timestamp_ns\n" + "".join(lines)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")
+        path = tmp_path / "tags.csv"
+        path.write_bytes(text.encode("ascii"))
+        try:
+            want_ch, want_ts = self.line_by_line(path)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_timetags_csv(path)
+            assert str(got.value) == str(exc)
+            return
+        got_ch, got_ts = read_timetags_csv(path)
+        assert got_ch.dtype == np.uint8 and got_ts.dtype == np.int64
+        assert np.array_equal(got_ch, want_ch)
+        assert np.array_equal(got_ts, want_ts)
 
 
 class TestBinaryFormat:
@@ -180,6 +266,17 @@ class TestIngest:
             base.n_10, base.n_01, base.n_11
         )
 
+    @pytest.mark.parametrize("gate", [GateConfig(500, 0, 100), GateConfig(500.0, 0.0, 100.0)],
+                             ids=("int", "float"))
+    def test_epoch_scale_tags_fold_exactly(self, gate):
+        # float64 cannot hold 500 k + 100 at this scale: it rounds the tag
+        # to 500 k, i.e. into the gate [0, 100) of pulse k
+        k = 1_760_000_000_000_000_000 // 500
+        channels = np.array([0, 1], dtype=np.uint8)
+        timestamps = np.array([500 * k + 100, 500 * k + 99], dtype=np.int64)
+        counts = ingest_arrays(channels, timestamps, gate, n_pulses=k + 1)
+        assert counts == ClickCounts(n_all=k + 1, n_00=k, n_10=0, n_01=1, n_11=0)
+
     def test_unsorted_channel_rejected(self):
         channels = np.array([0, 0], dtype=np.uint8)
         timestamps = np.array([600, 10], dtype=np.int64)
@@ -202,6 +299,37 @@ class TestIngest:
             ingest_arrays(ch, np.array([10, 20]), GATE, n_pulses=1)
         with pytest.raises(FormatError):
             ingest_arrays(ch, np.array([-1]), GATE, n_pulses=1)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_per_tag_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # int and float integral periods, then dyadic ones that float64
+        # folds exactly at these magnitudes
+        period, offset, width = [(500, 0, 100), (500.0, 20.0, 100.0), (80, 10, 20),
+                                 (12.5, 2.5, 4.25), (333.75, 100.5, 60.0)][seed % 5]
+        gate = GateConfig(period, offset, width)
+        n_pulses = int(rng.integers(1, 40))
+        base = 0
+        if float(period).is_integer() and seed % 2:
+            base = 1_760_000_000_000_000_000 // int(period)  # Unix epoch in ns
+        streams = []
+        for _ in range(2):
+            n = 0 if rng.random() < 0.15 else int(rng.integers(1, 120))
+            # few distinct pulses, so several tags share one; some beyond n_pulses
+            pulse = rng.integers(0, n_pulses + 3, n)
+            position = rng.integers(0, math.ceil(period), n)
+            streams.append(np.sort(base * int(period) + np.floor(pulse * period).astype(np.int64)
+                                   + position))
+        # interleave the channels in a random order that keeps each sorted
+        channels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.uint8),
+                                             [streams[0].size, streams[1].size]))
+        timestamps = np.empty(channels.size, dtype=np.int64)
+        for code in (0, 1):
+            timestamps[channels == code] = streams[code]
+        n_all = base + n_pulses
+        counts = ingest_arrays(channels, timestamps, gate, n_pulses=n_all)
+        assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == ingest_oracle(
+            channels, timestamps, period, offset, width, n_all)
 
     def test_ingest_records_wrapper(self):
         records = [
