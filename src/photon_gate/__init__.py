@@ -4,16 +4,13 @@ the single-emitter test built on them."""
 from .analytic import (
     SourceDistribution,
     binomial_source,
-    double_molecule_stats,
     expected_stats,
     g2_zero_estimate,
     hbt_transform,
-    mandel_q,
     multi_emitter_stats,
     poisson_source,
     sbr_from_stats,
     single_with_background_stats,
-    stats_from_sb,
 )
 from .criterion import (
     CriticalValues,
@@ -26,17 +23,13 @@ from .criterion import (
     uncorrected_bounds,
 )
 from .deviations import (
-    DeviationReport,
-    deviation_report,
     relative_deviations,
     sampling_fluctuation,
     systematic_deviation,
-    unbalanced_stats,
 )
 from .model import (
     ClickCounts,
     Coherent,
-    ConvergenceError,
     Decision,
     DetectionParams,
     EmitterWithBackground,
@@ -57,10 +50,8 @@ from .simulate import (
     simulate_pulses,
 )
 from .timetags import (
-    ClickRecord,
     GateConfig,
     ingest_arrays,
-    ingest_records,
     is_counts_block,
     read_counts_block,
     read_sim_config,

@@ -156,21 +156,6 @@ def multi_emitter_stats(s: int, eta: float, delta: float = 0.0) -> PhotonStats:
     )
 
 
-def double_molecule_stats(eta: float) -> PhotonStats:
-    """Two ideal emitters, balanced channels — the boundary system of
-    the single-emitter criterion, in expanded form:
-
-        P(0) = (1 - eta)^2,  P(1) = 2 eta - 3/2 eta^2,  P(2) = eta^2/2
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise RangeError(f"eta must be in [0, 1], got {eta!r}")
-    return PhotonStats(
-        p0=(1.0 - eta) ** 2,
-        p1=2.0 * eta - 1.5 * eta * eta,
-        p2=0.5 * eta * eta,
-    )
-
-
 def single_with_background_stats(params: DetectionParams) -> PhotonStats:
     """One emitter (efficiency eta) over Poissonian background (mean
     gamma at the source plane), balanced channels:
@@ -188,27 +173,6 @@ def single_with_background_stats(params: DetectionParams) -> PhotonStats:
         p0=(1.0 - eta) * e2,
         p1=2.0 * (1.0 - eta / 2.0) * e1 - 2.0 * (1.0 - eta) * e2,
         p2=em1 * em1 + eta * e1 * em1,
-    )
-
-
-def stats_from_sb(s: float, b: float) -> PhotonStats:
-    """Click statistics parametrized by detected signal and background.
-
-    s is the probability a signal photon is detected somewhere; b is the
-    mean number of detected background clicks (split evenly, so each
-    channel independently sees background with probability b/2).  The
-    emitter+background closed form is recovered by s = eta and
-    b = 2 (1 - e^(-eta gamma / 2)).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise RangeError(f"s must be in [0, 1], got {s!r}")
-    if not 0.0 <= b <= 2.0:
-        raise RangeError(f"b must be in [0, 2], got {b!r}")
-    keep = 1.0 - b / 2.0
-    return _joint_stats(
-        no_a=(1.0 - s / 2.0) * keep,
-        no_b=(1.0 - s / 2.0) * keep,
-        none=(1.0 - s) * keep * keep,
     )
 
 
@@ -239,11 +203,6 @@ def expected_stats(source: SourceModel, params: DetectionParams) -> PhotonStats:
             none=math.exp(-lam * params.eta),
         )
     raise TypeError(f"unknown source model: {source!r}")
-
-
-def mandel_q(stats: PhotonStats) -> float:
-    """Mandel Q of the click-number distribution (0 at zero mean)."""
-    return stats.q
 
 
 def sbr_from_stats(stats: PhotonStats) -> float:

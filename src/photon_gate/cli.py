@@ -28,14 +28,12 @@ import numpy as np
 
 from .analytic import g2_zero_estimate
 from .criterion import classify, classify_counts, corrected_critical_values
-from .deviations import DeviationReport, deviation_report
+from .deviations import systematic_deviation
 from .model import (
     ClickCounts,
-    ConvergenceError,
     Decision,
     DetectionParams,
     FormatError,
-    GateError,
     PhotonStats,
     RangeError,
     Verdict,
@@ -55,19 +53,16 @@ from .timetags import (
 
 log = logging.getLogger(__name__)
 
+# largest eta of the critical sweep: its mean click number must stay <= 1
+_ETA_MAX = 2.0 - math.sqrt(2.0)
+
 _EXIT_BY_DECISION = {
     Decision.SINGLE: 0,
     Decision.NOT_SINGLE: 1,
     Decision.INDETERMINATE: 3,
 }
-_USER_ERRORS = (
-    FormatError,
-    GateError,
-    RangeError,
-    ConvergenceError,
-    OSError,
-    ValueError,
-)
+# FormatError, GateError and RangeError are ValueErrors
+_USER_ERRORS = (OSError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,6 @@ class RunReport:
     counts: ClickCounts
     stats: PhotonStats
     verdict: Verdict
-    deviations: DeviationReport
     config: SimConfig | None
     duration_s: float
 
@@ -96,6 +90,7 @@ def format_report(report: RunReport) -> str:
         g2 = _fmt(g2_zero_estimate(c))
     except ZeroDivisionError:
         g2 = "n/a"
+    d1, d2 = systematic_deviation(v.params)
     lines = [
         f"pulses             {c.n_all}",
         f"pattern counts     n00={c.n_00} n10={c.n_10} n01={c.n_01} n11={c.n_11}",
@@ -107,7 +102,7 @@ def format_report(report: RunReport) -> str:
         f"setup SBR          {_fmt(v.setup_sbr)}",
         f"SBR threshold      {_fmt(v.sbr0)}",
         f"critical p1 / p2   {_fmt(v.p1_critical)} / {_fmt(v.p2_critical)}",
-        f"systematic d1/d2   {_fmt(report.deviations.delta_p1)} / {_fmt(report.deviations.delta_p2)}",
+        f"systematic d1/d2   {_fmt(d1)} / {_fmt(d2)}",
         f"margin (p1)        {_fmt(v.margin_p1)}",
         f"decision           {v.decision.value}",
     ]
@@ -139,7 +134,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         counts=counts,
         stats=stats,
         verdict=verdict,
-        deviations=deviation_report(config.params),
         config=config,
         duration_s=duration,
     )
@@ -199,37 +193,11 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         counts=counts,
         stats=stats_from_counts(counts),
         verdict=verdict,
-        deviations=deviation_report(_verdict_params(args, config, counts)),
         config=config,
         duration_s=duration,
     )
     print(format_report(report))
     return _EXIT_BY_DECISION[verdict.decision]
-
-
-def _verdict_params(
-    args: argparse.Namespace, config: SimConfig | None, counts: ClickCounts
-) -> DetectionParams:
-    # best-effort params for the deviation lines of the report
-    from .criterion import boundary_eta
-
-    stats = stats_from_counts(counts)
-    if args.eta is not None:
-        eta = args.eta
-    elif config is not None:
-        eta = config.params.eta
-    elif 0.0 < stats.mean_n <= 1.0:
-        eta = boundary_eta(stats.mean_n)
-    else:
-        eta = 0.0
-    delta = args.delta if args.delta is not None else (
-        config.params.delta if config is not None else 0.0
-    )
-    gamma = args.gamma if args.gamma is not None else (
-        config.params.gamma if config is not None else 0.0
-    )
-    cycles = args.cycles if args.cycles is not None else counts.n_all
-    return DetectionParams(eta=eta, delta=delta, gamma=gamma, cycles=cycles)
 
 
 def _linspace(args: argparse.Namespace) -> np.ndarray:
@@ -250,6 +218,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header = "mean_n,sbr0"
         rows = [f"{float(x)!r},{sbr_threshold(float(x))!r}" for x in grid]
     else:
+        if grid.size and args.stop > _ETA_MAX:
+            raise RangeError(f"--stop {args.stop} exceeds 2 - sqrt(2) = {_ETA_MAX:.6g}, "
+                             "where the mean click number 2 eta - eta^2/2 reaches 1")
         header = "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical"
         rows = []
         for eta in grid:

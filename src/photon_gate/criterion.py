@@ -18,8 +18,12 @@ bounds are complementary: p1_bound + 2 p2_bound = mean_n.
 Background blurs the test.  A single emitter over background with
 signal-to-background ratio below a threshold SBR0(mean_n) lands on the
 wrong side of the boundary no matter what, so such a measurement is
-declared indeterminate rather than "not single".  SBR0 runs from
-1 + sqrt(2) (mean_n -> 0) down to about 1.63 (mean_n = 1).
+declared indeterminate rather than "not single".  In closed form,
+SBR0 = ((mean_n - b)/(1 - b/2))/b at the detected background
+b = 4 p2_bound / (mean_n + sqrt(mean_n^2 - 4 p2_bound)), where the
+signal+background two-click probability (b/2)(mean_n - b/2) reaches
+p2_bound.  SBR0 runs from 1 + sqrt(2) (mean_n -> 0) down to about 1.63
+(mean_n = 1).
 
 Channel imbalance and finite sampling shift the critical values:
 
@@ -40,7 +44,6 @@ from .analytic import sbr_from_stats
 from .deviations import sampling_fluctuation, systematic_deviation
 from .model import (
     ClickCounts,
-    ConvergenceError,
     Decision,
     DetectionParams,
     PhotonStats,
@@ -50,7 +53,6 @@ from .model import (
     stats_from_counts,
 )
 
-_BISECTION_STEPS = 200
 _CONSISTENCY_TOL = 1e-9
 
 
@@ -74,32 +76,16 @@ def sbr_threshold(mean_n: float) -> float:
     """Signal-to-background ratio below which a true single emitter is
     indistinguishable from the two-emitter boundary at this mean.
 
-    Solved by bisection on the detected background level b in
-    (0, mean_n]: the two-click probability (b/2)(mean_n - b/2) of the
-    signal+background model grows monotonically in b, and the threshold
-    is where it reaches p2_bound.
+    The signal+background two-click probability (b/2)(mean_n - b/2)
+    reaches p2_bound at the detected background
+    b = 4 p2_bound / (mean_n + sqrt(mean_n^2 - 4 p2_bound)), the smaller
+    root written without cancellation; SBR0 = ((mean_n - b)/(1 - b/2))/b.
     """
     if not 0.0 < mean_n <= 1.0:
         raise RangeError(f"mean_n must be in (0, 1], got {mean_n!r}")
     _, p2_bound = uncorrected_bounds(mean_n)
-
-    def excess(b: float) -> float:
-        return (b / 2.0) * (mean_n - b / 2.0) - p2_bound
-
-    lo, hi = 0.0, mean_n
-    if excess(hi) < 0.0:
-        raise ConvergenceError(f"no root bracketed for mean_n={mean_n!r}")
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    b = 0.5 * (lo + hi)
-    if b <= 0.0:
-        raise ConvergenceError(f"degenerate root for mean_n={mean_n!r}")
-    s = (mean_n - b) / (1.0 - b / 2.0)
-    return s / b
+    b = 4.0 * p2_bound / (mean_n + math.sqrt(mean_n * mean_n - 4.0 * p2_bound))
+    return ((mean_n - b) / (1.0 - b / 2.0)) / b
 
 
 def setup_sbr(params: DetectionParams) -> float:
@@ -163,7 +149,7 @@ def _measured_sbr(stats: PhotonStats) -> float | None:
         return None
 
 
-def _indeterminate(reason: str, **fields) -> Verdict:
+def _indeterminate(params: DetectionParams, reason: str, **fields) -> Verdict:
     defaults = dict(
         p1_critical=math.nan,
         p2_critical=math.nan,
@@ -173,7 +159,7 @@ def _indeterminate(reason: str, **fields) -> Verdict:
         margin_p1=math.nan,
     )
     defaults.update(fields)
-    return Verdict(decision=Decision.INDETERMINATE, reason=reason, **defaults)
+    return Verdict(decision=Decision.INDETERMINATE, params=params, reason=reason, **defaults)
 
 
 def classify(
@@ -203,10 +189,10 @@ def classify(
 
     mean_n = stats.mean_n
     if mean_n <= 0.0:
-        return _indeterminate("no clicks observed; statistics carry no information")
+        return _indeterminate(params, "no clicks observed; statistics carry no information")
     if mean_n > 1.0:
         return _indeterminate(
-            f"mean click number {mean_n!r} exceeds 1; outside the test's domain"
+            params, f"mean click number {mean_n!r} exceeds 1; outside the test's domain"
         )
 
     crit = corrected_critical_values(mean_n, params)
@@ -225,18 +211,20 @@ def classify(
 
     if measured is None:
         return _indeterminate(
+            params,
             "two-click rate too high for the signal+background model; "
             "measured SBR undefined",
             **common,
         )
     if setup < sbr0:
         return _indeterminate(
+            params,
             f"setup SBR {setup:.3f} below threshold {sbr0:.3f}; "
             "background too strong for a verdict",
             **common,
         )
     decision = Decision.SINGLE if margin > 0.0 else Decision.NOT_SINGLE
-    return Verdict(decision=decision, reason=None, **common)
+    return Verdict(decision=decision, params=params, reason=None, **common)
 
 
 def classify_counts(

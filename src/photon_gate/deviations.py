@@ -26,16 +26,9 @@ probability: var = p (1 - p) / M over M pulses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .analytic import expected_stats, single_with_background_stats
-from .model import DetectionParams, EmitterWithBackground, PhotonStats, RangeError
-
-
-def unbalanced_stats(params: DetectionParams) -> PhotonStats:
-    """Exact click statistics of one emitter plus background under
-    unbalanced channels."""
-    return expected_stats(EmitterWithBackground(), params)
+from .analytic import single_with_background_stats
+from .model import DetectionParams, RangeError
 
 
 def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
@@ -77,28 +70,3 @@ def sampling_fluctuation(p: float, cycles: int) -> tuple[float, float]:
     var = p * (1.0 - p) / cycles
     return var, math.sqrt(var)
 
-
-@dataclass(frozen=True)
-class DeviationReport:
-    """All deviation terms for one calibration, ready for reporting.
-
-    r1/r2 are NaN when the balanced reference probability vanishes.
-    sigma_sq is the sampling variance of the one-click probability.
-    """
-
-    delta_p1: float
-    delta_p2: float
-    r1: float
-    r2: float
-    sigma_sq: float
-
-
-def deviation_report(params: DetectionParams) -> DeviationReport:
-    d1, d2 = systematic_deviation(params)
-    try:
-        r1, r2 = relative_deviations(params)
-    except ZeroDivisionError:
-        r1 = r2 = math.nan
-    balanced = single_with_background_stats(params)
-    var, _ = sampling_fluctuation(balanced.p1, params.cycles)
-    return DeviationReport(delta_p1=d1, delta_p2=d2, r1=r1, r2=r2, sigma_sq=var)

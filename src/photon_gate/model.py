@@ -37,10 +37,6 @@ class GateError(ValueError):
     """Gate timing configuration is internally inconsistent."""
 
 
-class ConvergenceError(RuntimeError):
-    """A numeric solve failed to bracket or converge."""
-
-
 class SbrNotApplicable(ValueError):
     """Click statistics lie outside the regime where the quadratic
     signal-to-background estimator is meaningful."""
@@ -207,7 +203,9 @@ class Verdict:
     math.inf when no two-click events were seen).  setup_sbr is the
     ratio implied by the calibration (eta, gamma); the test is gated on
     it.  margin_p1 is p1 minus the corrected critical value — positive
-    exactly when the decision is SINGLE.
+    exactly when the decision is SINGLE.  params is the calibration the
+    decision used, including any eta or gamma that classify_counts
+    filled in from the data.
     """
 
     decision: Decision
@@ -217,6 +215,7 @@ class Verdict:
     measured_sbr: float | None
     setup_sbr: float
     margin_p1: float
+    params: DetectionParams
     reason: str | None = None
 
 

@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -81,8 +82,8 @@ class GateConfig:
         period, offset, width = self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns
         for name, v in (("pulse_period_ns", period), ("gate_offset_ns", offset),
                         ("gate_width_ns", width)):
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise GateError(f"{name} must be finite, got {v!r}")
+            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+                raise GateError(f"{name} must be a finite real number, got {v!r}")
         if period <= 0:
             raise GateError(f"pulse_period_ns must be positive, got {period!r}")
         if width <= 0:
@@ -127,11 +128,6 @@ class GateConfig:
 def _integral(v: float) -> float:
     """v as an int when it is integral-valued and fits int64."""
     return int(v) if float(v).is_integer() and abs(v) < 2**63 else v
-
-
-class ClickRecord(NamedTuple):
-    channel: str  # "A" or "B"
-    timestamp_ns: int
 
 
 # ---------------------------------------------------------------- CSV --
@@ -278,6 +274,8 @@ def ingest_arrays(
     ts = np.asarray(timestamps, dtype=np.int64)
     if channels.shape != ts.shape:
         raise FormatError("channels and timestamps must have equal length")
+    if channels.size and (channels.min() < 0 or channels.max() > 1):
+        raise FormatError("channel codes must be 0 (A) or 1 (B)")
     if np.any(ts < 0):
         raise FormatError("timestamps must be nonnegative")
     kept_pulses: list[np.ndarray] = []
@@ -303,25 +301,6 @@ def ingest_arrays(
     a, b = kept_pulses
     n_11 = int(np.intersect1d(a, b, assume_unique=True).size)
     return ClickCounts.from_totals(n_pulses, int(a.size), int(b.size), n_11)
-
-
-def ingest_records(
-    records: Iterable[ClickRecord], gate: GateConfig, n_pulses: int
-) -> ClickCounts:
-    """Record-stream flavor of ingest_arrays."""
-    channels: list[int] = []
-    timestamps: list[int] = []
-    for rec in records:
-        if rec.channel not in _CHANNEL_CODE:
-            raise FormatError(f"channel must be A or B, got {rec.channel!r}")
-        channels.append(_CHANNEL_CODE[rec.channel])
-        timestamps.append(int(rec.timestamp_ns))
-    return ingest_arrays(
-        np.asarray(channels, dtype=np.uint8),
-        np.asarray(timestamps, dtype=np.int64),
-        gate,
-        n_pulses,
-    )
 
 
 def records_from_click_arrays(

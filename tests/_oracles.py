@@ -4,7 +4,9 @@ These deliberately avoid the package's algebra: click probabilities
 are obtained by literal enumeration of every photon routing/detection
 outcome, so agreement with the closed forms is a genuine two-route
 check.  Likewise the time-tag fold is redone one tag at a time in
-exact rational arithmetic.
+exact rational arithmetic, and the SBR threshold by bisection.  The
+expanded two-emitter form and the (signal, background) parametrization
+are further independent routes to statistics the package computes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
+
+from photon_gate import PhotonStats, RangeError, uncorrected_bounds
 
 
 def hbt_enumerate(probs) -> tuple[float, float, float]:
@@ -129,3 +133,61 @@ def ingest_oracle(
     n_11 = len(a & b)
     n_10, n_01 = len(a) - n_11, len(b) - n_11
     return n_pulses - n_10 - n_01 - n_11, n_10, n_01, n_11
+
+
+def double_molecule_stats(eta: float) -> PhotonStats:
+    """Two ideal emitters, balanced channels — the boundary system of
+    the single-emitter criterion, in expanded form:
+
+        P(0) = (1 - eta)^2,  P(1) = 2 eta - 3/2 eta^2,  P(2) = eta^2/2
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise RangeError(f"eta must be in [0, 1], got {eta!r}")
+    return PhotonStats(
+        p0=(1.0 - eta) ** 2,
+        p1=2.0 * eta - 1.5 * eta * eta,
+        p2=0.5 * eta * eta,
+    )
+
+
+def stats_from_sb(s: float, b: float) -> PhotonStats:
+    """Click statistics parametrized by detected signal and background.
+
+    s is the probability a signal photon is detected somewhere; b is the
+    mean number of detected background clicks (split evenly, so each
+    channel independently sees background with probability b/2).  The
+    emitter+background closed form is recovered by s = eta and
+    b = 2 (1 - e^(-eta gamma / 2)).
+    """
+    if not 0.0 <= s <= 1.0:
+        raise RangeError(f"s must be in [0, 1], got {s!r}")
+    if not 0.0 <= b <= 2.0:
+        raise RangeError(f"b must be in [0, 2], got {b!r}")
+    keep = 1.0 - b / 2.0
+    no_a = no_b = (1.0 - s / 2.0) * keep
+    none = (1.0 - s) * keep * keep
+    # inclusion-exclusion over the two per-channel no-click events
+    return PhotonStats(p0=none, p1=no_a + no_b - 2.0 * none, p2=1.0 - no_a - no_b + none)
+
+
+def sbr_threshold_bisection(mean_n: float, steps: int = 200) -> float:
+    """SBR threshold by bisection on the detected background b in
+    (0, mean_n]: the signal+background two-click probability
+    (b/2)(mean_n - b/2) grows monotonically in b there, and the
+    threshold is s / b with s = (mean_n - b) / (1 - b/2) where it
+    reaches p2_bound."""
+    _, p2_bound = uncorrected_bounds(mean_n)
+
+    def excess(b: float) -> float:
+        return (b / 2.0) * (mean_n - b / 2.0) - p2_bound
+
+    lo, hi = 0.0, mean_n
+    assert excess(hi) >= 0.0, mean_n
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if excess(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    b = 0.5 * (lo + hi)
+    return ((mean_n - b) / (1.0 - b / 2.0)) / b

@@ -9,21 +9,25 @@ from photon_gate import (
     ClickCounts,
     Decision,
     DetectionParams,
+    EmitterWithBackground,
     IdealEmitters,
     SimConfig,
     classify,
     classify_counts,
+    counts_from_click_arrays,
     read_counts_block,
     records_from_click_arrays,
     sbr_threshold,
     simulate_click_arrays,
     simulate_pulses,
     stats_from_counts,
+    systematic_deviation,
+    uncorrected_bounds,
     write_timetags_binary,
     write_timetags_csv,
 )
 from photon_gate import cli
-from photon_gate.cli import main
+from photon_gate.cli import _fmt, main
 from photon_gate.timetags import GateConfig
 
 EXIT_BY_DECISION = {
@@ -42,6 +46,23 @@ SIM_CFG_TEXT = (
 )
 
 
+def assert_report_shows(out, counts, verdict):
+    """Every criterion number in a printed report is the verdict's own."""
+    fields = {line[:19].strip(): line[19:] for line in out.splitlines()}
+    d1, d2 = systematic_deviation(verdict.params)
+    assert fields["critical p1 / p2"] == f"{_fmt(verdict.p1_critical)} / {_fmt(verdict.p2_critical)}"
+    assert fields["SBR threshold"] == _fmt(verdict.sbr0)
+    assert fields["setup SBR"] == _fmt(verdict.setup_sbr)
+    assert fields["measured SBR"] == _fmt(verdict.measured_sbr)
+    assert fields["margin (p1)"] == _fmt(verdict.margin_p1)
+    assert fields["systematic d1/d2"] == f"{_fmt(d1)} / {_fmt(d2)}"
+    assert fields["decision"] == verdict.decision.value
+    p1_bound, _ = uncorrected_bounds(stats_from_counts(counts).mean_n)
+    assert verdict.p1_critical == (
+        p1_bound - d1 + p1_bound * (1.0 - p1_bound) / verdict.params.cycles
+    )
+
+
 @pytest.fixture
 def sim_cfg(tmp_path):
     path = tmp_path / "sim.cfg"
@@ -58,7 +79,9 @@ class TestSimulate:
         assert counts == simulate_pulses(config)
         assert config.seed == 20260825
         assert f"pulses             {counts.n_all}" in report
-        assert "decision" in report
+        assert_report_shows(
+            report, counts, classify(stats_from_counts(counts), counts, config.params)
+        )
 
     def test_reruns_are_byte_identical(self, tmp_path, sim_cfg):
         a, b = tmp_path / "a.counts", tmp_path / "b.counts"
@@ -106,7 +129,7 @@ class TestClassifyCountsBlock:
         verdict = classify(stats_from_counts(counts), counts, config.params)
         rc = main(["classify", "--input", str(out)])
         assert rc == EXIT_BY_DECISION[verdict.decision]
-        assert f"decision           {verdict.decision.value}" in capsys.readouterr().out
+        assert_report_shows(capsys.readouterr().out, counts, verdict)
 
     def test_flag_overrides_echoed_params(self, tmp_path, sim_cfg, capsys):
         out = tmp_path / "run.counts"
@@ -173,6 +196,28 @@ class TestClassifyTimetags:
             return [line for line in out.splitlines() if not line.startswith("duration")]
 
         assert without_duration(out_csv) == without_duration(out_bin)
+
+    def test_report_shows_back_solved_calibration(self, tmp_path, capsys):
+        # no --gamma: the decision uses a gamma back-solved from the
+        # measured SBR, and the systematic shift it implies is nonzero
+        config = SimConfig(
+            source=EmitterWithBackground(),
+            params=DetectionParams(eta=0.1, gamma=0.5, cycles=200_000),
+            seed=23,
+        )
+        click_a, click_b = simulate_click_arrays(config)
+        channels, timestamps = records_from_click_arrays(
+            click_a, click_b, GateConfig(500, 0, 100)
+        )
+        write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
+        rc = main(["classify", "--input", str(tmp_path / "t.csv"),
+                   "--delta", "0.3", "--cycles", "200000"])
+        counts = counts_from_click_arrays(click_a, click_b)
+        verdict = classify_counts(counts, delta=0.3, cycles=200_000)
+        assert rc == EXIT_BY_DECISION[verdict.decision]
+        assert verdict.params.gamma > 0.0
+        assert systematic_deviation(verdict.params)[0] < 0.0
+        assert_report_shows(capsys.readouterr().out, counts, verdict)
 
     def test_pulse_count_inferred_from_last_tag(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
@@ -259,6 +304,12 @@ class TestSweep:
             assert mean_n == 2 * eta - 0.5 * eta * eta
             assert p1c > p1b  # corrections push the one-click critical up
             assert p2c < p2b  # and the coincidence critical down
+
+    def test_critical_stop_beyond_unit_mean_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "critical", "--start", "0.01", "--stop", "1.0",
+                   "--points", "5", "--output", str(tmp_path / "c.csv")])
+        assert rc == 2
+        assert "--stop 1.0 exceeds 2 - sqrt(2) = 0.585786" in capsys.readouterr().err
 
     def test_reversed_range_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "sbr0", "--start", "0.9", "--stop", "0.1",

@@ -3,6 +3,7 @@ classify decision logic."""
 
 import math
 
+import numpy as np
 import pytest
 
 from photon_gate import (
@@ -15,14 +16,14 @@ from photon_gate import (
     classify,
     classify_counts,
     corrected_critical_values,
-    double_molecule_stats,
     multi_emitter_stats,
     sbr_threshold,
     setup_sbr,
     single_with_background_stats,
-    stats_from_sb,
     uncorrected_bounds,
 )
+
+from _oracles import double_molecule_stats, sbr_threshold_bisection, stats_from_sb
 
 MEANS = [0.001, 0.0465, 0.1, 0.3, 0.555, 0.9, 1.0]
 
@@ -94,12 +95,30 @@ class TestSbrThreshold:
 
     @pytest.mark.parametrize("mean", MEANS)
     def test_against_closed_form_root(self, mean):
-        # the bisection target has a quadratic closed form:
-        # b = mean - sqrt(mean^2 - 4 p2_bound)
+        # the textbook root b = mean - sqrt(mean^2 - 4 p2_bound), which
+        # sbr_threshold rewrites without cancellation
         _, p2b = uncorrected_bounds(mean)
         b = mean - math.sqrt(mean * mean - 4.0 * p2b)
         s = (mean - b) / (1.0 - b / 2.0)
         assert sbr_threshold(mean) == pytest.approx(s / b, rel=1e-10)
+
+    def test_against_bisection_oracle(self):
+        for mean in np.logspace(-12.0, 0.0, 241):
+            mean = float(mean)
+            assert sbr_threshold(mean) == pytest.approx(
+                sbr_threshold_bisection(mean), rel=1e-12, abs=0.0
+            ), mean
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_sb_model_meets_boundary_at_threshold(self, mean):
+        # a single emitter over background at exactly SBR0 has the
+        # two-emitter boundary's mean and two-click probability
+        ratio = sbr_threshold(mean)
+        b = (ratio + 1.0 - math.sqrt((ratio + 1.0) ** 2 - 2.0 * ratio * mean)) / ratio
+        st = stats_from_sb(ratio * b, b)
+        _, p2b = uncorrected_bounds(mean)
+        assert st.mean_n == pytest.approx(mean, rel=1e-12)
+        assert st.p2 == pytest.approx(p2b, rel=1e-9)
 
     def test_monotone_decreasing(self):
         grid = [0.01 + i * (1.0 - 0.01) / 99 for i in range(100)]

@@ -8,13 +8,13 @@ import pytest
 
 from photon_gate import (
     DetectionParams,
+    EmitterWithBackground,
     RangeError,
-    deviation_report,
+    expected_stats,
     relative_deviations,
     sampling_fluctuation,
     single_with_background_stats,
     systematic_deviation,
-    unbalanced_stats,
 )
 
 from _oracles import joint_enumerate
@@ -32,7 +32,7 @@ class TestUnbalancedStats:
     @pytest.mark.parametrize("gamma", [0.0, 0.2, 1.0])
     def test_balanced_limit(self, eta, gamma):
         p = DetectionParams(eta=eta, delta=0.0, gamma=gamma)
-        ub, bal = unbalanced_stats(p), single_with_background_stats(p)
+        ub, bal = expected_stats(EmitterWithBackground(), p), single_with_background_stats(p)
         assert ub.p0 == pytest.approx(bal.p0, abs=1e-14)
         assert ub.p1 == pytest.approx(bal.p1, abs=1e-14)
         assert ub.p2 == pytest.approx(bal.p2, abs=1e-14)
@@ -42,7 +42,7 @@ class TestUnbalancedStats:
     def test_against_enumeration(self, delta, gamma):
         p = DetectionParams(eta=0.15, delta=delta, gamma=gamma)
         ref = joint_enumerate(1, p.eta1, p.eta2, gamma=gamma)
-        ub = unbalanced_stats(p)
+        ub = expected_stats(EmitterWithBackground(), p)
         assert ub.p0 == pytest.approx(ref[0], abs=1e-12)
         assert ub.p1 == pytest.approx(ref[1], abs=1e-12)
         assert ub.p2 == pytest.approx(ref[2], abs=1e-12)
@@ -65,7 +65,7 @@ class TestSystematicDeviation:
         # delta_p = balanced - unbalanced, computed by the honest difference
         d1, d2 = systematic_deviation(params)
         bal = single_with_background_stats(params)
-        ub = unbalanced_stats(params)
+        ub = expected_stats(EmitterWithBackground(), params)
         assert d1 == pytest.approx(bal.p1 - ub.p1, abs=1e-12)
         assert d2 == pytest.approx(bal.p2 - ub.p2, abs=1e-12)
         assert bal.p0 == pytest.approx(ub.p0, abs=1e-15)  # imbalance keeps P(0)
@@ -178,19 +178,3 @@ class TestSamplingFluctuation:
         with pytest.raises(RangeError):
             sampling_fluctuation(0.5, 0)
 
-
-class TestDeviationReport:
-    def test_fields_match_components(self):
-        p = DetectionParams(eta=0.1, delta=0.3, gamma=0.2, cycles=299613)
-        rep = deviation_report(p)
-        d1, d2 = systematic_deviation(p)
-        r1, r2 = relative_deviations(p)
-        bal = single_with_background_stats(p)
-        assert (rep.delta_p1, rep.delta_p2) == (d1, d2)
-        assert (rep.r1, rep.r2) == (r1, r2)
-        assert rep.sigma_sq == pytest.approx(bal.p1 * (1 - bal.p1) / 299613, rel=1e-12)
-
-    def test_nan_ratios_without_background(self):
-        rep = deviation_report(DetectionParams(eta=0.1, delta=0.3, gamma=0.0))
-        assert math.isnan(rep.r1) and math.isnan(rep.r2)
-        assert rep.delta_p1 == 0.0

@@ -8,7 +8,6 @@ from _oracles import ingest_oracle
 
 from photon_gate import (
     ClickCounts,
-    ClickRecord,
     Coherent,
     DetectionParams,
     EmitterWithBackground,
@@ -19,7 +18,6 @@ from photon_gate import (
     SimConfig,
     counts_from_click_arrays,
     ingest_arrays,
-    ingest_records,
     is_counts_block,
     read_counts_block,
     read_sim_config,
@@ -58,6 +56,7 @@ class TestGateConfig:
                  dead_time_ns=500),
             dict(pulse_period_ns=math.inf, gate_offset_ns=0, gate_width_ns=1),
             dict(pulse_period_ns=500, gate_offset_ns=math.nan, gate_width_ns=1),
+            dict(pulse_period_ns="500", gate_offset_ns=0, gate_width_ns=100),
         ],
     )
     def test_rejects_bad_timing(self, kwargs):
@@ -266,8 +265,9 @@ class TestIngest:
             base.n_10, base.n_01, base.n_11
         )
 
-    @pytest.mark.parametrize("gate", [GateConfig(500, 0, 100), GateConfig(500.0, 0.0, 100.0)],
-                             ids=("int", "float"))
+    @pytest.mark.parametrize("gate", [GateConfig(500, 0, 100), GateConfig(500.0, 0.0, 100.0),
+                                      GateConfig(np.int64(500), np.int32(0), np.uint16(100))],
+                             ids=("int", "float", "numpy-int"))
     def test_epoch_scale_tags_fold_exactly(self, gate):
         # float64 cannot hold 500 k + 100 at this scale: it rounds the tag
         # to 500 k, i.e. into the gate [0, 100) of pulse k
@@ -331,16 +331,13 @@ class TestIngest:
         assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == ingest_oracle(
             channels, timestamps, period, offset, width, n_all)
 
-    def test_ingest_records_wrapper(self):
-        records = [
-            ClickRecord("A", 10),
-            ClickRecord("B", 520),
-            ClickRecord("A", 530),
-        ]
-        counts = ingest_records(records, GATE, n_pulses=2)
+    def test_three_records_and_unknown_channel(self):
+        channels = np.array([0, 1, 0], dtype=np.uint8)
+        timestamps = np.array([10, 520, 530], dtype=np.int64)
+        counts = ingest_arrays(channels, timestamps, GATE, n_pulses=2)
         assert counts == ClickCounts(n_all=2, n_00=0, n_10=1, n_01=0, n_11=1)
         with pytest.raises(FormatError, match="channel"):
-            ingest_records([ClickRecord("X", 1)], GATE, n_pulses=1)
+            ingest_arrays(np.array([2], dtype=np.uint8), np.array([1]), GATE, n_pulses=1)
 
     def test_round_trip_through_time_tags(self):
         config = SimConfig(
