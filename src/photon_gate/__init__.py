@@ -7,7 +7,6 @@ from .analytic import (
     expected_stats,
     g2_zero_estimate,
     hbt_transform,
-    multi_emitter_stats,
     poisson_source,
     sbr_from_stats,
     single_with_background_stats,

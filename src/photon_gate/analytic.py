@@ -24,11 +24,21 @@ Q < 0 is sub-"binomial" statistics; an ideal single emitter detected
 with efficiency eta gives exactly Q = -eta, while coherent pulses give
 Q = -mean_n/2 (only because the second detector saturates).
 
-The module provides the transform plus direct closed forms for the
-standard sources (s ideal emitters, one emitter over Poissonian
-background, coherent pulses), each derived independently by
-inclusion-exclusion over the two no-click events, so the two routes
-cross-check each other in the tests.
+The module provides the transform plus one closed form for every
+standard source (s ideal emitters, one emitter over Poissonian
+background, coherent pulses).  model.photon_plan reduces each source to
+s photons every pulse carries plus Poissonian light of mean lam.  A
+fixed photon misses channel i with probability 1 - eta_i/2, and
+Poissonian light thinned by routing and detection leaves channel i dark
+with probability exp(-lam eta_i/2), so
+
+    P(no A)    = (1 - eta1/2)^s exp(-lam eta1/2)
+    P(no B)    = (1 - eta2/2)^s exp(-lam eta2/2)
+    P(neither) = (1 - eta)^s    exp(-lam eta)
+
+and inclusion-exclusion over the two no-click events gives the click
+patterns.  The tests cross-check this against the transform and against
+brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -40,14 +50,12 @@ import numpy as np
 
 from .model import (
     ClickCounts,
-    Coherent,
     DetectionParams,
-    EmitterWithBackground,
-    IdealEmitters,
     PhotonStats,
     RangeError,
     SbrNotApplicable,
     SourceModel,
+    photon_plan,
 )
 
 _TAIL_LIMIT = 1e-12
@@ -127,35 +135,6 @@ def hbt_transform(source: SourceDistribution) -> PhotonStats:
     return PhotonStats(p0=p0, p1=p1, p2=p2)
 
 
-def _joint_stats(no_a: float, no_b: float, none: float) -> PhotonStats:
-    # inclusion-exclusion over the two per-channel no-click events
-    return PhotonStats(
-        p0=none,
-        p1=no_a + no_b - 2.0 * none,
-        p2=1.0 - no_a - no_b + none,
-    )
-
-
-def multi_emitter_stats(s: int, eta: float, delta: float = 0.0) -> PhotonStats:
-    """Click statistics of s identical independent emitters, each
-    detected with efficiency eta, channels possibly unbalanced by
-    delta.  Closed form: a given photon misses channel A when it is
-    not emitted-and-routed-and-detected there, so
-
-        P(no A)    = (1 - eta1/2)^s      with eta1 = (1 + delta) eta
-        P(no B)    = (1 - eta2/2)^s
-        P(neither) = (1 - eta)^s
-    """
-    if s < 1 or s != int(s):
-        raise RangeError(f"s must be a positive integer, got {s!r}")
-    p = DetectionParams(eta=eta, delta=delta)
-    return _joint_stats(
-        no_a=(1.0 - p.eta1 / 2.0) ** s,
-        no_b=(1.0 - p.eta2 / 2.0) ** s,
-        none=(1.0 - eta) ** s,
-    )
-
-
 def single_with_background_stats(params: DetectionParams) -> PhotonStats:
     """One emitter (efficiency eta) over Poissonian background (mean
     gamma at the source plane), balanced channels:
@@ -179,30 +158,14 @@ def single_with_background_stats(params: DetectionParams) -> PhotonStats:
 def expected_stats(source: SourceModel, params: DetectionParams) -> PhotonStats:
     """Closed-form click statistics for a source model under the given
     detection calibration — the analytic reference the Monte Carlo
-    simulator is checked against.
-
-    Background gamma applies to EmitterWithBackground and Coherent (it
-    is stray light at the detectors); IdealEmitters is background-free
-    by definition.
-    """
-    eta1, eta2, gamma = params.eta1, params.eta2, params.gamma
-    if isinstance(source, IdealEmitters):
-        return multi_emitter_stats(source.s, params.eta, params.delta)
-    if isinstance(source, EmitterWithBackground):
-        return _joint_stats(
-            no_a=(1.0 - eta1 / 2.0) * math.exp(-gamma * eta1 / 2.0),
-            no_b=(1.0 - eta2 / 2.0) * math.exp(-gamma * eta2 / 2.0),
-            none=(1.0 - params.eta) * math.exp(-gamma * params.eta),
-        )
-    if isinstance(source, Coherent):
-        # Poisson thinning: coherent light stays coherent behind loss
-        lam = source.mu + gamma
-        return _joint_stats(
-            no_a=math.exp(-lam * eta1 / 2.0),
-            no_b=math.exp(-lam * eta2 / 2.0),
-            none=math.exp(-lam * params.eta),
-        )
-    raise TypeError(f"unknown source model: {source!r}")
+    simulator is checked against.  One formula covers every source,
+    through its photon_plan (see the module docstring)."""
+    s, lam = photon_plan(source, params)
+    no_a = (1.0 - params.eta1 / 2.0) ** s * math.exp(-lam * params.eta1 / 2.0)
+    no_b = (1.0 - params.eta2 / 2.0) ** s * math.exp(-lam * params.eta2 / 2.0)
+    none = (1.0 - params.eta) ** s * math.exp(-lam * params.eta)
+    # inclusion-exclusion over the two per-channel no-click events
+    return PhotonStats(p0=none, p1=no_a + no_b - 2.0 * none, p2=1.0 - no_a - no_b + none)
 
 
 def sbr_from_stats(stats: PhotonStats) -> float:

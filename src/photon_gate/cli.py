@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,12 +34,11 @@ from .model import (
     Decision,
     DetectionParams,
     FormatError,
-    PhotonStats,
     RangeError,
     Verdict,
     stats_from_counts,
 )
-from .simulate import SimConfig, simulate_pulses
+from .simulate import simulate_pulses
 from .timetags import (
     GateConfig,
     ingest_arrays,
@@ -65,17 +64,6 @@ _EXIT_BY_DECISION = {
 _USER_ERRORS = (OSError, ValueError)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything one simulation or classification produced."""
-
-    counts: ClickCounts
-    stats: PhotonStats
-    verdict: Verdict
-    config: SimConfig | None
-    duration_s: float
-
-
 def _fmt(x: float | None) -> str:
     if x is None:
         return "n/a"
@@ -84,8 +72,9 @@ def _fmt(x: float | None) -> str:
     return f"{x:.6g}"
 
 
-def format_report(report: RunReport) -> str:
-    c, s, v = report.counts, report.stats, report.verdict
+def format_report(counts: ClickCounts, verdict: Verdict, duration_s: float) -> str:
+    """The run report both simulate and classify print."""
+    c, v, s = counts, verdict, stats_from_counts(counts)
     try:
         g2 = _fmt(g2_zero_estimate(c))
     except ZeroDivisionError:
@@ -108,7 +97,7 @@ def format_report(report: RunReport) -> str:
     ]
     if v.reason:
         lines.append(f"reason             {v.reason}")
-    lines.append(f"duration           {report.duration_s:.3f} s")
+    lines.append(f"duration           {duration_s:.3f} s")
     return "\n".join(lines)
 
 
@@ -128,16 +117,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     counts = simulate_pulses(config, workers=workers)
     duration = time.perf_counter() - start
     write_counts_block(args.output, counts, config)
-    stats = stats_from_counts(counts)
-    verdict = classify(stats, counts, config.params)
-    report = RunReport(
-        counts=counts,
-        stats=stats,
-        verdict=verdict,
-        config=config,
-        duration_s=duration,
-    )
-    print(format_report(report))
+    verdict = classify(stats_from_counts(counts), counts, config.params)
+    print(format_report(counts, verdict, duration))
     log.info("counts written to %s", args.output)
     return 0
 
@@ -169,7 +150,7 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
     return counts, verdict
 
 
-def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdict, SimConfig]:
+def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
     counts, config = read_counts_block(args.input)
     echoed = config.params
     params = DetectionParams(
@@ -178,25 +159,14 @@ def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdi
         gamma=args.gamma if args.gamma is not None else echoed.gamma,
         cycles=args.cycles if args.cycles is not None else echoed.cycles,
     )
-    return counts, classify(stats_from_counts(counts), counts, params), config
+    return counts, classify(stats_from_counts(counts), counts, params)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    config = None
     start = time.perf_counter()
-    if is_counts_block(args.input):
-        counts, verdict, config = _classify_counts_block(args)
-    else:
-        counts, verdict = _classify_timetags(args)
-    duration = time.perf_counter() - start
-    report = RunReport(
-        counts=counts,
-        stats=stats_from_counts(counts),
-        verdict=verdict,
-        config=config,
-        duration_s=duration,
-    )
-    print(format_report(report))
+    classify_input = _classify_counts_block if is_counts_block(args.input) else _classify_timetags
+    counts, verdict = classify_input(args)
+    print(format_report(counts, verdict, time.perf_counter() - start))
     return _EXIT_BY_DECISION[verdict.decision]
 
 

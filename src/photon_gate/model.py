@@ -12,7 +12,8 @@ defined here:
   patterns (none / A only / B only / both).
 * :class:`Verdict` — outcome of the single-emitter test.
 * Source models: :class:`IdealEmitters`, :class:`EmitterWithBackground`,
-  :class:`Coherent`.
+  :class:`Coherent`, each reduced by :func:`photon_plan` to the photons
+  every pulse carries plus a Poisson mean.
 
 All types validate on construction and raise :class:`RangeError`,
 :class:`FormatError` or :class:`GateError` naming the offending field.
@@ -249,3 +250,18 @@ class Coherent:
 
 
 SourceModel = IdealEmitters | EmitterWithBackground | Coherent
+
+
+def photon_plan(source: SourceModel, params: DetectionParams) -> tuple[int, float]:
+    """(photons every pulse carries, Poisson mean per pulse) at the
+    source plane: the one description of a source that the closed
+    forms and the simulator share.  IdealEmitters is background-free by
+    definition; the other sources see the calibration's gamma as
+    Poissonian light on top of their own."""
+    if isinstance(source, IdealEmitters):
+        return source.s, 0.0
+    if isinstance(source, EmitterWithBackground):
+        return 1, params.gamma
+    if isinstance(source, Coherent):
+        return 0, source.mu + params.gamma
+    raise TypeError(f"unknown source model: {source!r}")

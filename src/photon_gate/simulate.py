@@ -1,17 +1,22 @@
 """Monte Carlo pulse-train simulator for the two-detector stage.
 
 Every click probability in this package has a closed form; the
-simulator exists to check them mechanically.  It samples the physical
-story photon by photon: per pulse the source emits its photons and each
-photon draws one uniform u.  The photon is routed to channel A and
+simulator exists to check them mechanically.  model.photon_plan reduces
+each source to s photons every pulse carries plus Poissonian light of
+mean lam per pulse, and the simulator samples both parts.
+
+Each fixed photon draws one uniform u.  It is routed to channel A and
 detected there when u < eta1/2, routed to B and detected there when
 u >= 1 - eta2/2, and lost otherwise; the two intervals are disjoint
-because eta1 + eta2 = 2 * eta <= 2.  Stray background is Poissonian
-per channel with mean gamma * eta_i / 2 (background photons thinned by
-routing and detection).  Each detector reports at most one click per
-pulse, so only "any background photon" matters: channel i gets a
-background click when its own uniform falls below
-1 - exp(-gamma * eta_i / 2).
+because eta1 + eta2 = 2 * eta <= 2.
+
+Poissonian light (coherent pulses and stray background alike) is not
+sampled photon by photon: a Poisson photon number split by independent
+routing and detection gives independent Poisson counts per channel,
+with mean lam * eta_i / 2 on channel i.  Each detector reports at most
+one click per pulse, so only "any photon" matters: channel i clicks
+when its own uniform per pulse falls below 1 - exp(-lam * eta_i / 2).
+The draws per pulse therefore do not grow with lam.
 
 Determinism
 -----------
@@ -29,15 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    ClickCounts,
-    Coherent,
-    DetectionParams,
-    EmitterWithBackground,
-    IdealEmitters,
-    RangeError,
-    SourceModel,
-)
+from .model import ClickCounts, DetectionParams, RangeError, SourceModel, photon_plan
 
 _DEFAULT_BLOCK = 1 << 16
 
@@ -59,52 +56,26 @@ class SimConfig:
             raise RangeError(f"block_size must be a positive integer, got {self.block_size!r}")
 
 
-def _source_plan(config: SimConfig) -> tuple[int, float, float]:
-    """(photons per pulse, Poisson mean per pulse, background rate).
-
-    Fixed sources set the first, coherent the second.  IdealEmitters is
-    background-free by definition; the other sources see the
-    calibration's gamma.
-    """
-    src = config.source
-    if isinstance(src, IdealEmitters):
-        return src.s, 0.0, 0.0
-    if isinstance(src, EmitterWithBackground):
-        return 1, 0.0, config.params.gamma
-    if isinstance(src, Coherent):
-        return 0, src.mu, config.params.gamma
-    raise TypeError(f"unknown source model: {src!r}")
-
-
 def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Click indicators for one block of pulses.  Draw order is fixed:
-    background (one uniform per pulse for channel A, then for channel
-    B; skipped when gamma = 0), then the photon numbers of a coherent
-    source, then one uniform per photon (for fixed sources photon 0 of
-    every pulse, then photon 1, ...)."""
+    Poissonian light (one uniform per pulse for channel A, then for
+    channel B; skipped when lam = 0), then one uniform per fixed photon
+    (photon 0 of every pulse, then photon 1, ...)."""
     p = config.params
-    s_fixed, mu, gamma = _source_plan(config)
+    s, lam = photon_plan(config.source, p)
     rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(index))
-    a_max, b_min = p.eta1 / 2.0, 1.0 - p.eta2 / 2.0
-
-    if gamma > 0.0:
-        click_a = rng.random(size) < -math.expm1(-gamma * p.eta1 / 2.0)
-        click_b = rng.random(size) < -math.expm1(-gamma * p.eta2 / 2.0)
+    if lam > 0.0:
+        click_a = rng.random(size) < -math.expm1(-lam * p.eta1 / 2.0)
+        click_b = rng.random(size) < -math.expm1(-lam * p.eta2 / 2.0)
     else:
         click_a = np.zeros(size, dtype=np.bool_)
         click_b = np.zeros(size, dtype=np.bool_)
-    if s_fixed > 0:
-        # photon j of every pulse at a time: one block-sized array live
-        for _ in range(s_fixed):
-            u = rng.random(size)
-            click_a |= u < a_max
-            click_b |= u >= b_min
-    else:
-        photons = rng.poisson(mu, size)
-        u = rng.random(int(photons.sum()))
-        pulse = np.repeat(np.arange(size), photons)
-        click_a[pulse[u < a_max]] = True
-        click_b[pulse[u >= b_min]] = True
+    a_max, b_min = p.eta1 / 2.0, 1.0 - p.eta2 / 2.0
+    # photon j of every pulse at a time: one block-sized array live
+    for _ in range(s):
+        u = rng.random(size)
+        click_a |= u < a_max
+        click_b |= u >= b_min
     return click_a, click_b
 
 

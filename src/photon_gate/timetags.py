@@ -274,13 +274,14 @@ def ingest_arrays(
     ts = np.asarray(timestamps, dtype=np.int64)
     if channels.shape != ts.shape:
         raise FormatError("channels and timestamps must have equal length")
-    if channels.size and (channels.min() < 0 or channels.max() > 1):
+    is_channel = (channels == 0, channels == 1)
+    if sum(np.count_nonzero(m) for m in is_channel) != channels.size:
         raise FormatError("channel codes must be 0 (A) or 1 (B)")
     if np.any(ts < 0):
         raise FormatError("timestamps must be nonnegative")
     kept_pulses: list[np.ndarray] = []
-    for code in (0, 1):
-        t = ts[channels == code]
+    for code, mask in enumerate(is_channel):
+        t = ts[mask]
         if np.any(t[1:] < t[:-1]):
             raise FormatError(
                 f"channel {_CHANNEL_NAME[code]} timestamps are not sorted"

@@ -4,7 +4,8 @@ These deliberately avoid the package's algebra: click probabilities
 are obtained by literal enumeration of every photon routing/detection
 outcome, so agreement with the closed forms is a genuine two-route
 check.  Likewise the time-tag fold is redone one tag at a time in
-exact rational arithmetic, and the SBR threshold by bisection.  The
+exact rational arithmetic, the SBR threshold by bisection, and
+coherent light is sampled photon by photon.  The
 expanded two-emitter form and the (signal, background) parametrization
 are further independent routes to statistics the package computes.
 """
@@ -106,6 +107,22 @@ def poisson_joint_enumerate(
             else:
                 p00 += w
     return p00, p10 + p01, p11
+
+
+def coherent_clicks_per_photon(rng, mu: float, params, size: int):
+    """Click indicators (A, B) of `size` coherent pulses over Poissonian
+    background, sampled photon by photon: Poisson(mu) coherent and
+    Poisson(gamma) background photons per pulse, then one uniform per
+    photon, firing A when u < eta1/2 and B when u >= 1 - eta2/2.  No
+    per-channel Poisson splitting is assumed."""
+    photons = rng.poisson(mu, size) + rng.poisson(params.gamma, size)
+    u = rng.random(int(photons.sum()))
+    pulse = np.repeat(np.arange(size), photons)
+    click_a = np.zeros(size, dtype=bool)
+    click_b = np.zeros(size, dtype=bool)
+    click_a[pulse[u < params.eta1 / 2.0]] = True
+    click_b[pulse[u >= 1.0 - params.eta2 / 2.0]] = True
+    return click_a, click_b
 
 
 def convolve_bernoulli_poisson(eta: float, lam: float, n_max: int = 24) -> np.ndarray:

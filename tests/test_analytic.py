@@ -22,7 +22,6 @@ from photon_gate import (
     expected_stats,
     g2_zero_estimate,
     hbt_transform,
-    multi_emitter_stats,
     poisson_source,
     sbr_from_stats,
     single_with_background_stats,
@@ -38,6 +37,10 @@ from _oracles import (
 )
 
 ETAS = [0.02, 0.1, 0.3, 0.5, 0.9, 1.0]
+
+
+def ideal_stats(s, eta, delta=0.0):
+    return expected_stats(IdealEmitters(s), DetectionParams(eta=eta, delta=delta))
 
 
 def assert_stats_close(stats: PhotonStats, expected, tol=1e-12):
@@ -112,7 +115,7 @@ class TestHbtTransform:
         # direct inclusion-exclusion == transform of the binomial source
         for eta in (0.05, 0.3, 0.77):
             via_transform = hbt_transform(binomial_source(s, eta))
-            direct = multi_emitter_stats(s, eta)
+            direct = ideal_stats(s, eta)
             assert_stats_close(direct, (via_transform.p0, via_transform.p1, via_transform.p2))
 
 
@@ -122,7 +125,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("eta", ETAS)
     def test_double_molecule_is_two_emitters(self, eta):
-        two = multi_emitter_stats(2, eta)
+        two = ideal_stats(2, eta)
         assert_stats_close(double_molecule_stats(eta), (two.p0, two.p1, two.p2), tol=1e-14)
 
     @pytest.mark.parametrize("s", [1, 2, 4])
@@ -131,7 +134,7 @@ class TestClosedForms:
         eta = 0.22
         p = DetectionParams(eta=eta, delta=delta)
         assert_stats_close(
-            multi_emitter_stats(s, eta, delta), joint_enumerate(s, p.eta1, p.eta2)
+            ideal_stats(s, eta, delta), joint_enumerate(s, p.eta1, p.eta2)
         )
 
     def test_single_with_background_frozen_example(self):
@@ -182,7 +185,7 @@ class TestExpectedStats:
     def test_ideal_emitters_ignore_background(self, s):
         params = DetectionParams(eta=0.1, delta=0.3, gamma=0.7)
         st = expected_stats(IdealEmitters(s), params)
-        ref = multi_emitter_stats(s, 0.1, 0.3)
+        ref = ideal_stats(s, 0.1, 0.3)
         assert_stats_close(st, (ref.p0, ref.p1, ref.p2), tol=1e-15)
 
     @pytest.mark.parametrize("delta", [0.0, 0.3])
@@ -222,7 +225,7 @@ class TestScalars:
 
     @pytest.mark.parametrize("eta", ETAS)
     def test_single_emitter_q_is_minus_eta(self, eta):
-        assert multi_emitter_stats(1, eta).q == pytest.approx(-eta, abs=1e-12)
+        assert ideal_stats(1, eta).q == pytest.approx(-eta, abs=1e-12)
 
     def test_sbr_reference_value(self):
         st = PhotonStats(p0=1 - 0.0464 - 5e-5, p1=0.0464, p2=5e-5)

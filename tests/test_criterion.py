@@ -10,13 +10,14 @@ from photon_gate import (
     ClickCounts,
     Decision,
     DetectionParams,
+    IdealEmitters,
     PhotonStats,
     RangeError,
     boundary_eta,
     classify,
     classify_counts,
     corrected_critical_values,
-    multi_emitter_stats,
+    expected_stats,
     sbr_threshold,
     setup_sbr,
     single_with_background_stats,
@@ -30,6 +31,10 @@ MEANS = [0.001, 0.0465, 0.1, 0.3, 0.555, 0.9, 1.0]
 SAMPLE1_COUNTS = ClickCounts(
     n_all=299613, n_00=285696, n_10=6951, n_01=6951, n_11=15
 )
+
+
+def ideal_stats(s, eta):
+    return expected_stats(IdealEmitters(s), DetectionParams(eta=eta))
 
 
 def stats_from_probs(p1, p2):
@@ -71,7 +76,7 @@ class TestBoundary:
          (2, 0.2), (3, 0.2), (5, 0.2), (2, 0.4), (3, 0.4)],
     )
     def test_multi_emitter_systems_respect_bounds(self, s, eta):
-        st = multi_emitter_stats(s, eta)
+        st = ideal_stats(s, eta)
         assert st.mean_n <= 1.0  # combos chosen inside the criterion domain
         p1b, p2b = uncorrected_bounds(st.mean_n)
         assert st.p1 <= p1b + 1e-12
@@ -79,7 +84,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize("eta", [0.05, 0.2, 0.4, 0.585])
     def test_single_emitter_exceeds_bound(self, eta):
-        st = multi_emitter_stats(1, eta)
+        st = ideal_stats(1, eta)
         p1b, _ = uncorrected_bounds(st.mean_n)
         assert st.p1 > p1b
 

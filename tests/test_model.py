@@ -7,11 +7,13 @@ from photon_gate import (
     ClickCounts,
     Coherent,
     DetectionParams,
+    EmitterWithBackground,
     IdealEmitters,
     PhotonStats,
     RangeError,
     stats_from_counts,
 )
+from photon_gate.model import photon_plan
 
 
 class TestDetectionParams:
@@ -112,3 +114,11 @@ class TestSourceModels:
             Coherent(mu=-0.5)
         with pytest.raises(RangeError):
             Coherent(mu=math.nan)
+
+    def test_photon_plan(self):
+        params = DetectionParams(eta=0.3, gamma=0.25)
+        assert photon_plan(IdealEmitters(s=4), params) == (4, 0.0)
+        assert photon_plan(EmitterWithBackground(), params) == (1, 0.25)
+        assert photon_plan(Coherent(mu=0.5), params) == (0, 0.75)
+        with pytest.raises(TypeError, match="unknown source model"):
+            photon_plan("laser", params)

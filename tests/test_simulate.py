@@ -21,6 +21,8 @@ from photon_gate import (
 )
 from photon_gate.simulate import _block_clicks
 
+from _oracles import coherent_clicks_per_photon
+
 
 def pulls(counts, source, params):
     est = stats_from_counts(counts)
@@ -104,22 +106,23 @@ class TestClickRule:
     @staticmethod
     def _written_out(rng, size, source, params):
         """The click rule pulse by pulse over the block's own draws:
-        background uniforms (row A, row B; none for a background-free
-        source), then a coherent source's photon numbers, then one
-        uniform per photon."""
+        Poissonian-light uniforms (row A, row B; none for a source
+        without Poissonian light), then one uniform per fixed photon.
+        Coherent pulses carry no fixed photon and Poissonian light of
+        mean mu + gamma; IdealEmitters carry s photons and no light."""
         eta1, eta2 = params.eta1, params.eta2
-        gamma = 0.0 if isinstance(source, IdealEmitters) else params.gamma
-        bg = rng.random((2, size)) if gamma > 0.0 else np.ones((2, size))
-        if isinstance(source, Coherent):
-            photons = rng.poisson(source.mu, size)
-            per_pulse = np.split(rng.random(int(photons.sum())), np.cumsum(photons)[:-1])
+        if isinstance(source, IdealEmitters):
+            s, lam = source.s, 0.0
+        elif isinstance(source, Coherent):
+            s, lam = 0, source.mu + params.gamma
         else:
-            s = source.s if isinstance(source, IdealEmitters) else 1
-            per_pulse = rng.random((s, size)).T
+            s, lam = 1, params.gamma
+        light = rng.random((2, size)) if lam > 0.0 else np.ones((2, size))
+        per_pulse = rng.random((s, size)).T
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
         for i in range(size):
-            click_a[i] = bg[0, i] < 1.0 - math.exp(-gamma * eta1 / 2.0)
-            click_b[i] = bg[1, i] < 1.0 - math.exp(-gamma * eta2 / 2.0)
+            click_a[i] = light[0, i] < 1.0 - math.exp(-lam * eta1 / 2.0)
+            click_b[i] = light[1, i] < 1.0 - math.exp(-lam * eta2 / 2.0)
             for u in per_pulse[i]:
                 click_a[i] |= u < eta1 / 2.0
                 click_b[i] |= u >= 1.0 - eta2 / 2.0
@@ -168,6 +171,25 @@ class TestAgainstClosedForms:
         assert counts.n_11 == 0
         st = stats_from_counts(counts)
         assert st.q == -st.mean_n  # exact, not approximate
+
+    @pytest.mark.parametrize(
+        "mu,gamma,delta",
+        [(0.05, 0.0, 0.0), (0.8, 0.1, 0.2), (2.5, 0.5, 0.6)],
+    )
+    def test_per_photon_coherent_oracle(self, mu, gamma, delta):
+        # the Poisson splitting behind expected_stats and the simulator, photon by photon
+        params = DetectionParams(eta=0.4, delta=delta, gamma=gamma, cycles=self.M)
+        rng = np.random.Generator(np.random.Philox(key=41))
+        counts = counts_from_click_arrays(
+            *coherent_clicks_per_photon(rng, mu, params, self.M)
+        )
+        assert max(pulls(counts, Coherent(mu), params)) < 4.0
+
+    def test_bright_coherent_light_always_double_clicks(self):
+        # one uniform per pulse and channel, however many photons arrive
+        params = DetectionParams(eta=0.1, cycles=200_000)
+        counts = simulate_pulses(SimConfig(source=Coherent(1e3), params=params, seed=8))
+        assert counts.n_11 == counts.n_all
 
     def test_coherent_reference_run(self):
         mu = 0.10743456501197571

@@ -338,6 +338,8 @@ class TestIngest:
         assert counts == ClickCounts(n_all=2, n_00=0, n_10=1, n_01=0, n_11=1)
         with pytest.raises(FormatError, match="channel"):
             ingest_arrays(np.array([2], dtype=np.uint8), np.array([1]), GATE, n_pulses=1)
+        with pytest.raises(FormatError, match="channel"):
+            ingest_arrays(np.array([0.5, 1.0]), np.array([10, 20]), GATE, n_pulses=1)
 
     def test_round_trip_through_time_tags(self):
         config = SimConfig(
