@@ -1,16 +1,9 @@
 """Photon click statistics behind a saturable two-detector stage, and
 the single-emitter test built on them."""
 
-from .analytic import (
-    SourceDistribution,
-    binomial_source,
-    expected_stats,
-    g2_zero_estimate,
-    hbt_transform,
-    poisson_source,
-    sbr_from_stats,
-    single_with_background_stats,
-)
+from types import ModuleType as _ModuleType
+
+from .analytic import expected_stats, g2_zero_estimate, sbr_from_stats
 from .criterion import (
     CriticalValues,
     boundary_eta,
@@ -64,4 +57,8 @@ from .timetags import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

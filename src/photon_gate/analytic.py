@@ -24,135 +24,47 @@ Q < 0 is sub-"binomial" statistics; an ideal single emitter detected
 with efficiency eta gives exactly Q = -eta, while coherent pulses give
 Q = -mean_n/2 (only because the second detector saturates).
 
-The module provides the transform plus one closed form for every
-standard source (s ideal emitters, one emitter over Poissonian
-background, coherent pulses).  model.photon_plan reduces each source to
-s photons every pulse carries plus Poissonian light of mean lam.  A
-fixed photon misses channel i with probability 1 - eta_i/2, and
-Poissonian light thinned by routing and detection leaves channel i dark
-with probability exp(-lam eta_i/2), so
+The module gives one closed form for every standard source (s ideal
+emitters, one emitter over Poissonian background, coherent pulses).
+model.photon_plan reduces each source to s photons every pulse carries
+plus Poissonian light of mean lam.  A fixed photon reaches channel i
+with probability eta_i/2, so the s photons click it with
+f_i = 1 - (1 - eta_i/2)^s; Poissonian light thinned by routing and
+detection clicks channel i with p_i = 1 - exp(-lam eta_i/2).  Then
 
-    P(no A)    = (1 - eta1/2)^s exp(-lam eta1/2)
-    P(no B)    = (1 - eta2/2)^s exp(-lam eta2/2)
-    P(neither) = (1 - eta)^s    exp(-lam eta)
+    P(0) = (1 - eta)^s exp(-lam eta)
+    P(2) = pA pB + pA (1 - pB) fB + (1 - pA) pB fA + (1 - pA)(1 - pB) fAB
+    P(1) = 1 - P(0) - P(2)
 
-and inclusion-exclusion over the two no-click events gives the click
-patterns.  The tests cross-check this against the transform and against
-brute-force enumeration.
+with fAB = fA + fB - (1 - (1 - eta)^s) the chance that the fixed photons
+click both channels (0 for s <= 1).  P(2) is a sum of nonnegative terms,
+so it keeps its relative precision when eta*lam is tiny, where the
+plain inclusion-exclusion 1 - P(no A) - P(no B) + P(0) cancels to
+rounding noise.  The number-distribution transform above lives in the
+tests (tests/_oracles.py) as a second route to the same numbers,
+together with brute-force enumeration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .model import (
     ClickCounts,
     DetectionParams,
     PhotonStats,
-    RangeError,
     SbrNotApplicable,
     SourceModel,
     photon_plan,
 )
 
-_TAIL_LIMIT = 1e-12
 
-
-@dataclass(frozen=True)
-class SourceDistribution:
-    """Photon-number distribution arriving at the beamsplitter.
-
-    probs[n] is the probability of n photons; tail_mass is whatever the
-    truncation left out (the built-in constructors keep it below 1e-12).
-    """
-
-    probs: np.ndarray
-    tail_mass: float = 0.0
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size == 0:
-            raise RangeError("probs must be a nonempty 1-d array")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise RangeError("probs must be finite and nonnegative")
-        if not 0.0 <= self.tail_mass <= 1.0:
-            raise RangeError(f"tail_mass must be in [0, 1], got {self.tail_mass!r}")
-        total = float(probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > 1e-9:
-            raise RangeError(f"probs + tail_mass must sum to 1, got {total!r}")
-
-
-def binomial_source(s: int, eta: float) -> SourceDistribution:
-    """Number distribution from s independent emitters, each delivering
-    one photon with probability eta (emitter + collection + detector
-    efficiency combined)."""
-    if s < 1 or s != int(s):
-        raise RangeError(f"s must be a positive integer, got {s!r}")
-    if not 0.0 <= eta <= 1.0:
-        raise RangeError(f"eta must be in [0, 1], got {eta!r}")
-    probs = np.array(
-        [math.comb(s, n) * (1.0 - eta) ** (s - n) * eta**n for n in range(s + 1)]
-    )
-    return SourceDistribution(probs=probs, tail_mass=0.0)
-
-
-def poisson_source(mu: float, n_max: int | None = None) -> SourceDistribution:
-    """Poissonian number distribution with mean mu, truncated where the
-    remaining tail drops below 1e-12 (or at n_max if given)."""
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise RangeError(f"mu must be finite and >= 0, got {mu!r}")
-    if n_max is None:
-        # generous cap; the tail of a Poisson dies factorially fast
-        n_max = max(20, int(mu + 20.0 * math.sqrt(mu) + 20.0))
-    terms = []
-    term = math.exp(-mu)
-    cumulative = 0.0
-    for n in range(n_max + 1):
-        terms.append(term)
-        cumulative += term
-        if 1.0 - cumulative < _TAIL_LIMIT:
-            break
-        term *= mu / (n + 1)
-    tail = max(0.0, 1.0 - cumulative)
-    return SourceDistribution(probs=np.array(terms), tail_mass=tail)
-
-
-def hbt_transform(source: SourceDistribution) -> PhotonStats:
-    """Apply the saturable two-detector transform to a source
-    distribution.  Tail mass is attributed to the two-click outcome
-    (for large n both detectors click almost surely); the built-in
-    sources keep it below 1e-12 so this never matters in practice."""
-    probs = source.probs
-    n = np.arange(probs.size)
-    weights = np.exp2(1.0 - n[1:])  # 2^(1-n) for n >= 1
-    p0 = float(probs[0])
-    p1 = float(np.dot(probs[1:], weights))
-    p2 = float(np.dot(probs[2:], 1.0 - weights[1:])) + source.tail_mass
-    return PhotonStats(p0=p0, p1=p1, p2=p2)
-
-
-def single_with_background_stats(params: DetectionParams) -> PhotonStats:
-    """One emitter (efficiency eta) over Poissonian background (mean
-    gamma at the source plane), balanced channels:
-
-        P(0) = (1 - eta) e^(-eta gamma)
-        P(1) = 2 (1 - eta/2) e^(-eta gamma / 2) - 2 (1 - eta) e^(-eta gamma)
-        P(2) = (1 - e^(-eta gamma / 2))^2 + eta e^(-eta gamma/2) (1 - e^(-eta gamma/2))
-    """
-    eta, gamma = params.eta, params.gamma
-    x = eta * gamma / 2.0
-    e1 = math.exp(-x)
-    e2 = math.exp(-2.0 * x)
-    em1 = -math.expm1(-x)  # 1 - e^(-x), stable for small x
-    return PhotonStats(
-        p0=(1.0 - eta) * e2,
-        p1=2.0 * (1.0 - eta / 2.0) * e1 - 2.0 * (1.0 - eta) * e2,
-        p2=em1 * em1 + eta * e1 * em1,
-    )
+def _reach(x: float, s: int) -> float:
+    """1 - (1 - x)^s, the chance that at least one of s photons takes a
+    branch of probability x, without cancellation at small x."""
+    if x == 1.0:
+        return 1.0 if s else 0.0
+    return -math.expm1(s * math.log1p(-x))
 
 
 def expected_stats(source: SourceModel, params: DetectionParams) -> PhotonStats:
@@ -161,11 +73,17 @@ def expected_stats(source: SourceModel, params: DetectionParams) -> PhotonStats:
     simulator is checked against.  One formula covers every source,
     through its photon_plan (see the module docstring)."""
     s, lam = photon_plan(source, params)
-    no_a = (1.0 - params.eta1 / 2.0) ** s * math.exp(-lam * params.eta1 / 2.0)
-    no_b = (1.0 - params.eta2 / 2.0) ** s * math.exp(-lam * params.eta2 / 2.0)
-    none = (1.0 - params.eta) ** s * math.exp(-lam * params.eta)
-    # inclusion-exclusion over the two per-channel no-click events
-    return PhotonStats(p0=none, p1=no_a + no_b - 2.0 * none, p2=1.0 - no_a - no_b + none)
+    x_a, x_b, eta = params.eta1 / 2.0, params.eta2 / 2.0, params.eta
+    # Poissonian light clicks channel i (p_i) or leaves it dark (q_i);
+    # the fixed photons reach channel i (f_i), either (f_any) or both (f_ab)
+    p_a, p_b = -math.expm1(-lam * x_a), -math.expm1(-lam * x_b)
+    q_a, q_b = math.exp(-lam * x_a), math.exp(-lam * x_b)
+    f_a, f_b, f_any = _reach(x_a, s), _reach(x_b, s), _reach(eta, s)
+    f_ab = f_a + f_b - f_any if s >= 2 else 0.0
+    p2 = p_a * p_b + p_a * q_b * f_b + q_a * p_b * f_a + q_a * q_b * f_ab
+    clicked = f_any - math.expm1(-lam * eta) * (1.0 - f_any)
+    p0 = (1.0 - eta) ** s * math.exp(-lam * eta)
+    return PhotonStats(p0=p0, p1=clicked - p2, p2=p2)
 
 
 def sbr_from_stats(stats: PhotonStats) -> float:

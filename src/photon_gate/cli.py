@@ -27,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analytic import g2_zero_estimate
-from .criterion import classify, classify_counts, corrected_critical_values
+from .criterion import classify, classify_counts, corrected_critical_values, sbr_threshold
 from .deviations import systematic_deviation
 from .model import (
     ClickCounts,
@@ -117,7 +117,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     counts = simulate_pulses(config, workers=workers)
     duration = time.perf_counter() - start
     write_counts_block(args.output, counts, config)
-    verdict = classify(stats_from_counts(counts), counts, config.params)
+    verdict = classify(stats_from_counts(counts), config.params)
     print(format_report(counts, verdict, duration))
     log.info("counts written to %s", args.output)
     return 0
@@ -159,7 +159,7 @@ def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdi
         gamma=args.gamma if args.gamma is not None else echoed.gamma,
         cycles=args.cycles if args.cycles is not None else echoed.cycles,
     )
-    return counts, classify(stats_from_counts(counts), counts, params)
+    return counts, classify(stats_from_counts(counts), params)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -183,8 +183,10 @@ def _linspace(args: argparse.Namespace) -> np.ndarray:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _linspace(args)
     if args.curve == "sbr0":
-        from .criterion import sbr_threshold
-
+        if grid.size and args.start <= 0.0:
+            raise RangeError(f"--start must be > 0 (a mean click number), got {args.start}")
+        if grid.size and args.stop > 1.0:
+            raise RangeError(f"--stop {args.stop} exceeds 1, the largest mean click number")
         header = "mean_n,sbr0"
         rows = [f"{float(x)!r},{sbr_threshold(float(x))!r}" for x in grid]
     else:

@@ -53,9 +53,6 @@ from .model import (
     stats_from_counts,
 )
 
-_CONSISTENCY_TOL = 1e-9
-
-
 def boundary_eta(mean_n: float) -> float:
     """Efficiency eta* at which two ideal emitters produce the given
     mean click number; computed as mean_n / (1 + sqrt(1 - mean_n/2)),
@@ -162,31 +159,14 @@ def _indeterminate(params: DetectionParams, reason: str, **fields) -> Verdict:
     return Verdict(decision=Decision.INDETERMINATE, params=params, reason=reason, **defaults)
 
 
-def classify(
-    stats: PhotonStats,
-    counts: ClickCounts | None,
-    params: DetectionParams,
-) -> Verdict:
+def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
     """Decide single / not-single / indeterminate for one measurement.
 
     The decision is gated on the *setup* signal-to-background ratio
     from the calibration params: below sbr_threshold(mean_n) no
     verdict is possible.  The data-driven estimate (measured_sbr) is
     reported alongside but does not gate a calibrated measurement.
-    When counts are supplied they must reproduce stats.
     """
-    if counts is not None:
-        empirical = stats_from_counts(counts)
-        for name, a, b in (
-            ("p0", empirical.p0, stats.p0),
-            ("p1", empirical.p1, stats.p1),
-            ("p2", empirical.p2, stats.p2),
-        ):
-            if abs(a - b) > _CONSISTENCY_TOL:
-                raise RangeError(
-                    f"counts give {name}={a!r}, inconsistent with stats {name}={b!r}"
-                )
-
     mean_n = stats.mean_n
     if mean_n <= 0.0:
         return _indeterminate(params, "no clicks observed; statistics carry no information")
@@ -264,4 +244,4 @@ def classify_counts(
         gamma=gamma_eff,
         cycles=cycles if cycles is not None else counts.n_all,
     )
-    return classify(stats, counts, params)
+    return classify(stats, params)

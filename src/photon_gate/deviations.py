@@ -8,8 +8,7 @@ single-emitter test compares measured probabilities against critical
 values computed for a balanced setup.
 
 For one emitter over Poissonian background the exact unbalanced
-statistics follow from inclusion-exclusion (see
-``analytic.expected_stats``), and the deviations
+statistics are ``analytic.expected_stats``, and the deviations
 
     delta_p1 = P_balanced(1) - P_unbalanced(1)   <= 0
     delta_p2 = P_balanced(2) - P_unbalanced(2)   >= 0
@@ -26,9 +25,10 @@ probability: var = p (1 - p) / M over M pulses.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from .analytic import single_with_background_stats
-from .model import DetectionParams, RangeError
+from .analytic import expected_stats
+from .model import DetectionParams, EmitterWithBackground, RangeError
 
 
 def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
@@ -49,7 +49,7 @@ def relative_deviations(params: DetectionParams) -> tuple[float, float]:
     eta and gamma and scales with delta^2.  Raises ZeroDivisionError
     when the balanced probability vanishes (e.g. gamma = 0 makes the
     two-click probability of a single emitter exactly zero)."""
-    balanced = single_with_background_stats(params)
+    balanced = expected_stats(EmitterWithBackground(), replace(params, delta=0.0))
     d1, d2 = systematic_deviation(params)
     if balanced.p1 == 0.0 or balanced.p2 == 0.0:
         raise ZeroDivisionError(

@@ -53,7 +53,6 @@ from .model import (
     FormatError,
     GateError,
     IdealEmitters,
-    SourceModel,
 )
 from .simulate import SimConfig
 
@@ -324,21 +323,23 @@ def records_from_click_arrays(
 
 # -------------------------------------------------- key-value persistence --
 
-_SOURCE_KIND = {
-    IdealEmitters: "ideal_emitters",
-    EmitterWithBackground: "emitter_with_background",
-    Coherent: "coherent",
+# source.kind -> (model, fields as (name, type, default)); a field
+# without a default is required
+_SOURCE_KINDS = {
+    "ideal_emitters": (IdealEmitters, (("s", int, 1),)),
+    "emitter_with_background": (EmitterWithBackground, ()),
+    "coherent": (Coherent, (("mu", float, None),)),
 }
+_KIND_OF = {model: kind for kind, (model, _) in _SOURCE_KINDS.items()}
 
 
 def _config_lines(config: SimConfig) -> list[str]:
-    kind = _SOURCE_KIND[type(config.source)]
+    kind = _KIND_OF[type(config.source)]
     lines = [f"seed = {config.seed}", f"block_size = {config.block_size}",
              f"source.kind = {kind}"]
-    if isinstance(config.source, IdealEmitters):
-        lines.append(f"source.s = {config.source.s}")
-    elif isinstance(config.source, Coherent):
-        lines.append(f"source.mu = {config.source.mu!r}")
+    for name, field_type, _ in _SOURCE_KINDS[kind][1]:
+        text = repr if field_type is float else str
+        lines.append(f"source.{name} = {text(getattr(config.source, name))}")
     p = config.params
     lines.extend([
         f"params.eta = {p.eta!r}",
@@ -391,14 +392,13 @@ class _KvReader:
 
 def _sim_config_from(reader: _KvReader) -> SimConfig:
     kind = reader.take("source.kind", str, required=True)
-    if kind == "ideal_emitters":
-        source: SourceModel = IdealEmitters(s=reader.take("source.s", int, default=1))
-    elif kind == "emitter_with_background":
-        source = EmitterWithBackground()
-    elif kind == "coherent":
-        source = Coherent(mu=reader.take("source.mu", float, required=True))
-    else:
+    if kind not in _SOURCE_KINDS:
         raise FormatError(f"{reader.path}: unknown source.kind {kind!r}")
+    model, fields = _SOURCE_KINDS[kind]
+    source = model(**{
+        name: reader.take(f"source.{name}", field_type, default=default, required=default is None)
+        for name, field_type, default in fields
+    })
     params = DetectionParams(
         eta=reader.take("params.eta", float, required=True),
         delta=reader.take("params.delta", float, default=0.0),

@@ -1,24 +1,159 @@
-"""Brute-force reference implementations used only by the tests.
+"""Reference implementations used only by the tests.
 
 These deliberately avoid the package's algebra: click probabilities
 are obtained by literal enumeration of every photon routing/detection
 outcome, so agreement with the closed forms is a genuine two-route
 check.  Likewise the time-tag fold is redone one tag at a time in
 exact rational arithmetic, the SBR threshold by bisection, and
-coherent light is sampled photon by photon.  The
-expanded two-emitter form and the (signal, background) parametrization
-are further independent routes to statistics the package computes.
+coherent light is sampled photon by photon.
+
+Second routes to statistics the package computes in one closed form:
+the paper's number-distribution transform (SourceDistribution,
+binomial_source, poisson_source, hbt_transform), the explicit
+emitter-plus-background form (single_with_background_stats), plain
+inclusion-exclusion in 100-digit decimal arithmetic
+(inclusion_exclusion_decimal), the expanded two-emitter form and the
+(signal, background) parametrization.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from photon_gate import PhotonStats, RangeError, uncorrected_bounds
+from photon_gate import DetectionParams, PhotonStats, RangeError, uncorrected_bounds
+
+_TAIL_LIMIT = 1e-12
+
+
+@dataclass(frozen=True)
+class SourceDistribution:
+    """Photon-number distribution arriving at the beamsplitter.
+
+    probs[n] is the probability of n photons; tail_mass is whatever the
+    truncation left out (the built-in constructors keep it below 1e-12).
+    """
+
+    probs: np.ndarray
+    tail_mass: float = 0.0
+
+    def __post_init__(self) -> None:
+        probs = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "probs", probs)
+        if probs.ndim != 1 or probs.size == 0:
+            raise RangeError("probs must be a nonempty 1-d array")
+        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
+            raise RangeError("probs must be finite and nonnegative")
+        if not 0.0 <= self.tail_mass <= 1.0:
+            raise RangeError(f"tail_mass must be in [0, 1], got {self.tail_mass!r}")
+        total = float(probs.sum()) + self.tail_mass
+        if abs(total - 1.0) > 1e-9:
+            raise RangeError(f"probs + tail_mass must sum to 1, got {total!r}")
+
+
+def binomial_source(s: int, eta: float) -> SourceDistribution:
+    """Number distribution from s independent emitters, each delivering
+    one photon with probability eta (emitter + collection + detector
+    efficiency combined)."""
+    if s < 1 or s != int(s):
+        raise RangeError(f"s must be a positive integer, got {s!r}")
+    if not 0.0 <= eta <= 1.0:
+        raise RangeError(f"eta must be in [0, 1], got {eta!r}")
+    probs = np.array(
+        [math.comb(s, n) * (1.0 - eta) ** (s - n) * eta**n for n in range(s + 1)]
+    )
+    return SourceDistribution(probs=probs, tail_mass=0.0)
+
+
+def poisson_source(mu: float, n_max: int | None = None) -> SourceDistribution:
+    """Poissonian number distribution with mean mu, truncated where the
+    remaining tail drops below 1e-12 (or at n_max if given)."""
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise RangeError(f"mu must be finite and >= 0, got {mu!r}")
+    if n_max is None:
+        # generous cap; the tail of a Poisson dies factorially fast
+        n_max = max(20, int(mu + 20.0 * math.sqrt(mu) + 20.0))
+    terms = []
+    term = math.exp(-mu)
+    cumulative = 0.0
+    for n in range(n_max + 1):
+        terms.append(term)
+        cumulative += term
+        if 1.0 - cumulative < _TAIL_LIMIT:
+            break
+        term *= mu / (n + 1)
+    tail = max(0.0, 1.0 - cumulative)
+    return SourceDistribution(probs=np.array(terms), tail_mass=tail)
+
+
+def hbt_transform(source: SourceDistribution) -> PhotonStats:
+    """Apply the saturable two-detector transform to a source
+    distribution:
+
+        P(0) = P_in(0)
+        P(1) = sum_{n>=1} P_in(n) * 2^(1-n)
+        P(2) = sum_{n>=2} P_in(n) * (1 - 2^(1-n))
+
+    Tail mass is attributed to the two-click outcome (for large n both
+    detectors click almost surely); the built-in sources keep it below
+    1e-12 so this never matters in practice."""
+    probs = source.probs
+    n = np.arange(probs.size)
+    weights = np.exp2(1.0 - n[1:])  # 2^(1-n) for n >= 1
+    p0 = float(probs[0])
+    p1 = float(np.dot(probs[1:], weights))
+    p2 = float(np.dot(probs[2:], 1.0 - weights[1:])) + source.tail_mass
+    return PhotonStats(p0=p0, p1=p1, p2=p2)
+
+
+def single_with_background_stats(params: DetectionParams) -> PhotonStats:
+    """One emitter (efficiency eta) over Poissonian background (mean
+    gamma at the source plane), balanced channels:
+
+        P(0) = (1 - eta) e^(-eta gamma)
+        P(1) = 2 (1 - eta/2) e^(-eta gamma / 2) - 2 (1 - eta) e^(-eta gamma)
+        P(2) = (1 - e^(-eta gamma / 2))^2 + eta e^(-eta gamma/2) (1 - e^(-eta gamma/2))
+
+    P(1) is evaluated as e^(-eta gamma/2) (eta + 2 (1 - eta)(1 - e^(-eta gamma/2))),
+    the same expression factored so that no term cancels at small eta.
+    """
+    eta, gamma = params.eta, params.gamma
+    x = eta * gamma / 2.0
+    e1 = math.exp(-x)
+    e2 = math.exp(-2.0 * x)
+    em1 = -math.expm1(-x)  # 1 - e^(-x), stable for small x
+    return PhotonStats(
+        p0=(1.0 - eta) * e2,
+        p1=e1 * (eta + 2.0 * (1.0 - eta) * em1),
+        p2=em1 * em1 + eta * e1 * em1,
+    )
+
+
+def inclusion_exclusion_decimal(
+    s: int, lam: float, eta1: float, eta2: float, digits: int = 100
+) -> tuple[float, float, float]:
+    """(p0, p1, p2) of s fixed photons plus Poisson(lam) light, from the
+    plain inclusion-exclusion over the two no-click events
+
+        P(no A) = (1 - eta1/2)^s e^(-lam eta1/2),  likewise B,
+        P(0)    = (1 - eta1/2 - eta2/2)^s e^(-lam (eta1 + eta2)/2),
+
+    evaluated in `digits`-digit decimal arithmetic, where its
+    cancellation costs nothing at double precision; each result is
+    rounded to the nearest float once."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x_a, x_b, lam = Decimal(eta1) / 2, Decimal(eta2) / 2, Decimal(lam)
+        no_a = (1 - x_a) ** s * (-lam * x_a).exp()
+        no_b = (1 - x_b) ** s * (-lam * x_b).exp()
+        dark = (1 - x_a - x_b) ** s if s else 1  # decimal 0 ** 0 is undefined
+        none = dark * (-lam * (x_a + x_b)).exp()
+        return float(none), float(no_a + no_b - 2 * none), float(1 - no_a - no_b + none)
 
 
 def hbt_enumerate(probs) -> tuple[float, float, float]:

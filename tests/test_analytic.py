@@ -17,22 +17,23 @@ from photon_gate import (
     PhotonStats,
     RangeError,
     SbrNotApplicable,
-    SourceDistribution,
-    binomial_source,
     expected_stats,
     g2_zero_estimate,
-    hbt_transform,
-    poisson_source,
     sbr_from_stats,
-    single_with_background_stats,
 )
 
 from _oracles import (
+    SourceDistribution,
+    binomial_source,
     convolve_bernoulli_poisson,
     double_molecule_stats,
     hbt_enumerate,
+    hbt_transform,
+    inclusion_exclusion_decimal,
     joint_enumerate,
     poisson_joint_enumerate,
+    poisson_source,
+    single_with_background_stats,
     stats_from_sb,
 )
 
@@ -215,6 +216,43 @@ class TestExpectedStats:
         assert st.mean_n == pytest.approx(mean, abs=1e-12)
         assert st.p2 == pytest.approx((mean / 2.0) ** 2, abs=1e-12)
         assert st.q == pytest.approx(-mean / 2.0, abs=1e-12)
+
+
+PRECISION_GRID = [
+    DetectionParams(eta=eta, delta=delta, gamma=gamma)
+    for eta in (1e-5, 1e-4, 0.01, 0.1, 0.5, 1.0)
+    for delta in (0.0, 0.3)
+    for gamma in (0.0, 1e-14, 1e-12, 1e-9, 1e-6, 0.1, 5.0)
+    if (1.0 + delta) * eta <= 1.0
+]
+
+
+class TestRelativePrecision:
+    @pytest.mark.parametrize(
+        "params", PRECISION_GRID, ids=lambda p: f"{p.eta}-{p.delta}-{p.gamma}"
+    )
+    def test_emitter_with_background(self, params):
+        # every probability to 1e-12 of itself, however small: the plain
+        # inclusion-exclusion P(2) returned 1.1e-16 for a true 5.0e-17 at
+        # eta 0.01, gamma 1e-12
+        st = expected_stats(EmitterWithBackground(), params)
+        refs = [inclusion_exclusion_decimal(1, params.gamma, params.eta1, params.eta2)]
+        if params.delta == 0.0:
+            bal = single_with_background_stats(params)
+            refs.append((bal.p0, bal.p1, bal.p2))
+        for ref in refs:
+            for got, want in zip((st.p0, st.p1, st.p2), ref):
+                assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 5])
+    @pytest.mark.parametrize("eta", [1e-5, 0.3, 1.0])
+    def test_fixed_photons_at_unit_and_tiny_efficiency(self, s, eta):
+        # s = 0 is the Coherent plan; eta = 1 must not reach log1p(-1)
+        params = DetectionParams(eta=eta, gamma=0.2)
+        st = expected_stats(IdealEmitters(s) if s else Coherent(0.0), params)
+        lam = 0.0 if s else 0.2
+        ref = inclusion_exclusion_decimal(s, lam, params.eta1, params.eta2)
+        assert_stats_close(st, ref, tol=1e-15)
 
 
 class TestScalars:

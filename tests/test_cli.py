@@ -80,7 +80,7 @@ class TestSimulate:
         assert config.seed == 20260825
         assert f"pulses             {counts.n_all}" in report
         assert_report_shows(
-            report, counts, classify(stats_from_counts(counts), counts, config.params)
+            report, counts, classify(stats_from_counts(counts), config.params)
         )
 
     def test_reruns_are_byte_identical(self, tmp_path, sim_cfg):
@@ -126,7 +126,7 @@ class TestClassifyCountsBlock:
         main(["simulate", "--config", str(sim_cfg), "--output", str(out)])
         capsys.readouterr()
         counts, config = read_counts_block(out)
-        verdict = classify(stats_from_counts(counts), counts, config.params)
+        verdict = classify(stats_from_counts(counts), config.params)
         rc = main(["classify", "--input", str(out)])
         assert rc == EXIT_BY_DECISION[verdict.decision]
         assert_report_shows(capsys.readouterr().out, counts, verdict)
@@ -140,7 +140,7 @@ class TestClassifyCountsBlock:
             eta=config.params.eta, delta=config.params.delta, gamma=1.5,
             cycles=config.params.cycles,
         )
-        verdict = classify(stats_from_counts(counts), counts, override)
+        verdict = classify(stats_from_counts(counts), override)
         rc = main(["classify", "--input", str(out), "--gamma", "1.5"])
         assert rc == EXIT_BY_DECISION[verdict.decision]
 
@@ -310,6 +310,21 @@ class TestSweep:
                    "--points", "5", "--output", str(tmp_path / "c.csv")])
         assert rc == 2
         assert "--stop 1.0 exceeds 2 - sqrt(2) = 0.585786" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "start,stop,message",
+        [
+            ("0", "0.5", "--start must be > 0 (a mean click number), got 0.0"),
+            ("0.5", "1.5", "--stop 1.5 exceeds 1, the largest mean click number"),
+        ],
+    )
+    def test_sbr0_bounds_name_the_flag(self, tmp_path, capsys, start, stop, message):
+        rc = main(["sweep", "sbr0", "--start", start, "--stop", stop,
+                   "--points", "5", "--output", str(tmp_path / "s.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "mean_n" not in err
 
     def test_reversed_range_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "sbr0", "--start", "0.9", "--stop", "0.1",

@@ -20,11 +20,15 @@ from photon_gate import (
     expected_stats,
     sbr_threshold,
     setup_sbr,
-    single_with_background_stats,
     uncorrected_bounds,
 )
 
-from _oracles import double_molecule_stats, sbr_threshold_bisection, stats_from_sb
+from _oracles import (
+    double_molecule_stats,
+    sbr_threshold_bisection,
+    single_with_background_stats,
+    stats_from_sb,
+)
 
 MEANS = [0.001, 0.0465, 0.1, 0.3, 0.555, 0.9, 1.0]
 
@@ -187,7 +191,7 @@ class TestClassify:
     def test_two_emitters_at_boundary_are_rejected(self):
         st = double_molecule_stats(0.3)  # mean 0.555, exactly on the boundary
         params = DetectionParams(eta=boundary_eta(st.mean_n), cycles=10**12)
-        v = classify(st, None, params)
+        v = classify(st, params)
         assert v.decision is Decision.NOT_SINGLE
         assert v.margin_p1 < 0.0
         assert v.measured_sbr is not None
@@ -202,7 +206,7 @@ class TestClassify:
         assert st.mean_n == pytest.approx(mean, abs=1e-12)
         gamma = -2.0 * math.log1p(-b / 2.0) / s
         params = DetectionParams(eta=s, gamma=gamma, cycles=10**12)
-        v = classify(st, None, params)
+        v = classify(st, params)
         assert v.decision is Decision.SINGLE
         assert v.margin_p1 > 0.0
         assert v.setup_sbr == pytest.approx(ratio, rel=1e-9)
@@ -212,7 +216,7 @@ class TestClassify:
         gamma = -2.0 * math.log1p(-eta / 2.0) / eta  # setup SBR exactly 1.0
         params = DetectionParams(eta=eta, gamma=gamma, cycles=10**6)
         st = single_with_background_stats(params)
-        v = classify(st, None, params)
+        v = classify(st, params)
         assert v.decision is Decision.INDETERMINATE
         assert v.setup_sbr == pytest.approx(1.0, abs=1e-12)
         assert v.setup_sbr < v.sbr0
@@ -220,25 +224,19 @@ class TestClassify:
 
     def test_out_of_domain_mean(self):
         high = PhotonStats(p0=0.0, p1=0.4, p2=0.6)  # mean 1.6
-        v = classify(high, None, DetectionParams(eta=0.5))
+        v = classify(high, DetectionParams(eta=0.5))
         assert v.decision is Decision.INDETERMINATE
         assert math.isnan(v.sbr0)
 
         empty = PhotonStats(p0=1.0, p1=0.0, p2=0.0)
-        v = classify(empty, None, DetectionParams(eta=0.5))
+        v = classify(empty, DetectionParams(eta=0.5))
         assert v.decision is Decision.INDETERMINATE
 
     def test_estimator_breakdown_is_indeterminate(self):
         st = stats_from_probs(0.1, 0.01)  # fails the SBR precondition
-        v = classify(st, None, DetectionParams(eta=0.06, cycles=10**6))
+        v = classify(st, DetectionParams(eta=0.06, cycles=10**6))
         assert v.decision is Decision.INDETERMINATE
         assert v.measured_sbr is None
-
-    def test_counts_must_match_stats(self):
-        st = stats_from_probs(0.5, 0.0)
-        counts = ClickCounts(n_all=10, n_00=9, n_10=1, n_01=0, n_11=0)
-        with pytest.raises(RangeError, match="inconsistent"):
-            classify(st, counts, DetectionParams(eta=0.5))
 
 
 class TestClassifyCounts:

@@ -13,11 +13,10 @@ from photon_gate import (
     expected_stats,
     relative_deviations,
     sampling_fluctuation,
-    single_with_background_stats,
     systematic_deviation,
 )
 
-from _oracles import joint_enumerate
+from _oracles import joint_enumerate, single_with_background_stats
 
 GRID = [
     DetectionParams(eta=eta, delta=delta, gamma=gamma)
@@ -113,6 +112,16 @@ class TestRelativeDeviations:
         bal = single_with_background_stats(p)
         assert r1 == pytest.approx(d1 / bal.p1, abs=1e-15)
         assert r2 == pytest.approx(d2 / bal.p2, abs=1e-15)
+
+    def test_tiny_background_against_oracle(self):
+        # balanced P(2) is about 5e-17 here; r2 keeps its precision only
+        # if the closed form does
+        p = DetectionParams(eta=0.01, delta=0.3, gamma=1e-12)
+        r1, r2 = relative_deviations(p)
+        d1, d2 = systematic_deviation(p)
+        bal = single_with_background_stats(p)
+        assert r1 == pytest.approx(d1 / bal.p1, rel=1e-12)
+        assert r2 == pytest.approx(d2 / bal.p2, rel=1e-12)
 
     @pytest.mark.parametrize("eta", [0.05, 0.2, 0.5])
     @pytest.mark.parametrize("gamma", [0.1, 0.8])

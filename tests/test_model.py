@@ -1,5 +1,6 @@
 import math
 import re
+import types
 
 import pytest
 
@@ -122,3 +123,11 @@ class TestSourceModels:
         assert photon_plan(Coherent(mu=0.5), params) == (0, 0.75)
         with pytest.raises(TypeError, match="unknown source model"):
             photon_plan("laser", params)
+
+
+def test_star_import_binds_no_module():
+    namespace: dict = {}
+    exec("from photon_gate import *", namespace)
+    modules = [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert modules == []
+    assert {"classify", "expected_stats", "DetectionParams"} <= namespace.keys()

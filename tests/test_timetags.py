@@ -1,6 +1,7 @@
 """Time-tag formats, pulse-grid gating, and key-value persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -494,6 +495,59 @@ class TestSimConfigFile:
         )
         with pytest.raises(FormatError, match="source.mu"):
             read_sim_config(path)
+
+    def test_ideal_emitters_default_to_one(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("seed = 1\nsource.kind = ideal_emitters\nparams.eta = 0.5\ncycles = 10\n")
+        assert read_sim_config(path).source == IdealEmitters(1)
+
+    def test_field_of_another_kind_is_unknown(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text(
+            "seed = 1\nsource.kind = ideal_emitters\nsource.mu = 0.5\n"
+            "params.eta = 0.5\ncycles = 10\n"
+        )
+        message = re.escape(f"{path}:3: unknown key 'source.mu'")
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            read_sim_config(path)
+
+    @pytest.mark.parametrize(
+        "source,params,seed,block_size,golden",
+        [
+            (
+                IdealEmitters(3),
+                DetectionParams(eta=0.1, delta=0.3, cycles=1000), 7, 4096,
+                "seed = 7\nblock_size = 4096\nsource.kind = ideal_emitters\n"
+                "source.s = 3\nparams.eta = 0.1\nparams.delta = 0.3\n"
+                "params.gamma = 0.0\nparams.cycles = 1000\n",
+            ),
+            (
+                EmitterWithBackground(),
+                DetectionParams(eta=0.05, delta=0.1, gamma=0.2, cycles=200), 11, 2048,
+                "seed = 11\nblock_size = 2048\nsource.kind = emitter_with_background\n"
+                "params.eta = 0.05\nparams.delta = 0.1\n"
+                "params.gamma = 0.2\nparams.cycles = 200\n",
+            ),
+            (
+                Coherent(0.10743456501197571),
+                DetectionParams(eta=1.0, cycles=10**6), 20260825, 65536,
+                "seed = 20260825\nblock_size = 65536\nsource.kind = coherent\n"
+                "source.mu = 0.10743456501197571\nparams.eta = 1.0\nparams.delta = 0.0\n"
+                "params.gamma = 0.0\nparams.cycles = 1000000\n",
+            ),
+        ],
+        ids=["ideal_emitters", "emitter_with_background", "coherent"],
+    )
+    def test_counts_block_golden_text(self, tmp_path, source, params, seed, block_size, golden):
+        path = tmp_path / "run.counts"
+        config = SimConfig(source=source, params=params, seed=seed, block_size=block_size)
+        counts = ClickCounts(n_all=10, n_00=6, n_10=2, n_01=1, n_11=1)
+        write_counts_block(path, counts, config)
+        assert path.read_text() == (
+            "photon-gate-counts v1\nn_all = 10\nn_00 = 6\nn_10 = 2\nn_01 = 1\nn_11 = 1\n"
+            + golden
+        )
+        assert read_counts_block(path) == (counts, config)
 
     def test_unknown_source_kind(self, tmp_path):
         path = tmp_path / "sim.cfg"
