@@ -36,13 +36,14 @@ detection clicks channel i with p_i = 1 - exp(-lam eta_i/2).  Then
     P(2) = pA pB + pA (1 - pB) fB + (1 - pA) pB fA + (1 - pA)(1 - pB) fAB
     P(1) = 1 - P(0) - P(2)
 
-with fAB = fA + fB - (1 - (1 - eta)^s) the chance that the fixed photons
-click both channels (0 for s <= 1).  P(2) is a sum of nonnegative terms,
-so it keeps its relative precision when eta*lam is tiny, where the
-plain inclusion-exclusion 1 - P(no A) - P(no B) + P(0) cancels to
-rounding noise.  The number-distribution transform above lives in the
-tests (tests/_oracles.py) as a second route to the same numbers,
-together with brute-force enumeration.
+with fAB = fA fB - ((1 - eta + xA xB)^s - (1 - eta)^s), xi = eta_i/2,
+the chance that the fixed photons click both channels (0 for s <= 1).
+P(2) is a sum of nonnegative terms, so it keeps its relative precision
+when eta is tiny, where the plain inclusion-exclusion 1 - P(no A) -
+P(no B) + P(0) (or fAB = fA + fB - f_any) cancels to rounding noise.
+The number-distribution transform above lives in the tests
+(tests/_oracles.py) as a second route to the same numbers, together
+with brute-force enumeration.
 """
 
 from __future__ import annotations
@@ -79,7 +80,10 @@ def expected_stats(source: SourceModel, params: DetectionParams) -> PhotonStats:
     p_a, p_b = -math.expm1(-lam * x_a), -math.expm1(-lam * x_b)
     q_a, q_b = math.exp(-lam * x_a), math.exp(-lam * x_b)
     f_a, f_b, f_any = _reach(x_a, s), _reach(x_b, s), _reach(eta, s)
-    f_ab = f_a + f_b - f_any if s >= 2 else 0.0
+    # (u + v)^s - u^s for u = 1 - eta, v = x_a x_b, without cancellation
+    u, v = 1.0 - eta, x_a * x_b
+    gap = u**s * math.expm1(s * math.log1p(v / u)) if u else v**s
+    f_ab = f_a * f_b - gap if s >= 2 else 0.0
     p2 = p_a * p_b + p_a * q_b * f_b + q_a * p_b * f_a + q_a * q_b * f_ab
     clicked = f_any - math.expm1(-lam * eta) * (1.0 - f_any)
     p0 = (1.0 - eta) ** s * math.exp(-lam * eta)

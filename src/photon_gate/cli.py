@@ -41,12 +41,12 @@ from .model import (
 from .simulate import simulate_pulses
 from .timetags import (
     GateConfig,
-    ingest_arrays,
+    fold_timetags,
     is_counts_block,
+    iter_timetags_binary,
+    iter_timetags_csv,
     read_counts_block,
     read_sim_config,
-    read_timetags_binary,
-    read_timetags_csv,
     write_counts_block,
 )
 
@@ -124,22 +124,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
-    reader = read_timetags_csv if args.format == "csv" else read_timetags_binary
-    channels, timestamps = reader(args.input)
     gate = GateConfig(
         pulse_period_ns=args.pulse_period_ns,
         gate_offset_ns=args.gate_offset_ns,
         gate_width_ns=args.gate_width_ns,
     )
-    if args.cycles is not None:
-        n_pulses = args.cycles
-    elif timestamps.size:
-        n_pulses = int(gate.fold(timestamps.max())[0]) + 1
-    else:
-        raise FormatError(
-            f"{args.input}: no records and no --cycles; pulse count unknown"
-        )
-    counts = ingest_arrays(channels, timestamps, gate, n_pulses)
+    chunks = (iter_timetags_csv if args.format == "csv" else iter_timetags_binary)(args.input)
+    counts = fold_timetags(chunks, gate, args.cycles)
+    if counts.n_all == 0:
+        raise FormatError(f"{args.input}: no records and no --cycles; pulse count unknown")
     verdict = classify_counts(
         counts,
         eta=args.eta,
@@ -190,6 +183,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header = "mean_n,sbr0"
         rows = [f"{float(x)!r},{sbr_threshold(float(x))!r}" for x in grid]
     else:
+        if grid.size and args.start < 0.0:
+            raise RangeError(f"--start must be >= 0 (a detection efficiency), got {args.start}")
         if grid.size and args.stop > _ETA_MAX:
             raise RangeError(f"--stop {args.stop} exceeds 2 - sqrt(2) = {_ETA_MAX:.6g}, "
                              "where the mean click number 2 eta - eta^2/2 reaches 1")

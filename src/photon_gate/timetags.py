@@ -17,6 +17,11 @@ timings (of any numeric type) fold in exact int64 arithmetic at every
 timestamp; a non-integral period folds in float64, which is exact only
 below 2**53 ns.
 
+Files are read in chunks (65536 records, or about 1 MiB of CSV) that
+fold_timetags folds in turn, carrying per channel the last timestamp,
+the last kept pulse and the kept pulses awaiting a coincidence: memory
+is O(chunk) plus those, which grow only while a channel runs ahead.
+
 Two record formats are supported, both with timestamps in [0, 2**63)
 ns, nondecreasing per channel:
 
@@ -39,9 +44,10 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -142,25 +148,55 @@ def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.nd
 
 # 10**18 - 1 < 2**63, so an 18-digit timestamp cannot overflow int64
 _CSV_FAST_DIGITS = 18
+# records per binary read and per ingest_arrays slice; bytes per CSV read
+_CHUNK_TAGS = 1 << 16
+_CSV_CHUNK_BYTES = 1 << 20
 
 
 def read_timetags_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (channels, timestamps): uint8 codes (0=A, 1=B) and int64 ns.
+    """Returns (channels, timestamps): uint8 codes (0=A, 1=B) and int64 ns."""
+    return _concat(iter_timetags_csv(path))
 
+
+def iter_timetags_csv(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(channels, timestamps) chunks of a CSV tag file, cut after a line
+    end.  A CR that ends a read waits for the next one, so a CRLF is
+    never split and every error names its line in the whole file."""
+    lineno, tail = 1, b""  # lineno: of the next block's first line
+    with open(path, "rb") as fh:
+        while True:
+            more = fh.read(_CSV_CHUNK_BYTES)
+            data, tail = tail + more, b""
+            if more:
+                end = len(data) - data.endswith(b"\r")
+                cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+                data, tail = data[:cut], data[cut:]
+            elif not data:
+                break
+            if b"\r" in data:  # the universal newlines of a text-mode read
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if lineno == 1 and data:
+                header, _, data = data.partition(b"\n")
+                if header.decode("ascii", "replace").strip() != CSV_HEADER:
+                    break  # to the header error below
+                lineno = 2
+            if data:
+                yield _parse_csv_block(path, data, lineno)
+                lineno += data.count(b"\n")
+    if lineno == 1:
+        raise FormatError(f"{path}:1: expected header {CSV_HEADER!r}")
+
+
+def _parse_csv_block(path: str | Path, data: bytes, lineno: int) -> tuple[np.ndarray, np.ndarray]:
+    """Records of the LF-ended lines in data, the first being line lineno.
     Lines in the canonical form ``[AB],[0-9]{1,18}`` (what
     write_timetags_csv emits) are parsed in bulk; every other line goes
-    through _parse_csv_line, so both give the same records and errors.
-    """
-    data = Path(path).read_bytes()
-    if b"\r" in data:  # the universal newlines of a text-mode read
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    through _parse_csv_line, so both give the same records and errors."""
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     if not data.endswith(b"\n"):
         ends = np.append(ends, buf.size)
-    if data[: ends[0]].decode("ascii", "replace").strip() != CSV_HEADER:
-        raise FormatError(f"{path}:1: expected header {CSV_HEADER!r}")
-    starts, ends = ends[:-1] + 1, ends[1:]  # data lines; line i is lineno i + 2
+    starts = np.concatenate(([0], ends[:-1] + 1))
     digits = ends - starts - 2
     first = buf[starts]
     comma = np.take(buf, starts + 1, mode="clip")
@@ -178,7 +214,7 @@ def read_timetags_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if other.size:
         keep = canonical
         for i, lo, hi in zip(other.tolist(), starts[other].tolist(), ends[other].tolist()):
-            record = _parse_csv_line(path, i + 2, data[lo:hi])
+            record = _parse_csv_line(path, lineno + i, data[lo:hi])
             if record is not None:
                 channels[i], timestamps[i] = record
                 keep[i] = True
@@ -229,27 +265,41 @@ def write_timetags_binary(path: str | Path, channels: np.ndarray, timestamps: np
 
 
 def read_timetags_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    data = Path(path).read_bytes()
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated; no record-count header")
-    count = int(np.frombuffer(data[:8], dtype="<u8")[0])
-    body = data[8:]
-    if len(body) != count * _BIN_DTYPE.itemsize:
-        raise FormatError(
-            f"{path}: header promises {count} records "
-            f"({count * _BIN_DTYPE.itemsize} bytes), found {len(body)} bytes"
-        )
-    records = np.frombuffer(body, dtype=_BIN_DTYPE)
-    codes = records["channel"]
-    bad = ~np.isin(codes, (ord("A"), ord("B")))
-    if np.any(bad):
-        first = int(np.flatnonzero(bad)[0])
-        raise FormatError(f"{path}: record {first}: channel byte {codes[first]!r} not A/B")
-    channels = (codes == ord("B")).astype(np.uint8)
-    timestamps = records["timestamp"].astype(np.int64)
-    if np.any(timestamps < 0):
-        raise FormatError(f"{path}: timestamp exceeds the signed 64-bit range")
-    return channels, timestamps
+    return _concat(iter_timetags_binary(path))
+
+
+def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(channels, timestamps) chunks of a binary tag file, _CHUNK_TAGS
+    records per read."""
+    with open(path, "rb") as fh:
+        header = fh.read(8)
+        if len(header) < 8:
+            raise FormatError(f"{path}: truncated; no record-count header")
+        count = int.from_bytes(header, "little")
+        body = os.fstat(fh.fileno()).st_size - 8
+        if body != count * _BIN_DTYPE.itemsize:
+            raise FormatError(
+                f"{path}: header promises {count} records "
+                f"({count * _BIN_DTYPE.itemsize} bytes), found {body} bytes"
+            )
+        for start in range(0, count, _CHUNK_TAGS):
+            records = np.fromfile(fh, dtype=_BIN_DTYPE, count=min(_CHUNK_TAGS, count - start))
+            # A -> 0, B -> 1; every other byte lands above 1 (below "A" it wraps)
+            channels = records["channel"] - np.uint8(ord("A"))
+            if channels.max() > 1:
+                first = int(np.flatnonzero(channels > 1)[0])
+                raise FormatError(f"{path}: record {start + first}: channel byte "
+                                  f"{records['channel'][first]!r} not A/B")
+            # a contiguous copy: the fold's per-channel split of it is 5x faster
+            timestamps = records["timestamp"].astype(np.int64)
+            if timestamps.min() < 0:
+                raise FormatError(f"{path}: timestamp exceeds the signed 64-bit range")
+            yield channels, timestamps
+
+
+def _concat(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    parts = [(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)), *chunks]
+    return np.concatenate([c for c, _ in parts]), np.concatenate([t for _, t in parts])
 
 
 # ---------------------------------------------------------- ingestion --
@@ -261,46 +311,76 @@ def ingest_arrays(
     gate: GateConfig,
     n_pulses: int,
 ) -> ClickCounts:
-    """Fold time tags onto the pulse grid and tally click patterns.
+    """fold_timetags over _CHUNK_TAGS-record slices of the two arrays."""
+    channels, ts = np.asarray(channels), np.asarray(timestamps)
+    edges = range(0, max(channels.size, ts.size), _CHUNK_TAGS)
+    chunks = [(channels[i:i + _CHUNK_TAGS], ts[i:i + _CHUNK_TAGS]) for i in edges]
+    return fold_timetags(chunks, gate, n_pulses)
 
-    Records outside the gate window never change the tallies; records
-    beyond the declared n_pulses observation window are dropped (with a
-    debug log).  Timestamps must be nondecreasing per channel.
-    """
-    if n_pulses < 1:
+
+def fold_timetags(
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+    gate: GateConfig,
+    n_pulses: int | None = None,
+) -> ClickCounts:
+    """Tally the click patterns of a stream of (channels, timestamps)
+    chunks: channel codes 0 (A) or 1 (B), timestamps nonnegative and
+    nondecreasing per channel over the whole stream.  Out-of-gate records
+    never count; in-gate records at pulse n_pulses or beyond are dropped
+    (with a debug log).  Without n_pulses, the pulse count is one past
+    the last record's pulse (0 for no records)."""
+    if n_pulses is not None and n_pulses < 1:
         raise FormatError(f"n_pulses must be >= 1, got {n_pulses!r}")
-    channels = np.asarray(channels)
-    ts = np.asarray(timestamps, dtype=np.int64)
-    if channels.shape != ts.shape:
-        raise FormatError("channels and timestamps must have equal length")
-    is_channel = (channels == 0, channels == 1)
-    if sum(np.count_nonzero(m) for m in is_channel) != channels.size:
-        raise FormatError("channel codes must be 0 (A) or 1 (B)")
-    if np.any(ts < 0):
-        raise FormatError("timestamps must be nonnegative")
-    kept_pulses: list[np.ndarray] = []
-    for code, mask in enumerate(is_channel):
-        t = ts[mask]
-        if np.any(t[1:] < t[:-1]):
-            raise FormatError(
-                f"channel {_CHANNEL_NAME[code]} timestamps are not sorted"
-            )
-        pulse, in_gate = gate.fold(t)
-        in_window = pulse < n_pulses
-        dropped = int(np.count_nonzero(in_gate & ~in_window))
-        if dropped:
-            log.debug(
-                "channel %s: %d in-gate records beyond pulse window dropped",
-                _CHANNEL_NAME[code], dropped,
-            )
-        kept = pulse[in_gate & in_window]
-        # sorted, so one pass keeps the first record of each pulse (saturation)
-        if kept.size:
-            kept = kept[np.r_[True, kept[1:] != kept[:-1]]]
-        kept_pulses.append(kept)
-    a, b = kept_pulses
-    n_11 = int(np.intersect1d(a, b, assume_unique=True).size)
-    return ClickCounts.from_totals(n_pulses, int(a.size), int(b.size), n_11)
+    # per channel: last timestamp, last kept pulse, kept count, and kept
+    # pulses that a later pulse of the other channel may still match
+    last_t, last_kept, kept = [0, 0], [-1, -1], [0, 0]
+    pending = [np.empty(0, dtype=np.int64)] * 2
+    n_11, top, dropped = 0, -1, 0
+    for channels, timestamps in chunks:
+        channels = np.asarray(channels)
+        ts = np.asarray(timestamps, dtype=np.int64)
+        if channels.shape != ts.shape:
+            raise FormatError("channels and timestamps must have equal length")
+        is_channel = (channels == 0, channels == 1)
+        if sum(np.count_nonzero(m) for m in is_channel) != channels.size:
+            raise FormatError("channel codes must be 0 (A) or 1 (B)")
+        for code, mask in enumerate(is_channel):
+            t = np.compress(mask, ts)
+            if t.size == 0:
+                continue
+            if t[0] < 0:
+                raise FormatError("timestamps must be nonnegative")
+            if t[0] < last_t[code] or np.any(t[1:] < t[:-1]):
+                raise FormatError(f"channel {_CHANNEL_NAME[code]} timestamps are not sorted")
+            last_t[code] = t[-1]
+            pulse, in_gate = gate.fold(t)
+            top = max(top, int(pulse[-1]))
+            if n_pulses is not None and pulse[-1] >= n_pulses:
+                beyond = pulse >= n_pulses
+                dropped += int(np.count_nonzero(in_gate & beyond))
+                in_gate &= ~beyond
+            new = np.compress(in_gate, pulse)
+            # sorted, so one pass keeps the first record of each pulse (saturation)
+            new = new[np.diff(new, prepend=last_kept[code]) != 0]
+            if new.size:
+                last_kept[code] = int(new[-1])
+                kept[code] += new.size
+                pending[code] = np.concatenate((pending[code], new))
+        a, b = pending
+        if a.size and b.size:
+            # a pulse at or below the other channel's last kept pulse has met
+            # every pulse it can match; the rest waits for the next chunk
+            i = np.searchsorted(a, last_kept[1], "right")
+            j = np.searchsorted(b, last_kept[0], "right")
+            # sorted runs of distinct pulses: one merge puts each shared one by its twin
+            merged = np.concatenate((a[:i], b[:j]))
+            merged.sort(kind="stable")
+            n_11 += int(np.count_nonzero(merged[1:] == merged[:-1]))
+            pending = [a[i:], b[j:]]
+    if dropped:
+        log.debug("%d in-gate records beyond the pulse window dropped", dropped)
+    n_all = top + 1 if n_pulses is None else n_pulses
+    return ClickCounts.from_totals(n_all, kept[0], kept[1], n_11)
 
 
 def records_from_click_arrays(

@@ -254,6 +254,18 @@ class TestRelativePrecision:
         ref = inclusion_exclusion_decimal(s, lam, params.eta1, params.eta2)
         assert_stats_close(st, ref, tol=1e-15)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    @pytest.mark.parametrize("eta", [1e-8, 1e-6, 1e-5, 1e-3, 0.1, 0.5])
+    @pytest.mark.parametrize("s", [2, 3, 5, 8])
+    def test_emitters_to_relative_precision(self, s, eta, delta):
+        # at small eta, fAB = fA + fB - f_any cancels: it puts P(2) of
+        # IdealEmitters(2) at eta 1e-6 6.1e-10 relative off
+        params = DetectionParams(eta=eta, delta=delta)
+        st = expected_stats(IdealEmitters(s), params)
+        ref = inclusion_exclusion_decimal(s, 0.0, params.eta1, params.eta2)
+        for got, want in zip((st.p0, st.p1, st.p2), ref):
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
 
 class TestScalars:
     def test_mandel_q_reference(self):

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -270,6 +271,30 @@ class TestClassifyTimetags:
         assert main(["classify", "--input", str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_binary_ingest_memory_does_not_grow_with_the_file(self, tmp_path, capsys):
+        # tracemalloc sees numpy's buffers; a whole-file reader holds the file
+        # plus its decoded arrays (6.4 and 12.5 MiB for these two files)
+        peaks = []
+        for n in (200_000, 400_000):
+            rng = np.random.default_rng(n)
+            path = tmp_path / f"{n}.bin"
+            timestamps = np.sort(rng.integers(0, 500 * n, n))
+            write_timetags_binary(path, rng.integers(0, 2, n).astype(np.uint8), timestamps)
+            n_all = int(timestamps[-1]) // 500 + 1  # the pulse count without --cycles
+            del timestamps
+            tracemalloc.start()
+            try:
+                rc = main(["classify", "--input", str(path), "--format", "binary"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rc != 2, capsys.readouterr().err
+            assert f"pulses             {n_all}\n" in capsys.readouterr().out
+        # a 65536-record chunk is 0.6 MB of records; doubling the file
+        # (1.8 MB more) must not move the peak
+        assert peaks[1] < 5 * 2**20, peaks
+        assert peaks[1] - peaks[0] < 2**19, peaks
+
 
 class TestSweep:
     def test_sbr0_matches_library(self, tmp_path):
@@ -325,6 +350,15 @@ class TestSweep:
         err = capsys.readouterr().err
         assert message in err
         assert "mean_n" not in err
+
+    def test_critical_negative_start_names_the_flag(self, tmp_path, capsys):
+        rc = main(["sweep", "critical", "--start", "-0.1", "--stop", "0.3",
+                   "--points", "3", "--output", str(tmp_path / "c.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--start must be >= 0 (a detection efficiency), got -0.1" in err
+        assert "eta" not in err.replace("detection efficiency", "")
+        assert not (tmp_path / "c.csv").exists()
 
     def test_reversed_range_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "sbr0", "--start", "0.9", "--stop", "0.1",

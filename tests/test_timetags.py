@@ -30,9 +30,17 @@ from photon_gate import (
     write_timetags_binary,
     write_timetags_csv,
 )
-from photon_gate.timetags import _parse_csv_line
+from photon_gate import timetags
+from photon_gate.timetags import _parse_csv_line, fold_timetags, iter_timetags_csv
 
 GATE = GateConfig(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=100)
+
+
+def chunked(channels, timestamps, size):
+    """(channels, timestamps) in slices of size records; None is one slice."""
+    size = size or max(len(timestamps), 1)
+    return [(channels[i:i + size], timestamps[i:i + size])
+            for i in range(0, len(timestamps), size)]
 
 
 class TestGateConfig:
@@ -181,6 +189,58 @@ class TestCsvReaderEquivalence:
         assert np.array_equal(got_ch, want_ch)
         assert np.array_equal(got_ts, want_ts)
 
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 17, 64])
+    @pytest.mark.parametrize("seed", range(0, 40, 3))
+    def test_mixed_forms_in_small_reads(self, tmp_path, monkeypatch, read_bytes, seed):
+        # chunk edges at every position: the same records and errors as one read
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        self.test_mixed_forms(tmp_path, seed)
+
+
+class TestCsvChunkEdges:
+    """The CSV reader with reads shrunk so that chunk edges fall on the
+    spots under test."""
+
+    def test_bad_line_first_in_a_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "tags.csv"
+        good = "".join(f"A,{t}\n" for t in range(10, 100))  # 90 lines of 5 bytes
+        path.write_text(f"channel,timestamp_ns\n{good}C,100\n")
+        # the first read ends right after the 21-byte header and the good
+        # lines, so "C,100" opens the second chunk
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", 21 + 5 * 90)
+        chunks = iter_timetags_csv(path)
+        assert next(chunks)[1].size == 90
+        with pytest.raises(FormatError, match=re.escape(f"{path}:92: channel must be A or B")):
+            next(chunks)
+
+    def test_crlf_split_by_an_edge(self, tmp_path, monkeypatch):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"channel,timestamp_ns\r\nA,10\r\nB,20\r\nA,ten\r\n")
+        # the first read ends between the CR and the LF after A,10: read
+        # apart, they would end two lines and shift every later number
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", len(b"channel,timestamp_ns\r\nA,10\r"))
+        with pytest.raises(FormatError, match=re.escape(f"{path}:4: timestamp must be an integer")):
+            read_timetags_csv(path)
+        path.write_bytes(b"channel,timestamp_ns\r\nA,10\r\nB,20\r\n")
+        ch, ts = read_timetags_csv(path)
+        assert ch.tolist() == [0, 1] and ts.tolist() == [10, 20]
+
+    @pytest.mark.parametrize("read_bytes", [4, 7, 8, 1 << 20])
+    def test_last_line_without_newline(self, tmp_path, monkeypatch, read_bytes):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(b"channel,timestamp_ns\nA,10\nB,2000")
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        ch, ts = read_timetags_csv(path)
+        assert ch.tolist() == [0, 1] and ts.tolist() == [10, 2000]
+
+    @pytest.mark.parametrize("text", ["", "channel,timestamp_n", "channel,count\nA,1\n"])
+    def test_header_error_in_small_reads(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "tags.csv"
+        path.write_text(text)
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", 3)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:1: expected header"):
+            read_timetags_csv(path)
+
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
@@ -223,6 +283,30 @@ class TestBinaryFormat:
         path.write_bytes(header + body)
         with pytest.raises(FormatError, match="record 1"):
             read_timetags_binary(path)
+
+    def test_bad_channel_byte_in_a_later_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "tags.bin"
+        codes = np.zeros(12, dtype=np.uint8)
+        write_timetags_binary(path, codes, np.arange(12))
+        data = bytearray(path.read_bytes())
+        data[8 + 9 * 9] = ord("x")  # record 9, the second of the third chunk
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: record 9: channel byte np.uint8(120) not A/B")):
+            read_timetags_binary(path)
+
+    def test_chunks_concatenate_to_the_whole_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "tags.bin"
+        rng = np.random.default_rng(3)
+        channels = rng.integers(0, 2, 11).astype(np.uint8)
+        timestamps = np.sort(rng.integers(0, 2**62, 11))
+        write_timetags_binary(path, channels, timestamps)
+        monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
+        assert [c.size for c, _ in timetags.iter_timetags_binary(path)] == [4, 4, 3]
+        got_ch, got_ts = read_timetags_binary(path)
+        assert got_ch.dtype == np.uint8 and got_ts.dtype == np.int64
+        assert np.array_equal(got_ch, channels) and np.array_equal(got_ts, timestamps)
 
 
 class TestIngest:
@@ -301,8 +385,10 @@ class TestIngest:
         with pytest.raises(FormatError):
             ingest_arrays(ch, np.array([-1]), GATE, n_pulses=1)
 
-    @pytest.mark.parametrize("seed", range(60))
-    def test_matches_per_tag_oracle(self, seed):
+    @staticmethod
+    def oracle_case(seed):
+        """A seeded random stream, its gate and pulse count, and the
+        per-tag oracle's (n_00, n_10, n_01, n_11)."""
         rng = np.random.default_rng(seed)
         # int and float integral periods, then dyadic ones that float64
         # folds exactly at these magnitudes
@@ -328,9 +414,48 @@ class TestIngest:
         for code in (0, 1):
             timestamps[channels == code] = streams[code]
         n_all = base + n_pulses
+        expected = ingest_oracle(channels, timestamps, period, offset, width, n_all)
+        return channels, timestamps, gate, n_all, expected
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_per_tag_oracle(self, seed):
+        channels, timestamps, gate, n_all, expected = self.oracle_case(seed)
         counts = ingest_arrays(channels, timestamps, gate, n_pulses=n_all)
-        assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == ingest_oracle(
-            channels, timestamps, period, offset, width, n_all)
+        assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == expected
+
+    @pytest.mark.parametrize("size", [1, 7, 4096, None], ids=("1", "7", "4096", "whole"))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_fold_matches_per_tag_oracle_at_any_chunk_size(self, seed, size):
+        channels, timestamps, gate, n_all, expected = self.oracle_case(seed)
+        counts = fold_timetags(chunked(channels, timestamps, size), gate, n_all)
+        assert (counts.n_all, counts.n_00, counts.n_10, counts.n_01, counts.n_11) == (
+            n_all, *expected)
+
+    @pytest.mark.parametrize("seed", range(0, 60, 7))
+    def test_pulse_count_inferred_from_last_tag(self, seed):
+        channels, timestamps, gate, _, _ = self.oracle_case(seed)
+        if not timestamps.size:
+            assert fold_timetags(chunked(channels, timestamps, 7), gate).n_all == 0
+            return
+        n_all = int(gate.fold(timestamps.max())[0]) + 1
+        assert fold_timetags(chunked(channels, timestamps, 7), gate) == ingest_arrays(
+            channels, timestamps, gate, n_pulses=n_all)
+
+    def test_one_channel_then_the_other(self):
+        # every A tag precedes every B tag: the A pulses wait for B's
+        a = np.arange(0, 60 * 500, 500) + 10  # pulses 0..59
+        b = np.arange(30 * 500, 90 * 500, 500) + 20  # pulses 30..89
+        channels = np.repeat(np.array([0, 1], dtype=np.uint8), [a.size, b.size])
+        timestamps = np.concatenate([a, b])
+        counts = fold_timetags(chunked(channels, timestamps, 7), GATE, 100)
+        assert counts == ClickCounts(n_all=100, n_00=10, n_10=30, n_01=30, n_11=30)
+
+    def test_unsorted_across_a_chunk_edge_rejected(self):
+        channels = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
+        timestamps = np.array([10, 20, 600, 700, 599, 900], dtype=np.int64)
+        # each chunk is sorted; A goes from 600 back to 599 across the edge
+        with pytest.raises(FormatError, match="^channel A timestamps are not sorted$"):
+            fold_timetags(chunked(channels, timestamps, 4), GATE, 3)
 
     def test_three_records_and_unknown_channel(self):
         channels = np.array([0, 1, 0], dtype=np.uint8)
