@@ -21,9 +21,11 @@ The draws per pulse therefore do not grow with lam.
 Determinism
 -----------
 Pulses are processed in fixed-size blocks.  Block k draws from its own
-counter-based stream, Philox(seed) jumped k times, and results are
+stream, SFC64 seeded by child k of SeedSequence(seed), and results are
 assembled in block order — so they depend only on (config), never on
-scheduling or worker count.
+scheduling or worker count: one config gives byte-identical counts at
+any worker count.  Earlier versions drew block k from Philox(seed)
+jumped k times, so a seed's counts differ from the ones they gave.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
     (photon 0 of every pulse, then photon 1, ...)."""
     p = config.params
     s, lam = photon_plan(config.source, p)
-    rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(index))
+    child = np.random.SeedSequence(config.seed, spawn_key=(index,))
+    rng = np.random.Generator(np.random.SFC64(child))
     if lam > 0.0:
         click_a = rng.random(size) < -math.expm1(-lam * p.eta1 / 2.0)
         click_b = rng.random(size) < -math.expm1(-lam * p.eta2 / 2.0)
@@ -87,6 +90,7 @@ def _map_blocks(config: SimConfig, fn, workers: int) -> list:
     def run(b: tuple[int, int]):
         return fn(*_block_clicks(config, *b))
 
+    workers = min(workers, len(blocks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, blocks))

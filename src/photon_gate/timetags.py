@@ -45,6 +45,7 @@ import logging
 import math
 import numbers
 import os
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -140,9 +141,8 @@ def _integral(v: float) -> float:
 
 def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
     lines = [CSV_HEADER]
-    lines.extend(
-        f"{_CHANNEL_NAME[int(c)]},{int(t)}" for c, t in zip(channels, timestamps)
-    )
+    names = [_CHANNEL_NAME[c] for c in np.asarray(channels).tolist()]
+    lines.extend(f"{c},{t}" for c, t in zip(names, np.asarray(timestamps).tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -332,9 +332,10 @@ def fold_timetags(
     if n_pulses is not None and n_pulses < 1:
         raise FormatError(f"n_pulses must be >= 1, got {n_pulses!r}")
     # per channel: last timestamp, last kept pulse, kept count, and kept
-    # pulses that a later pulse of the other channel may still match
+    # pulses that a later pulse of the other channel may still match, as
+    # sorted nonempty pieces joined only once the other channel reaches them
     last_t, last_kept, kept = [0, 0], [-1, -1], [0, 0]
-    pending = [np.empty(0, dtype=np.int64)] * 2
+    pending = [deque(), deque()]
     n_11, top, dropped = 0, -1, 0
     for channels, timestamps in chunks:
         channels = np.asarray(channels)
@@ -365,22 +366,31 @@ def fold_timetags(
             if new.size:
                 last_kept[code] = int(new[-1])
                 kept[code] += new.size
-                pending[code] = np.concatenate((pending[code], new))
-        a, b = pending
-        if a.size and b.size:
+                pending[code].append(new)
+        if pending[0] and pending[1]:
             # a pulse at or below the other channel's last kept pulse has met
             # every pulse it can match; the rest waits for the next chunk
-            i = np.searchsorted(a, last_kept[1], "right")
-            j = np.searchsorted(b, last_kept[0], "right")
+            done = _pop_through(pending[0], last_kept[1]) + _pop_through(pending[1], last_kept[0])
             # sorted runs of distinct pulses: one merge puts each shared one by its twin
-            merged = np.concatenate((a[:i], b[:j]))
+            merged = np.concatenate(done)
             merged.sort(kind="stable")
             n_11 += int(np.count_nonzero(merged[1:] == merged[:-1]))
-            pending = [a[i:], b[j:]]
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
     n_all = top + 1 if n_pulses is None else n_pulses
     return ClickCounts.from_totals(n_all, kept[0], kept[1], n_11)
+
+
+def _pop_through(pieces: deque, cutoff: int) -> list[np.ndarray]:
+    """Remove and return the pulses <= cutoff from the front of pieces."""
+    done = []
+    while pieces and pieces[0][-1] <= cutoff:
+        done.append(pieces.popleft())
+    if pieces:
+        i = np.searchsorted(pieces[0], cutoff, "right")
+        done.append(pieces[0][:i])
+        pieces[0] = pieces[0][i:]
+    return done
 
 
 def records_from_click_arrays(

@@ -10,9 +10,11 @@ from photon_gate import (
     ClickCounts,
     Decision,
     DetectionParams,
+    EmitterWithBackground,
     IdealEmitters,
     PhotonStats,
     RangeError,
+    SimConfig,
     boundary_eta,
     classify,
     classify_counts,
@@ -20,6 +22,8 @@ from photon_gate import (
     expected_stats,
     sbr_threshold,
     setup_sbr,
+    simulate_pulses,
+    stats_from_counts,
     uncorrected_bounds,
 )
 
@@ -279,3 +283,28 @@ class TestClassifyCounts:
         assert v.measured_sbr == math.inf
         assert v.setup_sbr == math.inf
         assert v.decision is Decision.SINGLE
+
+
+class TestOperatingCharacteristic:
+    """How often classify, given the true calibration, calls a simulated
+    system SINGLE over seeds 0-99 at 3e5 pulses each."""
+
+    M = 300_000
+
+    @staticmethod
+    def singles(source, params):
+        return sum(
+            classify(stats_from_counts(simulate_pulses(SimConfig(source, params, seed))),
+                     params).decision is Decision.SINGLE
+            for seed in range(100)
+        )
+
+    def test_balanced_boundary_is_a_coin_flip(self):
+        # two ideal emitters exactly on the boundary: the point-estimate
+        # rule adds only the sampling variance, so it errs about half the time
+        params = DetectionParams(eta=boundary_eta(0.2), delta=0.0, gamma=0.0, cycles=self.M)
+        assert 30 <= self.singles(IdealEmitters(2), params) <= 70
+
+    def test_emitter_well_above_sbr0_is_single(self):
+        params = DetectionParams(eta=0.2, gamma=0.01, cycles=self.M)
+        assert self.singles(EmitterWithBackground(), params) >= 98

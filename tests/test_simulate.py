@@ -52,6 +52,19 @@ class TestDeterminism:
         assert simulate_pulses(self.CFG, workers=4) == sequential
         assert simulate_pulses(self.CFG, workers=7) == sequential
 
+    def test_one_block_runs_without_a_pool(self, monkeypatch):
+        cfg = SimConfig(
+            source=self.CFG.source, params=self.CFG.params, seed=123,
+            block_size=self.CFG.params.cycles,
+        )
+        sequential = simulate_pulses(cfg)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started for one block")
+
+        monkeypatch.setattr("photon_gate.simulate.ThreadPoolExecutor", no_pool)
+        assert simulate_pulses(cfg, workers=4) == sequential
+
     def test_seed_changes_results(self):
         other = SimConfig(
             source=self.CFG.source, params=self.CFG.params, seed=124,
@@ -137,7 +150,9 @@ class TestClickRule:
         params = DetectionParams(eta=0.6, delta=0.25, gamma=0.4, cycles=2_500)
         cfg = SimConfig(source=source, params=params, seed=31, block_size=1_000)
         for k, size in ((0, 1_000), (2, 500)):
-            rng = np.random.Generator(np.random.Philox(key=cfg.seed).jumped(k))
+            # block k's stream: SFC64 seeded by child k of SeedSequence(seed)
+            child = np.random.SeedSequence(cfg.seed).spawn(k + 1)[k]
+            rng = np.random.Generator(np.random.SFC64(child))
             want_a, want_b = self._written_out(rng, size, source, params)
             got_a, got_b = _block_clicks(cfg, k, size)
             assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)

@@ -76,9 +76,12 @@ class TestGateConfig:
 class TestCsvFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "tags.csv"
-        channels = np.array([0, 1, 0, 1], dtype=np.uint8)
-        timestamps = np.array([10, 520, 530, 1599], dtype=np.int64)
+        channels = np.array([0, 1, 0, 1, 1], dtype=np.uint8)
+        timestamps = np.array([0, 520, 530, 1599, 2**63 - 1], dtype=np.int64)
         write_timetags_csv(path, channels, timestamps)
+        assert path.read_bytes() == (
+            b"channel,timestamp_ns\nA,0\nB,520\nA,530\nB,1599\nB,9223372036854775807\n"
+        )
         got_ch, got_ts = read_timetags_csv(path)
         assert np.array_equal(got_ch, channels)
         assert np.array_equal(got_ts, timestamps)
@@ -443,12 +446,18 @@ class TestIngest:
 
     def test_one_channel_then_the_other(self):
         # every A tag precedes every B tag: the A pulses wait for B's
-        a = np.arange(0, 60 * 500, 500) + 10  # pulses 0..59
-        b = np.arange(30 * 500, 90 * 500, 500) + 20  # pulses 30..89
-        channels = np.repeat(np.array([0, 1], dtype=np.uint8), [a.size, b.size])
-        timestamps = np.concatenate([a, b])
-        counts = fold_timetags(chunked(channels, timestamps, 7), GATE, 100)
-        assert counts == ClickCounts(n_all=100, n_00=10, n_10=30, n_01=30, n_11=30)
+        cases = [
+            (range(60), range(30, 90), 100, (10, 30, 30, 30)),
+            # thousands of A pulses wait in pieces for the first B tag
+            (range(5_000), range(4_990, 5_020), 5_100, (80, 4_990, 20, 10)),
+        ]
+        for a_pulses, b_pulses, n_all, expected in cases:
+            a = np.array(a_pulses) * 500 + 10
+            b = np.array(b_pulses) * 500 + 20
+            channels = np.repeat(np.array([0, 1], dtype=np.uint8), [a.size, b.size])
+            timestamps = np.concatenate([a, b])
+            counts = fold_timetags(chunked(channels, timestamps, 7), GATE, n_all)
+            assert counts == ClickCounts(n_all, *expected)
 
     def test_unsorted_across_a_chunk_edge_rejected(self):
         channels = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
