@@ -5,18 +5,24 @@ simulator exists to check them mechanically.  model.photon_plan reduces
 each source to s photons every pulse carries plus Poissonian light of
 mean lam per pulse, and the simulator samples both parts.
 
-Each fixed photon draws one uniform u.  It is routed to channel A and
-detected there when u < eta1/2, routed to B and detected there when
-u >= 1 - eta2/2, and lost otherwise; the two intervals are disjoint
-because eta1 + eta2 = 2 * eta <= 2.
+Every part is a row of independent Bernoulli trials, one per pulse, and
+_hits samples only a row's successes: the gap from one success to the
+next is geometric, 1 + floor(E / -log(1 - p)) with E a standard
+exponential.  The cost of a block therefore grows with its detections,
+not with its pulses or photons.
+
+Each fixed photon is detected with probability eta (the row's p); each
+detected photon then draws one uniform u that routes it to channel B
+when u < (1 - delta) / 2 and to A otherwise, so A fires with eta1/2 and
+B with eta2/2 per photon.
 
 Poissonian light (coherent pulses and stray background alike) is not
 sampled photon by photon: a Poisson photon number split by independent
 routing and detection gives independent Poisson counts per channel,
 with mean lam * eta_i / 2 on channel i.  Each detector reports at most
-one click per pulse, so only "any photon" matters: channel i clicks
-when its own uniform per pulse falls below 1 - exp(-lam * eta_i / 2).
-The draws per pulse therefore do not grow with lam.
+one click per pulse, so only "any photon" matters: channel i's row has
+p = 1 - exp(-lam * eta_i / 2).  The draws per pulse therefore do not
+grow with lam.
 
 Determinism
 -----------
@@ -25,7 +31,8 @@ stream, SFC64 seeded by child k of SeedSequence(seed), and results are
 assembled in block order — so they depend only on (config), never on
 scheduling or worker count: one config gives byte-identical counts at
 any worker count.  Earlier versions drew block k from Philox(seed)
-jumped k times, so a seed's counts differ from the ones they gave.
+jumped k times, and later ones drew one uniform per pulse and channel
+and per fixed photon, so a seed's counts differ from the ones they gave.
 """
 
 from __future__ import annotations
@@ -58,28 +65,57 @@ class SimConfig:
             raise RangeError(f"block_size must be a positive integer, got {self.block_size!r}")
 
 
+def _batch(p: float, n: int) -> int:
+    """Exponentials _hits draws at once for n trials left: the expected
+    successes plus a margin of four standard deviations and 16, so a
+    second batch is rare; never more than n."""
+    return min(n, int(n * p + 4.0 * math.sqrt(n * p)) + 16)
+
+
+def _hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """Sorted int64 indices of the successes among n independent
+    Bernoulli(p) trials, drawn as geometric gaps between successes in
+    batches of _batch(p, n_left) exponentials.  A batch that ends before
+    trial n is followed by another from the trial after its last success;
+    the unused end of the last batch is discarded."""
+    if p <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    rate = -math.log1p(-p) if p < 1.0 else math.inf
+    parts, start = [], 0  # start: the first trial not yet decided
+    while start < n:
+        gaps = rng.standard_exponential(_batch(p, n - start))
+        gaps /= rate
+        # clipped at n before the cast: a gap past n ends the row either way
+        hits = np.minimum(gaps, n, out=gaps).astype(np.int64)
+        hits += 1
+        hits[0] += start - 1
+        np.cumsum(hits, out=hits)
+        parts.append(hits)
+        start = int(hits[-1]) + 1
+    hits = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return hits[: np.searchsorted(hits, n)]
+
+
 def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Click indicators for one block of pulses.  Draw order is fixed:
-    Poissonian light (one uniform per pulse for channel A, then for
-    channel B; skipped when lam = 0), then one uniform per fixed photon
-    (photon 0 of every pulse, then photon 1, ...)."""
+    Poissonian light (channel A's row, then channel B's; skipped when
+    lam = 0), then per fixed photon (photon 0 of every pulse, then
+    photon 1, ...) its detections' row and one routing uniform per
+    detection."""
     p = config.params
     s, lam = photon_plan(config.source, p)
     child = np.random.SeedSequence(config.seed, spawn_key=(index,))
     rng = np.random.Generator(np.random.SFC64(child))
+    # A's clicks, then B's: a routing draw adds size to move a click to B
+    clicks = np.zeros(2 * size, dtype=np.bool_)
     if lam > 0.0:
-        click_a = rng.random(size) < -math.expm1(-lam * p.eta1 / 2.0)
-        click_b = rng.random(size) < -math.expm1(-lam * p.eta2 / 2.0)
-    else:
-        click_a = np.zeros(size, dtype=np.bool_)
-        click_b = np.zeros(size, dtype=np.bool_)
-    a_max, b_min = p.eta1 / 2.0, 1.0 - p.eta2 / 2.0
-    # photon j of every pulse at a time: one block-sized array live
+        clicks[_hits(rng, -math.expm1(-lam * p.eta1 / 2.0), size)] = True
+        clicks[_hits(rng, -math.expm1(-lam * p.eta2 / 2.0), size) + size] = True
+    to_b = (1.0 - p.delta) / 2.0  # eta2 / (eta1 + eta2)
     for _ in range(s):
-        u = rng.random(size)
-        click_a |= u < a_max
-        click_b |= u >= b_min
-    return click_a, click_b
+        detected = _hits(rng, p.eta, size)
+        clicks[detected + size * (rng.random(detected.size) < to_b)] = True
+    return clicks[:size], clicks[size:]
 
 
 def _map_blocks(config: SimConfig, fn, workers: int) -> list:

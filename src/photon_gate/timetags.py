@@ -139,10 +139,30 @@ def _integral(v: float) -> float:
 # ---------------------------------------------------------------- CSV --
 
 
+def _checked_records(
+    path: str | Path, channels: np.ndarray, timestamps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records a writer may write, as arrays: equal lengths, channel
+    codes 0 (A) or 1 (B) and nonnegative timestamps, or a FormatError
+    naming the first bad record before any file is created."""
+    channels, timestamps = np.asarray(channels), np.asarray(timestamps)
+    if channels.shape != timestamps.shape:
+        raise FormatError(f"{path}: channels and timestamps must have equal length")
+    bad_channel = (channels != 0) & (channels != 1)
+    bad = bad_channel | (timestamps < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = (f"channel code {channels[i]} is not 0 (A) or 1 (B)" if bad_channel[i]
+                else f"timestamp {timestamps[i]} is negative")
+        raise FormatError(f"{path}: record {i}: {what}")
+    return channels, timestamps
+
+
 def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
+    channels, timestamps = _checked_records(path, channels, timestamps)
     lines = [CSV_HEADER]
-    names = [_CHANNEL_NAME[c] for c in np.asarray(channels).tolist()]
-    lines.extend(f"{c},{t}" for c, t in zip(names, np.asarray(timestamps).tolist()))
+    names = [_CHANNEL_NAME[c] for c in channels.tolist()]
+    lines.extend(f"{c},{t}" for c, t in zip(names, timestamps.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -257,9 +277,10 @@ _BIN_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 
 
 def write_timetags_binary(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
+    channels, timestamps = _checked_records(path, channels, timestamps)
     records = np.empty(len(channels), dtype=_BIN_DTYPE)
-    records["channel"] = np.where(np.asarray(channels) == 0, ord("A"), ord("B"))
-    records["timestamp"] = np.asarray(timestamps, dtype=np.uint64)
+    records["channel"] = np.where(channels == 0, ord("A"), ord("B"))
+    records["timestamp"] = timestamps.astype(np.uint64)
     header = np.uint64(len(records)).tobytes()  # little-endian on all supported targets
     Path(path).write_bytes(header + records.tobytes())
 

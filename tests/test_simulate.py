@@ -19,7 +19,7 @@ from photon_gate import (
     simulate_pulses,
     stats_from_counts,
 )
-from photon_gate.simulate import _block_clicks
+from photon_gate.simulate import _batch, _block_clicks, _hits
 
 from _oracles import coherent_clicks_per_photon
 
@@ -89,8 +89,45 @@ class TestDeterminism:
         assert counts.n_all == 100_001
 
 
+class TestHits:
+    """_hits: the successes of n Bernoulli(p) trials as geometric gaps."""
+
+    @staticmethod
+    def rng(seed=3):
+        return np.random.Generator(np.random.SFC64(seed))
+
+    def test_certain_outcomes(self):
+        assert _hits(self.rng(), 0.0, 1000).size == 0
+        assert np.array_equal(_hits(self.rng(), 1.0, 1000), np.arange(1000))
+
+    def test_vanishing_p_gives_no_hits(self):
+        # E / -log1p(-1e-300) is near 1e300: clipped before the int cast
+        hits = _hits(self.rng(), 1e-300, 1_000_000)
+        assert hits.dtype == np.int64 and hits.size == 0
+
+    @pytest.mark.parametrize("p", [1e-5, 0.01, 0.1, 0.5, 0.9])
+    def test_counts_and_order(self, p):
+        n = 1_000_000
+        hits = _hits(self.rng(), p, n)
+        assert hits.dtype == np.int64
+        assert np.all(np.diff(hits) > 0) and hits[0] >= 0 and hits[-1] < n
+        assert abs(hits.size - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+    def test_short_batches_continue(self):
+        class ZeroGaps:
+            batches = 0
+
+            def standard_exponential(self, size):
+                self.batches += 1
+                return np.zeros(size)
+
+        rng = ZeroGaps()
+        assert np.array_equal(_hits(rng, 0.1, 1000), np.arange(1000))
+        assert rng.batches > 2
+
+
 class TestClickRule:
-    """Exact consequences of the one-uniform-per-photon rule."""
+    """Exact consequences of the click rule."""
 
     def test_perfect_single_emitter_always_clicks_once(self):
         cfg = SimConfig(
@@ -118,9 +155,13 @@ class TestClickRule:
 
     @staticmethod
     def _written_out(rng, size, source, params):
-        """The click rule pulse by pulse over the block's own draws:
-        Poissonian-light uniforms (row A, row B; none for a source
-        without Poissonian light), then one uniform per fixed photon.
+        """The click rule over the block's own draws, one draw at a time:
+        Poissonian light (row A, row B; none for a source without
+        Poissonian light), then per fixed photon its detection row and
+        one routing uniform per detection.  A row of Bernoulli(p) trials
+        is walked gap by gap: each exponential E moves 1 + floor(E /
+        -log(1 - p)) trials on (at most n + 1), in batches of
+        _batch(p, trials left) draws, a batch's unused end discarded.
         Coherent pulses carry no fixed photon and Poissonian light of
         mean mu + gamma; IdealEmitters carry s photons and no light."""
         eta1, eta2 = params.eta1, params.eta2
@@ -130,15 +171,30 @@ class TestClickRule:
             s, lam = 0, source.mu + params.gamma
         else:
             s, lam = 1, params.gamma
-        light = rng.random((2, size)) if lam > 0.0 else np.ones((2, size))
-        per_pulse = rng.random((s, size)).T
+
+        def row(p):
+            hits, start = [], 0
+            while start < size:
+                last = start - 1
+                for _ in range(_batch(p, size - start)):
+                    last += 1 + int(min(rng.standard_exponential() / -math.log1p(-p), size))
+                    if last < size:
+                        hits.append(last)
+                start = last + 1
+            return hits
+
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
-        for i in range(size):
-            click_a[i] = light[0, i] < 1.0 - math.exp(-lam * eta1 / 2.0)
-            click_b[i] = light[1, i] < 1.0 - math.exp(-lam * eta2 / 2.0)
-            for u in per_pulse[i]:
-                click_a[i] |= u < eta1 / 2.0
-                click_b[i] |= u >= 1.0 - eta2 / 2.0
+        if lam > 0.0:
+            for i in row(-math.expm1(-lam * eta1 / 2.0)):
+                click_a[i] = True
+            for i in row(-math.expm1(-lam * eta2 / 2.0)):
+                click_b[i] = True
+        for _ in range(s):
+            for i in row(params.eta):
+                if rng.random() < eta2 / (eta1 + eta2):
+                    click_b[i] = True
+                else:
+                    click_a[i] = True
         return click_a, click_b
 
     @pytest.mark.parametrize(

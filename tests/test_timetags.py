@@ -245,6 +245,22 @@ class TestCsvChunkEdges:
             read_timetags_csv(path)
 
 
+class TestWriterChecks:
+    @pytest.mark.parametrize("writer", [write_timetags_csv, write_timetags_binary],
+                             ids=("csv", "binary"))
+    @pytest.mark.parametrize("channels,timestamps,message", [
+        ([0, -1, 2], [1, 2, 3], "record 1: channel code -1 is not 0 (A) or 1 (B)"),
+        ([0, 2], [1, 2], "record 1: channel code 2 is not 0 (A) or 1 (B)"),
+        ([1, 0, 0], [1, 2, -3], "record 2: timestamp -3 is negative"),
+    ], ids=("channel-minus-1", "channel-2", "negative-timestamp"))
+    def test_bad_record_is_refused_before_writing(
+            self, tmp_path, writer, channels, timestamps, message):
+        path = tmp_path / "tags"
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            writer(path, np.array(channels), np.array(timestamps))
+        assert not path.exists()
+
+
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "tags.bin"
