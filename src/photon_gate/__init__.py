@@ -43,12 +43,12 @@ from .simulate import (
 )
 from .timetags import (
     GateConfig,
-    ingest_arrays,
+    fold_timetags,
     is_counts_block,
+    iter_timetags_binary,
+    iter_timetags_csv,
     read_counts_block,
     read_sim_config,
-    read_timetags_binary,
-    read_timetags_csv,
     records_from_click_arrays,
     write_counts_block,
     write_timetags_binary,

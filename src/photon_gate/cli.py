@@ -130,26 +130,20 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
     counts = fold_timetags(chunks, gate, args.cycles)
     if counts.n_all == 0:
         raise FormatError(f"{args.input}: no records and no --cycles; pulse count unknown")
-    verdict = classify_counts(
-        counts,
-        eta=args.eta,
-        delta=args.delta if args.delta is not None else 0.0,
-        gamma=args.gamma,
-        cycles=args.cycles,
-    )
-    return counts, verdict
+    return counts, classify_counts(counts, **_calibration_flags(args))
 
 
 def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
     counts, config = read_counts_block(args.input)
-    echoed = config.params
-    params = DetectionParams(
-        eta=args.eta if args.eta is not None else echoed.eta,
-        delta=args.delta if args.delta is not None else echoed.delta,
-        gamma=args.gamma if args.gamma is not None else echoed.gamma,
-        cycles=args.cycles if args.cycles is not None else echoed.cycles,
-    )
+    params = replace(config.params, **_calibration_flags(args))
     return counts, classify(stats_from_counts(counts), params)
+
+
+def _calibration_flags(args: argparse.Namespace) -> dict[str, float | int]:
+    """The calibration flags given on the command line, by DetectionParams
+    field; the flags left out keep the echoed or default calibration."""
+    return {name: getattr(args, name) for name in ("eta", "delta", "gamma", "cycles")
+            if getattr(args, name) is not None}
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:

@@ -30,9 +30,7 @@ Pulses are processed in fixed-size blocks.  Block k draws from its own
 stream, SFC64 seeded by child k of SeedSequence(seed), and results are
 assembled in block order — so they depend only on (config), never on
 scheduling or worker count: one config gives byte-identical counts at
-any worker count.  Earlier versions drew block k from Philox(seed)
-jumped k times, and later ones drew one uniform per pulse and channel
-and per fixed photon, so a seed's counts differ from the ones they gave.
+any worker count.
 """
 
 from __future__ import annotations

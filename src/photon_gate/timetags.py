@@ -143,17 +143,24 @@ def _checked_records(
     path: str | Path, channels: np.ndarray, timestamps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The records a writer may write, as arrays: equal lengths, channel
-    codes 0 (A) or 1 (B) and nonnegative timestamps, or a FormatError
-    naming the first bad record before any file is created."""
+    codes 0 (A) or 1 (B) and integer timestamps in [0, 2**63), as the
+    readers demand, or a FormatError naming the first bad record before
+    any file is created."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
     if channels.shape != timestamps.shape:
         raise FormatError(f"{path}: channels and timestamps must have equal length")
     bad_channel = (channels != 0) & (channels != 1)
-    bad = bad_channel | (timestamps < 0)
+    integral = timestamps.dtype.kind in "iu"  # a float would be truncated or written as 5.0
+    bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if integral else True)
     if bad.any():
         i = int(np.argmax(bad))
-        what = (f"channel code {channels[i]} is not 0 (A) or 1 (B)" if bad_channel[i]
-                else f"timestamp {timestamps[i]} is negative")
+        t = timestamps[i]
+        if bad_channel[i]:
+            what = f"channel code {channels[i]} is not 0 (A) or 1 (B)"
+        elif not integral:
+            what = f"timestamp {t} is {timestamps.dtype}, not an integer type"
+        else:
+            what = f"timestamp {t} is negative" if t < 0 else f"timestamp {t} is not below 2**63"
         raise FormatError(f"{path}: record {i}: {what}")
     return channels, timestamps
 
@@ -168,20 +175,16 @@ def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.nd
 
 # 10**18 - 1 < 2**63, so an 18-digit timestamp cannot overflow int64
 _CSV_FAST_DIGITS = 18
-# records per binary read and per ingest_arrays slice; bytes per CSV read
+# records per binary read; bytes per CSV read
 _CHUNK_TAGS = 1 << 16
 _CSV_CHUNK_BYTES = 1 << 20
 
 
-def read_timetags_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (channels, timestamps): uint8 codes (0=A, 1=B) and int64 ns."""
-    return _concat(iter_timetags_csv(path))
-
-
 def iter_timetags_csv(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(channels, timestamps) chunks of a CSV tag file, cut after a line
-    end.  A CR that ends a read waits for the next one, so a CRLF is
-    never split and every error names its line in the whole file."""
+    """(channels, timestamps) chunks of a CSV tag file, uint8 codes
+    (0=A, 1=B) and int64 ns, each cut after a line end.  A CR that ends
+    a read waits for the next one, so a CRLF is never split and every
+    error names its line in the whole file."""
     lineno, tail = 1, b""  # lineno: of the next block's first line
     with open(path, "rb") as fh:
         while True:
@@ -285,10 +288,6 @@ def write_timetags_binary(path: str | Path, channels: np.ndarray, timestamps: np
     Path(path).write_bytes(header + records.tobytes())
 
 
-def read_timetags_binary(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    return _concat(iter_timetags_binary(path))
-
-
 def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(channels, timestamps) chunks of a binary tag file, _CHUNK_TAGS
     records per read."""
@@ -318,25 +317,7 @@ def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndar
             yield channels, timestamps
 
 
-def _concat(chunks: Iterable[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    parts = [(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)), *chunks]
-    return np.concatenate([c for c, _ in parts]), np.concatenate([t for _, t in parts])
-
-
 # ---------------------------------------------------------- ingestion --
-
-
-def ingest_arrays(
-    channels: np.ndarray,
-    timestamps: np.ndarray,
-    gate: GateConfig,
-    n_pulses: int,
-) -> ClickCounts:
-    """fold_timetags over _CHUNK_TAGS-record slices of the two arrays."""
-    channels, ts = np.asarray(channels), np.asarray(timestamps)
-    edges = range(0, max(channels.size, ts.size), _CHUNK_TAGS)
-    chunks = [(channels[i:i + _CHUNK_TAGS], ts[i:i + _CHUNK_TAGS]) for i in edges]
-    return fold_timetags(chunks, gate, n_pulses)
 
 
 def fold_timetags(
@@ -462,8 +443,13 @@ def _config_lines(config: SimConfig) -> list[str]:
 
 
 def _parse_kv(path: str | Path, lines: Iterable[str], start: int = 1) -> dict[str, tuple[int, str]]:
+    """(line number, value) of each key of ``key = value`` lines.  The
+    lines are read as ASCII with errors="surrogateescape", so a non-ASCII
+    byte fails here, with its file:line."""
     out: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(lines, start=start):
+        if not raw.isascii():
+            raise FormatError(f"{path}:{lineno}: line is not ASCII")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -482,9 +468,10 @@ class _KvReader:
     def __init__(self, path: str | Path, kv: dict[str, tuple[int, str]]):
         self.path, self.kv = path, dict(kv)
 
-    def take(self, key: str, kind, default=None, required: bool = False):
+    def take(self, key: str, kind, default=None):
+        """The value of key as kind; a key without a default is required."""
         if key not in self.kv:
-            if required:
+            if default is None:
                 raise FormatError(f"{self.path}: missing required key {key!r}")
             return default
         lineno, raw = self.kv.pop(key)
@@ -502,32 +489,32 @@ class _KvReader:
 
 
 def _sim_config_from(reader: _KvReader) -> SimConfig:
-    kind = reader.take("source.kind", str, required=True)
+    kind = reader.take("source.kind", str)
     if kind not in _SOURCE_KINDS:
         raise FormatError(f"{reader.path}: unknown source.kind {kind!r}")
     model, fields = _SOURCE_KINDS[kind]
     source = model(**{
-        name: reader.take(f"source.{name}", field_type, default=default, required=default is None)
+        name: reader.take(f"source.{name}", field_type, default)
         for name, field_type, default in fields
     })
     params = DetectionParams(
-        eta=reader.take("params.eta", float, required=True),
-        delta=reader.take("params.delta", float, default=0.0),
-        gamma=reader.take("params.gamma", float, default=0.0),
-        cycles=reader.take("params.cycles", int, required=True),
+        eta=reader.take("params.eta", float),
+        delta=reader.take("params.delta", float, 0.0),
+        gamma=reader.take("params.gamma", float, 0.0),
+        cycles=reader.take("params.cycles", int),
     )
     return SimConfig(
         source=source,
         params=params,
-        seed=reader.take("seed", int, required=True),
-        block_size=reader.take("block_size", int, default=SimConfig.block_size),
+        seed=reader.take("seed", int),
+        block_size=reader.take("block_size", int, SimConfig.block_size),
     )
 
 
 def read_sim_config(path: str | Path) -> SimConfig:
     """Parse a simulation config file (flat ``key = value`` lines,
     ``#`` comments allowed)."""
-    text = Path(path).read_text(encoding="ascii")
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
     reader = _KvReader(path, _parse_kv(path, text.splitlines()))
     # accept 'cycles' as shorthand for params.cycles
     if "cycles" in reader.kv and "params.cycles" not in reader.kv:
@@ -553,25 +540,29 @@ def write_counts_block(path: str | Path, counts: ClickCounts, config: SimConfig)
 
 
 def is_counts_block(path: str | Path) -> bool:
+    """Whether the first line, compared as bytes, is the counts-block
+    magic; nothing after that line can change the answer."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.readline().strip() == COUNTS_MAGIC
-    except (OSError, UnicodeDecodeError):
+        with open(path, "rb") as fh:
+            # 1 KiB holds the magic line; a binary file is not read to its first LF
+            first = fh.readline(1 << 10).splitlines()
+    except OSError:
         return False
+    return bool(first) and first[0].strip() == COUNTS_MAGIC.encode("ascii")
 
 
 def read_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig]:
-    text = Path(path).read_text(encoding="ascii")
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_MAGIC:
         raise FormatError(f"{path}:1: expected {COUNTS_MAGIC!r} header")
     reader = _KvReader(path, _parse_kv(path, lines[1:], start=2))
     counts = ClickCounts(
-        n_all=reader.take("n_all", int, required=True),
-        n_00=reader.take("n_00", int, required=True),
-        n_10=reader.take("n_10", int, required=True),
-        n_01=reader.take("n_01", int, required=True),
-        n_11=reader.take("n_11", int, required=True),
+        n_all=reader.take("n_all", int),
+        n_00=reader.take("n_00", int),
+        n_10=reader.take("n_10", int),
+        n_01=reader.take("n_01", int),
+        n_11=reader.take("n_11", int),
     )
     config = _sim_config_from(reader)
     reader.finish()

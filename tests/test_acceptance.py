@@ -228,8 +228,8 @@ def test_criterion_8_deterministic_runs(tmp_path):
         assert main(["simulate", "--config", str(cfg), "--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-        # the CLI runs blocks on every core; its block must equal the
-        # one written from a serial run of the echoed config
+        # the CLI runs blocks on one thread; its block must equal the one
+        # written from a workers=1 run of the echoed config
         counts, config = read_counts_block(first)
         serial = tmp_path / "serial.counts"
         write_counts_block(serial, simulate_pulses(config, workers=1), config)

@@ -16,6 +16,7 @@ from photon_gate import (
     classify,
     classify_counts,
     counts_from_click_arrays,
+    fold_timetags,
     read_counts_block,
     records_from_click_arrays,
     sbr_threshold,
@@ -132,18 +133,35 @@ class TestClassifyCountsBlock:
         assert rc == EXIT_BY_DECISION[verdict.decision]
         assert_report_shows(capsys.readouterr().out, counts, verdict)
 
-    def test_flag_overrides_echoed_params(self, tmp_path, sim_cfg, capsys):
+    @pytest.mark.parametrize("field,value", [
+        ("eta", 0.12), ("delta", 0.1), ("gamma", 1.5), ("cycles", 100_000),
+    ], ids=("eta", "delta", "gamma", "cycles"))
+    def test_flag_overrides_echoed_params(self, tmp_path, sim_cfg, capsys, field, value):
         out = tmp_path / "run.counts"
         main(["simulate", "--config", str(sim_cfg), "--output", str(out)])
         capsys.readouterr()
         counts, config = read_counts_block(out)
-        override = DetectionParams(
-            eta=config.params.eta, delta=config.params.delta, gamma=1.5,
-            cycles=config.params.cycles,
-        )
+        echoed = config.params
+        override = DetectionParams(**{
+            "eta": echoed.eta, "delta": echoed.delta, "gamma": echoed.gamma,
+            "cycles": echoed.cycles, field: value,
+        })
         verdict = classify(stats_from_counts(counts), override)
-        rc = main(["classify", "--input", str(out), "--gamma", "1.5"])
+        rc = main(["classify", "--input", str(out), f"--{field}", str(value)])
         assert rc == EXIT_BY_DECISION[verdict.decision]
+        assert_report_shows(capsys.readouterr().out, counts, verdict)
+
+    def test_non_ascii_line_is_numbered(self, tmp_path, sim_cfg, capsys):
+        # a non-ASCII byte after the magic line must not route the block to
+        # the CSV reader, whose header error would name line 1
+        out = tmp_path / "bad.counts"
+        main(["simulate", "--config", str(sim_cfg), "--output", str(out)])
+        capsys.readouterr()
+        lines = out.read_text().splitlines()
+        lines[1] += " # \u00e9"
+        out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["classify", "--input", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out}:2: line is not ASCII\n"
 
     def test_reports_measured_duration(self, tmp_path, sim_cfg, capsys, monkeypatch):
         out = tmp_path / "run.counts"
@@ -219,6 +237,20 @@ class TestClassifyTimetags:
         assert verdict.params.gamma > 0.0
         assert systematic_deviation(verdict.params)[0] < 0.0
         assert_report_shows(capsys.readouterr().out, counts, verdict)
+
+    def test_calibration_flags_reach_classify_counts(self, tmp_path, tag_arrays, capsys):
+        channels, timestamps = tag_arrays
+        write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
+        rc = main(["classify", "--input", str(tmp_path / "t.csv"),
+                   "--eta", "0.35", "--gamma", "0.05"])
+        # no --cycles: the pulse count comes from the last tag, as the fold gives it
+        counts = fold_timetags([(channels, timestamps)], GateConfig(500, 0, 100))
+        verdict = classify_counts(counts, eta=0.35, gamma=0.05)
+        assert (verdict.params.eta, verdict.params.gamma) == (0.35, 0.05)
+        assert rc == EXIT_BY_DECISION[verdict.decision]
+        out = capsys.readouterr().out
+        assert f"pulses             {counts.n_all}\n" in out
+        assert_report_shows(out, counts, verdict)
 
     def test_pulse_count_inferred_from_last_tag(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

@@ -18,12 +18,12 @@ from photon_gate import (
     IdealEmitters,
     SimConfig,
     counts_from_click_arrays,
-    ingest_arrays,
+    fold_timetags,
     is_counts_block,
+    iter_timetags_binary,
+    iter_timetags_csv,
     read_counts_block,
     read_sim_config,
-    read_timetags_binary,
-    read_timetags_csv,
     records_from_click_arrays,
     simulate_click_arrays,
     write_counts_block,
@@ -31,9 +31,15 @@ from photon_gate import (
     write_timetags_csv,
 )
 from photon_gate import timetags
-from photon_gate.timetags import _parse_csv_line, fold_timetags, iter_timetags_csv
+from photon_gate.timetags import _parse_csv_line
 
 GATE = GateConfig(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=100)
+
+
+def read_all(chunks):
+    """The (channels, timestamps) chunks of a tag-file reader, joined."""
+    parts = [(np.empty(0, dtype=np.uint8), np.empty(0, dtype=np.int64)), *chunks]
+    return np.concatenate([c for c, _ in parts]), np.concatenate([t for _, t in parts])
 
 
 def chunked(channels, timestamps, size):
@@ -82,7 +88,7 @@ class TestCsvFormat:
         assert path.read_bytes() == (
             b"channel,timestamp_ns\nA,0\nB,520\nA,530\nB,1599\nB,9223372036854775807\n"
         )
-        got_ch, got_ts = read_timetags_csv(path)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
         assert np.array_equal(got_ch, channels)
         assert np.array_equal(got_ts, timestamps)
 
@@ -90,7 +96,7 @@ class TestCsvFormat:
         path = tmp_path / "tags.csv"
         path.write_text("channel;timestamp_ns\nA,10\n")
         with pytest.raises(FormatError, match=":1:"):
-            read_timetags_csv(path)
+            read_all(iter_timetags_csv(path))
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -101,12 +107,12 @@ class TestCsvFormat:
         path = tmp_path / "tags.csv"
         path.write_text(f"channel,timestamp_ns\nA,10\n{bad_line}\n", encoding="utf-8")
         with pytest.raises(FormatError, match=":3:"):
-            read_timetags_csv(path)
+            read_all(iter_timetags_csv(path))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "tags.csv"
         path.write_text("channel,timestamp_ns\n\nA,10\n\n")
-        got_ch, got_ts = read_timetags_csv(path)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
         assert got_ch.tolist() == [0] and got_ts.tolist() == [10]
 
     def test_accepted_forms(self, tmp_path):
@@ -115,7 +121,7 @@ class TestCsvFormat:
             b"channel,timestamp_ns\r\n A , 7 \nB,+8\r\nA,1_0\rB,0009\n"
             b"\tA,999999999999999999\nB,9223372036854775807"
         )
-        got_ch, got_ts = read_timetags_csv(path)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
         assert got_ch.tolist() == [0, 1, 0, 1, 0, 1]
         assert got_ts.tolist() == [7, 8, 10, 9, 10**18 - 1, 2**63 - 1]
 
@@ -126,7 +132,7 @@ class TestCsvFormat:
         with open(path, "a") as fh:
             fh.write("B,1x\n")
         with pytest.raises(FormatError, match=":10002: timestamp must be an integer"):
-            read_timetags_csv(path)
+            read_all(iter_timetags_csv(path))
 
 
 def _csv_line(rng) -> str:
@@ -155,7 +161,7 @@ BAD_CSV_LINES = ["C,5\n", "A,5,6\n", "A,-3\n", "B,1.5\n", f"A,{2**63 + 7}\n", "B
 
 
 class TestCsvReaderEquivalence:
-    """read_timetags_csv must equal _parse_csv_line applied to every line
+    """iter_timetags_csv must equal _parse_csv_line applied to every line
     of a text-mode (universal newlines) read of the same file, records
     and errors alike."""
 
@@ -184,10 +190,10 @@ class TestCsvReaderEquivalence:
             want_ch, want_ts = self.line_by_line(path)
         except FormatError as exc:
             with pytest.raises(FormatError) as got:
-                read_timetags_csv(path)
+                read_all(iter_timetags_csv(path))
             assert str(got.value) == str(exc)
             return
-        got_ch, got_ts = read_timetags_csv(path)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
         assert got_ch.dtype == np.uint8 and got_ts.dtype == np.int64
         assert np.array_equal(got_ch, want_ch)
         assert np.array_equal(got_ts, want_ts)
@@ -223,9 +229,9 @@ class TestCsvChunkEdges:
         # apart, they would end two lines and shift every later number
         monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", len(b"channel,timestamp_ns\r\nA,10\r"))
         with pytest.raises(FormatError, match=re.escape(f"{path}:4: timestamp must be an integer")):
-            read_timetags_csv(path)
+            read_all(iter_timetags_csv(path))
         path.write_bytes(b"channel,timestamp_ns\r\nA,10\r\nB,20\r\n")
-        ch, ts = read_timetags_csv(path)
+        ch, ts = read_all(iter_timetags_csv(path))
         assert ch.tolist() == [0, 1] and ts.tolist() == [10, 20]
 
     @pytest.mark.parametrize("read_bytes", [4, 7, 8, 1 << 20])
@@ -233,7 +239,7 @@ class TestCsvChunkEdges:
         path = tmp_path / "tags.csv"
         path.write_bytes(b"channel,timestamp_ns\nA,10\nB,2000")
         monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
-        ch, ts = read_timetags_csv(path)
+        ch, ts = read_all(iter_timetags_csv(path))
         assert ch.tolist() == [0, 1] and ts.tolist() == [10, 2000]
 
     @pytest.mark.parametrize("text", ["", "channel,timestamp_n", "channel,count\nA,1\n"])
@@ -242,7 +248,7 @@ class TestCsvChunkEdges:
         path.write_text(text)
         monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", 3)
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:1: expected header"):
-            read_timetags_csv(path)
+            read_all(iter_timetags_csv(path))
 
 
 class TestWriterChecks:
@@ -252,7 +258,12 @@ class TestWriterChecks:
         ([0, -1, 2], [1, 2, 3], "record 1: channel code -1 is not 0 (A) or 1 (B)"),
         ([0, 2], [1, 2], "record 1: channel code 2 is not 0 (A) or 1 (B)"),
         ([1, 0, 0], [1, 2, -3], "record 2: timestamp -3 is negative"),
-    ], ids=("channel-minus-1", "channel-2", "negative-timestamp"))
+        # the readers refuse both: timestamps >= 2**63, and "A,5.0" or a truncated 10.7
+        ([0, 1], np.array([5, 2**63], dtype=np.uint64),
+         "record 1: timestamp 9223372036854775808 is not below 2**63"),
+        ([0, 1], [5.0, 10.7], "record 0: timestamp 5.0 is float64, not an integer type"),
+    ], ids=("channel-minus-1", "channel-2", "negative-timestamp", "timestamp-2-63",
+            "float-timestamps"))
     def test_bad_record_is_refused_before_writing(
             self, tmp_path, writer, channels, timestamps, message):
         path = tmp_path / "tags"
@@ -267,7 +278,7 @@ class TestBinaryFormat:
         channels = np.array([0, 1, 1, 0], dtype=np.uint8)
         timestamps = np.array([0, 5, 17, 2**40], dtype=np.int64)
         write_timetags_binary(path, channels, timestamps)
-        got_ch, got_ts = read_timetags_binary(path)
+        got_ch, got_ts = read_all(iter_timetags_binary(path))
         assert np.array_equal(got_ch, channels)
         assert np.array_equal(got_ts, timestamps)
 
@@ -276,8 +287,8 @@ class TestBinaryFormat:
         timestamps = np.array([12, 513], dtype=np.int64)
         write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
         write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
-        csv = read_timetags_csv(tmp_path / "t.csv")
-        binary = read_timetags_binary(tmp_path / "t.bin")
+        csv = read_all(iter_timetags_csv(tmp_path / "t.csv"))
+        binary = read_all(iter_timetags_binary(tmp_path / "t.bin"))
         assert np.array_equal(csv[0], binary[0])
         assert np.array_equal(csv[1], binary[1])
 
@@ -285,7 +296,7 @@ class TestBinaryFormat:
         path = tmp_path / "tags.bin"
         path.write_bytes(b"\x01\x02")
         with pytest.raises(FormatError, match="truncated"):
-            read_timetags_binary(path)
+            read_all(iter_timetags_binary(path))
 
     def test_count_body_mismatch(self, tmp_path):
         path = tmp_path / "tags.bin"
@@ -293,7 +304,7 @@ class TestBinaryFormat:
         one_record = b"A" + np.uint64(10).tobytes()
         path.write_bytes(header + one_record)
         with pytest.raises(FormatError, match="promises 2 records"):
-            read_timetags_binary(path)
+            read_all(iter_timetags_binary(path))
 
     def test_bad_channel_byte(self, tmp_path):
         path = tmp_path / "tags.bin"
@@ -301,7 +312,7 @@ class TestBinaryFormat:
         body = b"A" + np.uint64(10).tobytes() + b"C" + np.uint64(20).tobytes()
         path.write_bytes(header + body)
         with pytest.raises(FormatError, match="record 1"):
-            read_timetags_binary(path)
+            read_all(iter_timetags_binary(path))
 
     def test_bad_channel_byte_in_a_later_chunk(self, tmp_path, monkeypatch):
         path = tmp_path / "tags.bin"
@@ -313,7 +324,7 @@ class TestBinaryFormat:
         monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
         with pytest.raises(FormatError, match=re.escape(
                 f"{path}: record 9: channel byte np.uint8(120) not A/B")):
-            read_timetags_binary(path)
+            read_all(iter_timetags_binary(path))
 
     def test_chunks_concatenate_to_the_whole_file(self, tmp_path, monkeypatch):
         path = tmp_path / "tags.bin"
@@ -323,7 +334,7 @@ class TestBinaryFormat:
         write_timetags_binary(path, channels, timestamps)
         monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
         assert [c.size for c, _ in timetags.iter_timetags_binary(path)] == [4, 4, 3]
-        got_ch, got_ts = read_timetags_binary(path)
+        got_ch, got_ts = read_all(iter_timetags_binary(path))
         assert got_ch.dtype == np.uint8 and got_ts.dtype == np.int64
         assert np.array_equal(got_ch, channels) and np.array_equal(got_ts, timestamps)
 
@@ -334,36 +345,34 @@ class TestIngest:
         # pulse 3: B only; pulse 4: nothing.
         channels = np.array([0, 1, 0, 0, 1], dtype=np.uint8)
         timestamps = np.array([10, 520, 530, 1100, 1599], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, GATE, n_pulses=5)
+        counts = fold_timetags([(channels, timestamps)], GATE, 5)
         assert counts == ClickCounts(n_all=5, n_00=2, n_10=1, n_01=1, n_11=1)
 
     def test_saturation_collapses_repeats(self):
         channels = np.array([0, 0, 0], dtype=np.uint8)
         timestamps = np.array([10, 20, 20], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, GATE, n_pulses=1)
+        counts = fold_timetags([(channels, timestamps)], GATE, 1)
         assert counts == ClickCounts(n_all=1, n_00=0, n_10=1, n_01=0, n_11=0)
 
     def test_gate_window_is_half_open(self):
         gate = GateConfig(500, 50, 100)
         channels = np.array([0, 0, 0, 0], dtype=np.uint8)
         timestamps = np.array([49, 50, 149, 150], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, gate, n_pulses=1)
+        counts = fold_timetags([(channels, timestamps)], gate, 1)
         assert counts.n_10 == 1  # 50 and 149 land in pulse 0's gate, once
 
     def test_records_beyond_window_dropped(self):
         channels = np.array([0, 0], dtype=np.uint8)
         timestamps = np.array([10, 10 + 7 * 500], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, GATE, n_pulses=5)
+        counts = fold_timetags([(channels, timestamps)], GATE, 5)
         assert counts == ClickCounts(n_all=5, n_00=4, n_10=1, n_01=0, n_11=0)
 
     def test_shift_by_whole_pulses(self):
         channels = np.array([0, 1, 0, 1], dtype=np.uint8)
         timestamps = np.array([10, 520, 530, 1599], dtype=np.int64)
-        base = ingest_arrays(channels, timestamps, GATE, n_pulses=4)
+        base = fold_timetags([(channels, timestamps)], GATE, 4)
         k = 3
-        shifted = ingest_arrays(
-            channels, timestamps + k * 500, GATE, n_pulses=4 + k
-        )
+        shifted = fold_timetags([(channels, timestamps + k * 500)], GATE, 4 + k)
         assert shifted.n_00 == base.n_00 + k
         assert (shifted.n_10, shifted.n_01, shifted.n_11) == (
             base.n_10, base.n_01, base.n_11
@@ -378,31 +387,31 @@ class TestIngest:
         k = 1_760_000_000_000_000_000 // 500
         channels = np.array([0, 1], dtype=np.uint8)
         timestamps = np.array([500 * k + 100, 500 * k + 99], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, gate, n_pulses=k + 1)
+        counts = fold_timetags([(channels, timestamps)], gate, k + 1)
         assert counts == ClickCounts(n_all=k + 1, n_00=k, n_10=0, n_01=1, n_11=0)
 
     def test_unsorted_channel_rejected(self):
         channels = np.array([0, 0], dtype=np.uint8)
         timestamps = np.array([600, 10], dtype=np.int64)
         with pytest.raises(FormatError, match="not sorted"):
-            ingest_arrays(channels, timestamps, GATE, n_pulses=2)
+            fold_timetags([(channels, timestamps)], GATE, 2)
 
     def test_interleaved_channels_may_cross(self):
         # only the per-channel order matters
         channels = np.array([0, 1, 0], dtype=np.uint8)
         timestamps = np.array([10, 5, 520], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, GATE, n_pulses=2)
+        counts = fold_timetags([(channels, timestamps)], GATE, 2)
         assert counts == ClickCounts(n_all=2, n_00=0, n_10=1, n_01=0, n_11=1)
 
     def test_validation_errors(self):
         ch = np.array([0], dtype=np.uint8)
         ts = np.array([10], dtype=np.int64)
         with pytest.raises(FormatError):
-            ingest_arrays(ch, ts, GATE, n_pulses=0)
+            fold_timetags([(ch, ts)], GATE, 0)
         with pytest.raises(FormatError):
-            ingest_arrays(ch, np.array([10, 20]), GATE, n_pulses=1)
+            fold_timetags([(ch, np.array([10, 20]))], GATE, 1)
         with pytest.raises(FormatError):
-            ingest_arrays(ch, np.array([-1]), GATE, n_pulses=1)
+            fold_timetags([(ch, np.array([-1]))], GATE, 1)
 
     @staticmethod
     def oracle_case(seed):
@@ -439,7 +448,7 @@ class TestIngest:
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_per_tag_oracle(self, seed):
         channels, timestamps, gate, n_all, expected = self.oracle_case(seed)
-        counts = ingest_arrays(channels, timestamps, gate, n_pulses=n_all)
+        counts = fold_timetags([(channels, timestamps)], gate, n_all)
         assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == expected
 
     @pytest.mark.parametrize("size", [1, 7, 4096, None], ids=("1", "7", "4096", "whole"))
@@ -457,8 +466,8 @@ class TestIngest:
             assert fold_timetags(chunked(channels, timestamps, 7), gate).n_all == 0
             return
         n_all = int(gate.fold(timestamps.max())[0]) + 1
-        assert fold_timetags(chunked(channels, timestamps, 7), gate) == ingest_arrays(
-            channels, timestamps, gate, n_pulses=n_all)
+        assert fold_timetags(chunked(channels, timestamps, 7), gate) == fold_timetags(
+            [(channels, timestamps)], gate, n_all)
 
     def test_one_channel_then_the_other(self):
         # every A tag precedes every B tag: the A pulses wait for B's
@@ -485,12 +494,12 @@ class TestIngest:
     def test_three_records_and_unknown_channel(self):
         channels = np.array([0, 1, 0], dtype=np.uint8)
         timestamps = np.array([10, 520, 530], dtype=np.int64)
-        counts = ingest_arrays(channels, timestamps, GATE, n_pulses=2)
+        counts = fold_timetags([(channels, timestamps)], GATE, 2)
         assert counts == ClickCounts(n_all=2, n_00=0, n_10=1, n_01=0, n_11=1)
         with pytest.raises(FormatError, match="channel"):
-            ingest_arrays(np.array([2], dtype=np.uint8), np.array([1]), GATE, n_pulses=1)
+            fold_timetags([(np.array([2], dtype=np.uint8), np.array([1]))], GATE, 1)
         with pytest.raises(FormatError, match="channel"):
-            ingest_arrays(np.array([0.5, 1.0]), np.array([10, 20]), GATE, n_pulses=1)
+            fold_timetags([(np.array([0.5, 1.0]), np.array([10, 20]))], GATE, 1)
 
     def test_round_trip_through_time_tags(self):
         config = SimConfig(
@@ -501,7 +510,7 @@ class TestIngest:
         click_a, click_b = simulate_click_arrays(config)
         direct = counts_from_click_arrays(click_a, click_b)
         channels, timestamps = records_from_click_arrays(click_a, click_b, GATE)
-        via_tags = ingest_arrays(channels, timestamps, GATE, n_pulses=20_000)
+        via_tags = fold_timetags([(channels, timestamps)], GATE, 20_000)
         assert via_tags == direct
 
     def test_round_trip_through_files(self, tmp_path):
@@ -516,9 +525,9 @@ class TestIngest:
         write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
         expect = counts_from_click_arrays(click_a, click_b)
         for name in ("t.csv", "t.bin"):
-            reader = read_timetags_csv if name.endswith("csv") else read_timetags_binary
-            ch, ts = reader(tmp_path / name)
-            assert ingest_arrays(ch, ts, GATE, n_pulses=5_000) == expect
+            reader = iter_timetags_csv if name.endswith("csv") else iter_timetags_binary
+            ch, ts = read_all(reader(tmp_path / name))
+            assert fold_timetags([(ch, ts)], GATE, 5_000) == expect
 
 
 COUNTS = ClickCounts(n_all=1000, n_00=900, n_10=60, n_01=38, n_11=2)
@@ -721,4 +730,11 @@ class TestSimConfigFile:
             f"source.kind = ideal_emitters\n{line}\nseed = 1\ncycles = 10\n"
         )
         with pytest.raises(FormatError, match=fragment):
+            read_sim_config(path)
+
+    def test_non_ascii_comment_is_numbered(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("seed = 1\nsource.kind = coherent  # mean µ\nsource.mu = 0.5\n"
+                        "params.eta = 0.5\ncycles = 10\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: line is not ASCII")):
             read_sim_config(path)
