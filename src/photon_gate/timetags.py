@@ -142,22 +142,26 @@ def _integral(v: float) -> float:
 def _checked_records(
     path: str | Path, channels: np.ndarray, timestamps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The records a writer may write, as arrays: equal lengths, channel
-    codes 0 (A) or 1 (B) and integer timestamps in [0, 2**63), as the
-    readers demand, or a FormatError naming the first bad record before
-    any file is created."""
+    """The records a writer may write, as arrays: equal lengths, integer
+    channel codes 0 (A) or 1 (B) and integer timestamps in [0, 2**63), as
+    the readers demand, or a FormatError naming the first bad record
+    before any file is created."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
     if channels.shape != timestamps.shape:
         raise FormatError(f"{path}: channels and timestamps must have equal length")
-    bad_channel = (channels != 0) & (channels != 1)
-    integral = timestamps.dtype.kind in "iu"  # a float would be truncated or written as 5.0
-    bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if integral else True)
+    # a float would be truncated, written as 5.0 or used as a tuple index
+    int_channels, int_times = channels.dtype.kind in "iu", timestamps.dtype.kind in "iu"
+    bad_channel = ((channels != 0) & (channels != 1) if int_channels
+                   else np.ones(channels.shape, dtype=bool))
+    bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if int_times else True)
     if bad.any():
         i = int(np.argmax(bad))
-        t = timestamps[i]
-        if bad_channel[i]:
-            what = f"channel code {channels[i]} is not 0 (A) or 1 (B)"
-        elif not integral:
+        c, t = channels[i], timestamps[i]
+        if not int_channels:
+            what = f"channel code {c} is {channels.dtype}, not an integer type"
+        elif bad_channel[i]:
+            what = f"channel code {c} is not 0 (A) or 1 (B)"
+        elif not int_times:
             what = f"timestamp {t} is {timestamps.dtype}, not an integer type"
         else:
             what = f"timestamp {t} is negative" if t < 0 else f"timestamp {t} is not below 2**63"
@@ -173,8 +177,8 @@ def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.nd
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-# 10**18 - 1 < 2**63, so an 18-digit timestamp cannot overflow int64
-_CSV_FAST_DIGITS = 18
+# 10**19 - 1 < 2**64, so a 19-digit timestamp cannot overflow uint64
+_CSV_FAST_DIGITS = 19
 # records per binary read; bytes per CSV read
 _CHUNK_TAGS = 1 << 16
 _CSV_CHUNK_BYTES = 1 << 20
@@ -212,7 +216,7 @@ def iter_timetags_csv(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray
 
 def _parse_csv_block(path: str | Path, data: bytes, lineno: int) -> tuple[np.ndarray, np.ndarray]:
     """Records of the LF-ended lines in data, the first being line lineno.
-    Lines in the canonical form ``[AB],[0-9]{1,18}`` (what
+    Lines in the canonical form ``[AB],[0-9]{1,19}`` below 2**63 (what
     write_timetags_csv emits) are parsed in bulk; every other line goes
     through _parse_csv_line, so both give the same records and errors."""
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -225,13 +229,17 @@ def _parse_csv_block(path: str | Path, data: bytes, lineno: int) -> tuple[np.nda
     comma = np.take(buf, starts + 1, mode="clip")
     canonical = ((first == ord("A")) | (first == ord("B"))) & (comma == ord(",")) & (
         digits >= 1) & (digits <= _CSV_FAST_DIGITS)
-    timestamps = np.zeros(starts.size, dtype=np.int64)
+    timestamps = np.zeros(starts.size, dtype=np.uint64)
+    columns = min(int(digits.max(initial=0)), _CSV_FAST_DIGITS)
     # one gather per digit column, least significant first
-    for k in range(min(int(digits.max(initial=0)), _CSV_FAST_DIGITS)):
+    for k in range(columns):
         d = np.take(buf, ends - 1 - k, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
         live = digits > k
         canonical &= (d < 10) | ~live
-        timestamps += (d * live).astype(np.int64) * 10**k
+        timestamps += (d * live).astype(np.uint64) * np.uint64(10**k)
+    if columns == _CSV_FAST_DIGITS:  # the line grammar names the line of a value >= 2**63
+        canonical &= timestamps < 2**63
+    timestamps = timestamps.view(np.int64)
     channels = (first == ord("B")).astype(np.uint8)
     other = np.flatnonzero(~canonical)
     if other.size:

@@ -101,7 +101,7 @@ class TestCsvFormat:
     @pytest.mark.parametrize(
         "bad_line",
         ["C,10", "A,ten", "A,-4", "A,10,extra", "A", "A,1\u00e9",
-         "B,99999999999999999999", f"A,{2**63}"],
+         "B,99999999999999999999", f"A,{2**63}", f"B,{10**19 - 1}"],
     )
     def test_bad_data_line_is_numbered(self, tmp_path, bad_line):
         path = tmp_path / "tags.csv"
@@ -119,11 +119,24 @@ class TestCsvFormat:
         path = tmp_path / "tags.csv"
         path.write_bytes(
             b"channel,timestamp_ns\r\n A , 7 \nB,+8\r\nA,1_0\rB,0009\n"
-            b"\tA,999999999999999999\nB,9223372036854775807"
+            b"\tA,999999999999999999\nA,1700000000000000000\nB,0000000000000000012\n"
+            b"A,9223372036854775807\nB,9223372036854775807"
         )
         got_ch, got_ts = read_all(iter_timetags_csv(path))
-        assert got_ch.tolist() == [0, 1, 0, 1, 0, 1]
-        assert got_ts.tolist() == [7, 8, 10, 9, 10**18 - 1, 2**63 - 1]
+        assert got_ch.tolist() == [0, 1, 0, 1, 0, 0, 1, 0, 1]
+        assert got_ts.tolist() == [7, 8, 10, 9, 10**18 - 1, 17 * 10**17, 12, 2**63 - 1, 2**63 - 1]
+
+    def test_epoch_scale_lines_parse_in_bulk(self, tmp_path, monkeypatch):
+        # 19-digit Unix-epoch ns timestamps need no per-line fallback
+        def per_line(*args):
+            raise AssertionError("a canonical line left the bulk parser")
+
+        monkeypatch.setattr(timetags, "_parse_csv_line", per_line)
+        path = tmp_path / "tags.csv"
+        timestamps = np.array([10**18, 1_700_000_000_123_456_789, 2**63 - 1], dtype=np.int64)
+        write_timetags_csv(path, np.array([0, 1, 0], dtype=np.uint8), timestamps)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
+        assert got_ch.tolist() == [0, 1, 0] and np.array_equal(got_ts, timestamps)
 
     def test_bad_line_after_many_good_ones(self, tmp_path):
         path = tmp_path / "tags.csv"
@@ -157,7 +170,8 @@ def _csv_line(rng) -> str:
     return forms[0] if rng.random() < 0.5 else forms[rng.integers(len(forms))]
 
 
-BAD_CSV_LINES = ["C,5\n", "A,5,6\n", "A,-3\n", "B,1.5\n", f"A,{2**63 + 7}\n", "B\n"]
+BAD_CSV_LINES = ["C,5\n", "A,5,6\n", "A,-3\n", "B,1.5\n", f"A,{2**63 + 7}\n", "B\n",
+                 f"A,{2**63}\n", f"B,{10**19 - 1}\n"]
 
 
 class TestCsvReaderEquivalence:
@@ -262,8 +276,10 @@ class TestWriterChecks:
         ([0, 1], np.array([5, 2**63], dtype=np.uint64),
          "record 1: timestamp 9223372036854775808 is not below 2**63"),
         ([0, 1], [5.0, 10.7], "record 0: timestamp 5.0 is float64, not an integer type"),
+        # a float code is refused even where its value is 0 or 1
+        ([0.0, 1.0], [5, 10], "record 0: channel code 0.0 is float64, not an integer type"),
     ], ids=("channel-minus-1", "channel-2", "negative-timestamp", "timestamp-2-63",
-            "float-timestamps"))
+            "float-timestamps", "float-channels"))
     def test_bad_record_is_refused_before_writing(
             self, tmp_path, writer, channels, timestamps, message):
         path = tmp_path / "tags"
