@@ -8,12 +8,12 @@ mean lam per pulse, and the simulator samples both parts.
 Every part is a row of independent Bernoulli trials, one per pulse, and
 _hits samples only a row's successes: the gap from one success to the
 next is geometric, 1 + floor(E / -log(1 - p)) with E a standard
-exponential.  A row with p > 1/2 is drawn as its misses instead, at the
-miss probability 1 - p computed without cancellation (1 - eta for a
-photon, exp(-lam * eta_i / 2) for Poissonian light), and a row with
-p = 1 draws nothing.  A row therefore costs min(hits, misses)
-exponentials: they grow with the lesser of its detections and its
-misses, not with its pulses or photons.
+exponential.  The cost of a block therefore grows with its detections,
+not with its pulses or photons.  A Poissonian row with p > 1/2 is drawn
+as its misses instead, at the miss probability exp(-lam * eta_i / 2),
+and one with p = 1 draws nothing, so it costs min(hits, misses)
+exponentials.  A photon row is always drawn as its hits: it keeps one
+routing uniform per detection either way.
 
 Each fixed photon is detected with probability eta (the row's p); each
 detected photon then draws one uniform u that routes it to channel B
@@ -37,7 +37,8 @@ depend only on (config), never on scheduling or worker count: one
 config gives byte-identical counts at any worker count.  The block size
 weighs a fixed cost per block (seeding the stream and a dozen numpy
 calls per row) against the working set of the block's arrays: at 1e6
-pulses, 2**17 ran fastest of 2**15 to 2**18 for each benchmark source.
+pulses and eta 0.1, 2**17 ran fastest of 2**15 to 2**18 for each
+benchmark source.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
     Poissonian light (channel A's row, then channel B's; skipped when
     lam = 0), then per fixed photon (photon 0 of every pulse, then
     photon 1, ...) its detections' row and one routing uniform per
-    detection.  A row with p > 1/2 draws its misses instead of its
-    hits."""
+    detection.  A Poissonian row with p > 1/2 draws its misses instead
+    of its hits."""
     p = config.params
     s, lam = photon_plan(config.source, p)
     child = np.random.SeedSequence(config.seed, spawn_key=(index,))
@@ -126,12 +127,7 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
                 half[_hits(rng, hit, size)] = True
     to_b = (1.0 - p.delta) / 2.0  # eta2 / (eta1 + eta2)
     for _ in range(s):
-        if p.eta > 0.5:  # a dense row: draw its misses
-            detected = np.ones(size, dtype=np.bool_)
-            detected[_hits(rng, 1.0 - p.eta, size)] = False
-            detected = np.flatnonzero(detected)
-        else:
-            detected = _hits(rng, p.eta, size)
+        detected = _hits(rng, p.eta, size)
         clicks[detected + size * (rng.random(detected.size) < to_b)] = True
     return clicks[:size], clicks[size:]
 

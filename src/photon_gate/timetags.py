@@ -143,14 +143,14 @@ def _checked_records(
     path: str | Path, channels: np.ndarray, timestamps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The records a writer may write, as arrays: equal lengths, integer
-    channel codes 0 (A) or 1 (B) and integer timestamps in [0, 2**63), as
-    the readers demand, or a FormatError naming the first bad record
-    before any file is created."""
+    (or bool) channel codes 0 (A) or 1 (B) and integer timestamps in
+    [0, 2**63), as the readers demand, or a FormatError naming the first
+    bad record before any file is created."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
     if channels.shape != timestamps.shape:
         raise FormatError(f"{path}: channels and timestamps must have equal length")
     # a float would be truncated, written as 5.0 or used as a tuple index
-    int_channels, int_times = channels.dtype.kind in "iu", timestamps.dtype.kind in "iu"
+    int_channels, int_times = channels.dtype.kind in "biu", timestamps.dtype.kind in "iu"
     bad_channel = ((channels != 0) & (channels != 1) if int_channels
                    else np.ones(channels.shape, dtype=bool))
     bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if int_times else True)

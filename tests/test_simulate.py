@@ -162,8 +162,8 @@ class TestClickRule:
         is walked gap by gap: each exponential E moves 1 + floor(E /
         -log(1 - p)) trials on (at most n + 1), in batches of
         _batch(p, trials left) draws, a batch's unused end discarded.
-        A row with p > 1/2 walks its misses at the miss probability q
-        and succeeds everywhere else.  Coherent pulses carry no fixed
+        A light row with p > 1/2 walks its misses at the miss
+        probability q and succeeds everywhere else.  Coherent pulses carry no fixed
         photon and Poissonian light of mean mu + gamma; IdealEmitters
         carry s photons and no light."""
         eta1, eta2 = params.eta1, params.eta2
@@ -185,7 +185,7 @@ class TestClickRule:
                 start = last + 1
             return hits
 
-        def row(p, q):
+        def light(p, q):
             if p <= 0.5:
                 return walk(p)
             misses = set(walk(q)) if q > 0.0 else set()
@@ -193,12 +193,12 @@ class TestClickRule:
 
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
         if lam > 0.0:
-            for i in row(-math.expm1(-lam * eta1 / 2.0), math.exp(-lam * eta1 / 2.0)):
+            for i in light(-math.expm1(-lam * eta1 / 2.0), math.exp(-lam * eta1 / 2.0)):
                 click_a[i] = True
-            for i in row(-math.expm1(-lam * eta2 / 2.0), math.exp(-lam * eta2 / 2.0)):
+            for i in light(-math.expm1(-lam * eta2 / 2.0), math.exp(-lam * eta2 / 2.0)):
                 click_b[i] = True
         for _ in range(s):
-            for i in row(params.eta, 1.0 - params.eta):
+            for i in walk(params.eta):
                 if rng.random() < eta2 / (eta1 + eta2):
                     click_b[i] = True
                 else:
@@ -206,15 +206,13 @@ class TestClickRule:
         return click_a, click_b
 
     @pytest.mark.parametrize(
-        "source,eta",
-        [(IdealEmitters(3), 0.6), (EmitterWithBackground(), 0.6), (Coherent(0.7), 0.6),
-         (IdealEmitters(3), 0.5), (Coherent(3.0), 0.6)],
-        ids=("fixed-3", "fixed-background", "coherent", "fixed-3-half", "coherent-dense"),
+        "source",
+        [IdealEmitters(3), EmitterWithBackground(), Coherent(0.7), Coherent(3.0)],
+        ids=("fixed-3", "fixed-background", "coherent", "coherent-dense"),
     )
-    def test_block_matches_written_out_rule(self, source, eta):
-        # photon rows are dense at eta 0.6 and drawn as hits at eta 0.5;
+    def test_block_matches_written_out_rule(self, source):
         # Coherent(3) makes both light rows dense
-        params = DetectionParams(eta=eta, delta=0.25, gamma=0.4, cycles=2_500)
+        params = DetectionParams(eta=0.6, delta=0.25, gamma=0.4, cycles=2_500)
         cfg = SimConfig(source=source, params=params, seed=31, block_size=1_000)
         for k, size in ((0, 1_000), (2, 500)):
             # block k's stream: SFC64 seeded by child k of SeedSequence(seed)
@@ -227,8 +225,9 @@ class TestClickRule:
 
 
 class TestDrawCost:
-    """A row costs min(hits, misses) exponentials, counted through a
-    recording stand-in for the block's Generator."""
+    """A light row costs min(hits, misses) exponentials and a photon row
+    its hits, counted through a recording stand-in for the block's
+    Generator."""
 
     N = 100_000
 
@@ -254,15 +253,15 @@ class TestDrawCost:
 
     @pytest.mark.parametrize(
         "source,eta",
-        [(IdealEmitters(1), 0.75), (IdealEmitters(1), 0.25), (IdealEmitters(1), 1.0),
-         (Coherent(5.0), 0.5), (Coherent(0.5), 0.1), (Coherent(1e4), 0.5)],
-        ids=("photon-dense", "photon-sparse", "photon-certain",
-             "light-dense", "light-sparse", "light-certain"),
+        [(IdealEmitters(1), 0.25), (Coherent(5.0), 0.5), (Coherent(0.5), 0.1),
+         (Coherent(1e4), 0.5)],
+        ids=("photon", "light-dense", "light-sparse", "light-certain"),
     )
     def test_row_draws_its_lesser_outcome(self, drawn, source, eta):
         params = DetectionParams(eta=eta, cycles=self.N)
         a, b = _block_clicks(SimConfig(source=source, params=params, seed=4), 0, self.N)
-        # a lone photon's row succeeds where either channel clicks; light has a row per channel
+        # a lone photon's row succeeds where either channel clicks (at eta 0.25 its hits are
+        # its lesser outcome); light has a row per channel
         rows = [a | b] if isinstance(source, IdealEmitters) else [a, b]
         least = [min(int(r.sum()), self.N - int(r.sum())) for r in rows]
         if sum(least) == 0:  # p = 1 (for Coherent(1e4), exp(-2500) underflows)
@@ -285,7 +284,7 @@ class TestAgainstClosedForms:
             (IdealEmitters(5), DetectionParams(eta=0.1, delta=0.3, cycles=M)),
             (EmitterWithBackground(), DetectionParams(eta=0.1, delta=0.3, gamma=0.5, cycles=M)),
             (Coherent(0.8), DetectionParams(eta=0.4, delta=0.2, gamma=0.1, cycles=M)),
-            # dense rows (p > 1/2), drawn as their misses
+            # dense rows (p > 1/2); the light rows are drawn as their misses
             (Coherent(1000.0), DetectionParams(eta=0.1, delta=0.3, gamma=0.2, cycles=M)),
             (Coherent(5.0), DetectionParams(eta=0.5, delta=0.3, gamma=0.2, cycles=M)),
             (IdealEmitters(3), DetectionParams(eta=0.75, delta=0.3, cycles=M)),

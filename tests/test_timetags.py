@@ -287,6 +287,16 @@ class TestWriterChecks:
             writer(path, np.array(channels), np.array(timestamps))
         assert not path.exists()
 
+    @pytest.mark.parametrize("writer,reader", [(write_timetags_csv, iter_timetags_csv),
+                                               (write_timetags_binary, iter_timetags_binary)],
+                             ids=("csv", "binary"))
+    def test_bool_channels_are_codes(self, tmp_path, writer, reader):
+        # an A/B mask: False is code 0 (A), True is code 1 (B)
+        path = tmp_path / "tags"
+        writer(path, np.array([False, True, True]), np.array([1, 2, 3]))
+        got_ch, got_ts = read_all(reader(path))
+        assert got_ch.tolist() == [0, 1, 1] and got_ts.tolist() == [1, 2, 3]
+
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
