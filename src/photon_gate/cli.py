@@ -9,14 +9,20 @@ classify   run the single-emitter test on a counts block or a
 sweep      tabulate the SBR threshold or the critical-value curves to
            CSV
 
-Exit codes: 0 single (or command succeeded), 1 not single,
-3 indeterminate, 2 configuration/file errors.  The environment variable
-PHOTON_GATE_LOG (error | info | debug) sets log verbosity.
+``main(argv)`` is the in-process entry point: it returns the exit code
+for every outcome, usage errors included, and the console script passes
+it to ``sys.exit``.  Exit codes: 0 single (or command succeeded, or
+--help), 1 not single, 3 indeterminate, 2 usage, configuration or file
+errors.  The parser is built on the first call and reused by every later
+one; parse_args leaves it unchanged.  The environment variable
+PHOTON_GATE_LOG (error | info | debug) sets log verbosity; it is read on
+each call, whose log lines go to the sys.stderr of that call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import math
 import os
@@ -50,7 +56,8 @@ from .timetags import (
     write_counts_block,
 )
 
-log = logging.getLogger(__name__)
+# by name: run as python -m photon_gate.cli, __name__ is "__main__"
+log = logging.getLogger("photon_gate.cli")
 
 # largest eta of the critical sweep: its mean click number must stay <= 1
 _ETA_MAX = 2.0 - math.sqrt(2.0)
@@ -198,6 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # 26 add_argument calls cost most of a counts-block classify
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photon-gate",
@@ -239,19 +247,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_log_handler = logging.StreamHandler()
+_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _setup_logging() -> None:
+    """Point photon_gate's one log handler at this call's stderr, at this
+    call's PHOTON_GATE_LOG level."""
     level = os.environ.get("PHOTON_GATE_LOG", "error").strip().lower()
-    logging.basicConfig(
-        level={"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-            level, logging.ERROR
-        ),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    package_log = logging.getLogger("photon_gate")
+    package_log.setLevel(_LOG_LEVELS.get(level, logging.ERROR))
+    # assigned, not setStream: that flushes the last call's stream, which
+    # may be closed by now
+    _log_handler.stream = sys.stderr
+    package_log.addHandler(_log_handler)  # a no-op once added
+    package_log.propagate = False  # or a host's root handler prints each line again
 
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0), message printed
+        return exc.code
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

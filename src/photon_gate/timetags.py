@@ -208,19 +208,24 @@ def iter_timetags_csv(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray
                     break  # to the header error below
                 lineno = 2
             if data:
-                yield _parse_csv_block(path, data, lineno)
-                lineno += data.count(b"\n")
+                channels, timestamps, lines = _parse_csv_block(path, data, lineno)
+                yield channels, timestamps
+                lineno += lines
     if lineno == 1:
         raise FormatError(f"{path}:1: expected header {CSV_HEADER!r}")
 
 
-def _parse_csv_block(path: str | Path, data: bytes, lineno: int) -> tuple[np.ndarray, np.ndarray]:
-    """Records of the LF-ended lines in data, the first being line lineno.
+def _parse_csv_block(
+    path: str | Path, data: bytes, lineno: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Records of the LF-ended lines in data, the first being line lineno,
+    and the number of LFs in data, which the next block's lineno adds.
     Lines in the canonical form ``[AB],[0-9]{1,19}`` below 2**63 (what
     write_timetags_csv emits) are parsed in bulk; every other line goes
     through _parse_csv_line, so both give the same records and errors."""
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
+    lines = ends.size
     if not data.endswith(b"\n"):
         ends = np.append(ends, buf.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -250,7 +255,7 @@ def _parse_csv_block(path: str | Path, data: bytes, lineno: int) -> tuple[np.nda
                 channels[i], timestamps[i] = record
                 keep[i] = True
         channels, timestamps = channels[keep], timestamps[keep]
-    return channels, timestamps
+    return channels, timestamps, lines
 
 
 def _parse_csv_line(path: str | Path, lineno: int, raw: bytes) -> tuple[int, int] | None:

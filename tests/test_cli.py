@@ -1,7 +1,9 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
+import argparse
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,8 +405,101 @@ class TestSweep:
                    "--points", "-1", "--output", str(tmp_path / "s.csv")])
         assert rc == 2
 
-    def test_log_env_smoke(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PHOTON_GATE_LOG", "debug")
-        rc = main(["sweep", "sbr0", "--start", "0.5", "--stop", "0.5",
-                   "--points", "1", "--output", str(tmp_path / "s.csv")])
-        assert rc == 0
+    def test_log_env_smoke(self, tmp_path, monkeypatch, capsys):
+        # each call applies its own PHOTON_GATE_LOG and prints each line once
+        out = tmp_path / "s.csv"
+        sweep = ["sweep", "sbr0", "--start", "0.5", "--stop", "0.5",
+                 "--points", "1", "--output", str(out)]
+        tags = tmp_path / "t.csv"
+        tags.write_text("channel,timestamp_ns\nA,10\nB,520\nA,1030\n")
+        # two of the three tags lie beyond a one-pulse window
+        classify_short = ["classify", "--input", str(tags), "--cycles", "1"]
+        rows_line = f"INFO photon_gate.cli: 1 rows written to {out}\n"
+        dropped_line = "DEBUG photon_gate.timetags: 2 in-gate records beyond the pulse window dropped\n"
+        for level, argv, logged in [
+            ("info", sweep, rows_line),
+            ("error", sweep, ""),
+            ("debug", classify_short, dropped_line),
+            ("info", classify_short, ""),
+            ("debug", sweep, rows_line),
+            ("error", classify_short, ""),
+        ]:
+            monkeypatch.setenv("PHOTON_GATE_LOG", level)
+            assert main(argv) != 2
+            assert capsys.readouterr().err == logged, (level, argv[0])
+
+
+class TestRepeatedCalls:
+    """main(argv) called again and again in one process, as a batch driver
+    or the benchmark calls it."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["classify"], "the following arguments are required: --input"),
+        (["sweep", "sbr0", "--start", "x", "--stop", "1", "--points", "2", "--output", "s.csv"],
+         "argument --start: invalid float value: 'x'"),
+        (["fold"], "argument command: invalid choice: 'fold'"),
+        ([], "the following arguments are required: command"),
+    ], ids=("missing-input", "bad-float", "unknown-command", "no-command"))
+    def test_usage_error_returns_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: photon-gate")
+        assert f"error: {message}" in captured.err
+
+    def test_help_returns_0(self, capsys):
+        assert main(["classify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: photon-gate classify")
+
+    def test_mixed_sequence_matches_each_call_alone(self, tmp_path, sim_cfg, capsys, monkeypatch):
+        config = SimConfig(source=IdealEmitters(1), params=DetectionParams(eta=0.4, cycles=20_000),
+                           seed=5)
+        channels, timestamps = records_from_click_arrays(
+            *simulate_click_arrays(config), GateConfig(500, 0, 100))
+        write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
+        write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
+        bad_cfg = tmp_path / "bad.cfg"
+        bad_cfg.write_text(SIM_CFG_TEXT + "seed = 1\n")  # duplicate key
+        block, sbr0, crit = (str(tmp_path / name) for name in ("run.counts", "s.csv", "c.csv"))
+        calls = [
+            ["simulate", "--config", str(sim_cfg), "--output", block, "--cycles", "20000"],
+            ["classify", "--input", block],
+            ["classify", "--input", str(tmp_path / "t.csv"), "--cycles", "20000"],
+            ["classify", "--input", str(tmp_path / "t.bin"), "--format", "binary"],
+            ["sweep", "sbr0", "--start", "0.01", "--stop", "1", "--points", "7", "--output", sbr0],
+            ["sweep", "critical", "--start", "0.01", "--stop", "0.5", "--points", "7",
+             "--output", crit],
+            ["classify", "--input", block, "--eta", "high"],
+            ["simulate", "--config", str(bad_cfg), "--output", block],
+            ["classify", "--input", block, "--gamma", "1.5"],
+        ]
+        written = (block, sbr0, crit)
+
+        def run(argv):
+            rc = main(argv)
+            out, err = capsys.readouterr()
+            # the duration line is a measured time, not a result
+            out = [line for line in out.splitlines() if not line.startswith("duration")]
+            files = [Path(f).read_bytes() if Path(f).exists() else None for f in written]
+            return rc, out, err, files
+
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()  # a fresh parser, as in a one-shot process
+            alone.append(run(argv))
+        assert [r[0] for r in alone] == [0, 0, 0, 0, 0, 0, 2, 2, 3]
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        for f in written:
+            Path(f).unlink()
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv, want in zip(calls, alone):
+            assert run(argv) == want, argv
+        assert built.count("photon-gate") <= 1, built
