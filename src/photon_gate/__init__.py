@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 
 from .analytic import expected_stats, g2_zero_estimate, sbr_from_stats
 from .criterion import (
-    CriticalValues,
     boundary_eta,
     classify,
     classify_counts,
@@ -22,6 +21,7 @@ from .deviations import (
 from .model import (
     ClickCounts,
     Coherent,
+    CriticalValues,
     Decision,
     DetectionParams,
     EmitterWithBackground,
@@ -30,7 +30,6 @@ from .model import (
     IdealEmitters,
     PhotonStats,
     RangeError,
-    SbrNotApplicable,
     SourceModel,
     Verdict,
     stats_from_counts,

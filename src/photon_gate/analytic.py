@@ -54,7 +54,6 @@ from .model import (
     ClickCounts,
     DetectionParams,
     PhotonStats,
-    SbrNotApplicable,
     SourceModel,
     photon_plan,
 )
@@ -90,19 +89,16 @@ def expected_stats(source: SourceModel, params: DetectionParams) -> PhotonStats:
     return PhotonStats(p0=p0, p1=clicked - p2, p2=p2)
 
 
-def sbr_from_stats(stats: PhotonStats) -> float:
+def sbr_from_stats(stats: PhotonStats) -> float | None:
     """Signal-to-background ratio estimated from click statistics alone
     via SBR ~= P(1)^2 / (2 P(2)).
 
-    Valid only in the weak-background regime; the applicability
-    precondition P(1) >= 2 sqrt(P(2)) - 3 P(2) is enforced and
-    SbrNotApplicable raised outside it.  Returns math.inf when no
-    two-click probability is present at all.
+    Valid only in the weak-background regime: None when the
+    applicability precondition P(1) >= 2 sqrt(P(2)) - 3 P(2) fails.
+    Returns math.inf when no two-click probability is present at all.
     """
     if stats.p1 < 2.0 * math.sqrt(stats.p2) - 3.0 * stats.p2:
-        raise SbrNotApplicable(
-            f"p1={stats.p1!r} below applicability bound for p2={stats.p2!r}"
-        )
+        return None
     if stats.p2 == 0.0:
         return math.inf
     return stats.p1 * stats.p1 / (2.0 * stats.p2)

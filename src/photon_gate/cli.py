@@ -34,7 +34,6 @@ import numpy as np
 
 from .analytic import g2_zero_estimate
 from .criterion import classify, classify_counts, corrected_critical_values, sbr_threshold
-from .deviations import systematic_deviation
 from .model import (
     ClickCounts,
     Decision,
@@ -72,9 +71,8 @@ _USER_ERRORS = (OSError, ValueError)
 
 
 def _fmt(x: float | None) -> str:
-    if x is None:
-        return "n/a"
-    if isinstance(x, float) and math.isnan(x):
+    """x to 6 significant digits; n/a when it was not computed."""
+    if x is None or math.isnan(x):
         return "n/a"
     return f"{x:.6g}"
 
@@ -86,7 +84,9 @@ def format_report(counts: ClickCounts, verdict: Verdict, duration_s: float) -> s
         g2 = _fmt(g2_zero_estimate(c))
     except ZeroDivisionError:
         g2 = "n/a"
-    d1, d2 = systematic_deviation(v.params)
+    k = v.critical  # None when the decision stopped before computing it
+    critical = f"{_fmt(k.p1_corrected)} / {_fmt(k.p2_corrected)}" if k else "n/a / n/a"
+    systematic = f"{_fmt(k.delta_p1)} / {_fmt(k.delta_p2)}" if k else "n/a / n/a"
     lines = [
         f"pulses             {c.n_all}",
         f"pattern counts     n00={c.n_00} n10={c.n_10} n01={c.n_01} n11={c.n_11}",
@@ -97,8 +97,8 @@ def format_report(counts: ClickCounts, verdict: Verdict, duration_s: float) -> s
         f"measured SBR       {_fmt(v.measured_sbr)}",
         f"setup SBR          {_fmt(v.setup_sbr)}",
         f"SBR threshold      {_fmt(v.sbr0)}",
-        f"critical p1 / p2   {_fmt(v.p1_critical)} / {_fmt(v.p2_critical)}",
-        f"systematic d1/d2   {_fmt(d1)} / {_fmt(d2)}",
+        f"critical p1 / p2   {critical}",
+        f"systematic d1/d2   {systematic}",
         f"margin (p1)        {_fmt(v.margin_p1)}",
         f"decision           {v.decision.value}",
     ]

@@ -1,19 +1,27 @@
 """Single-emitter recognition from one set of click statistics.
 
-The test exploits that a saturable two-detector stage bounds what any
-pair (or larger group) of emitters can produce.  For a fixed mean click
-number mean_n, the *least* distinguishable multi-emitter system is two
-identical emitters, each detected with the boundary efficiency
+The test exploits that a saturable two-detector stage bounds what a
+pair (or larger group) of identical emitters can produce.  For a fixed
+mean click number mean_n, the *least* distinguishable such system is
+two emitters, each detected with the boundary efficiency
 
     eta* = 2 - sqrt(4 - 2 mean_n)        (so that 2 eta* - eta*^2/2 = mean_n)
 
-Any system of two or more emitters with this mean satisfies
+Two or more identical emitters behind balanced arms with this mean satisfy
 
     P(1) <= p1_bound = mean_n - eta*^2
     P(2) >= p2_bound = eta*^2 / 2
 
-so measuring P(1) *above* p1_bound certifies a single emitter.  The two
+so measuring P(1) *above* p1_bound rules such a system out.  The two
 bounds are complementary: p1_bound + 2 p2_bound = mean_n.
+
+That is the scope of the certificate.  Systems outside it can clear the
+bound: IdealEmitters(2) at delta 0.3 and mean 0.2, classified with its
+true calibration, is SINGLE by a margin of +9.0e-4, and at mean 0.2 a
+balanced pair whose second emitter is at most half as bright as the
+first clears it by more than 3 sigma_p1 at 1e6 pulses.  A SINGLE verdict
+means "no identical partner behind balanced arms", not "no partner";
+unbalanced arms and unequal pairs are open work.
 
 Background blurs the test.  A single emitter over background with
 signal-to-background ratio below a threshold SBR0(mean_n) lands on the
@@ -38,17 +46,17 @@ standard deviation is also reported for error bars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+# called by this name, so a wrapper set on criterion.sbr_from_stats sees each call
 from .analytic import sbr_from_stats
 from .deviations import sampling_fluctuation, systematic_deviation
 from .model import (
     ClickCounts,
+    CriticalValues,
     Decision,
     DetectionParams,
     PhotonStats,
     RangeError,
-    SbrNotApplicable,
     Verdict,
     stats_from_counts,
 )
@@ -87,35 +95,15 @@ def sbr_threshold(mean_n: float) -> float:
 
 def setup_sbr(params: DetectionParams) -> float:
     """Signal-to-background ratio implied by the calibration: signal
-    eta against detected background 2 (1 - e^(-eta gamma / 2)).
-    Infinite when there is no background, zero when there is no
-    signal."""
-    b = -2.0 * math.expm1(-params.eta * params.gamma / 2.0)
-    if b == 0.0:
+    eta against detected background b = 2 (1 - e^(-x)), x = eta gamma / 2.
+    Computed as 1 / (gamma g(x)) with g(x) = (1 - e^(-x)) / x and
+    g(0) = 1, so it takes its limit 1/gamma at eta = 0 rather than
+    0/0.  Infinite when there is no background, gamma = 0."""
+    if params.gamma == 0.0:
         return math.inf
-    return params.eta / b
-
-
-@dataclass(frozen=True)
-class CriticalValues:
-    """Critical one- and two-click probabilities at one mean click
-    number, uncorrected and corrected for imbalance + finite sampling.
-
-    stat_* are the sampling variances actually added to the bounds;
-    sigma_* are the corresponding one-standard-deviation values for
-    error bars.
-    """
-
-    p1_bound: float
-    p2_bound: float
-    p1_corrected: float
-    p2_corrected: float
-    delta_p1: float
-    delta_p2: float
-    stat_p1: float
-    stat_p2: float
-    sigma_p1: float
-    sigma_p2: float
+    x = params.eta * params.gamma / 2.0
+    g = -math.expm1(-x) / x if x else 1.0
+    return 1.0 / (params.gamma * g)
 
 
 def corrected_critical_values(mean_n: float, params: DetectionParams) -> CriticalValues:
@@ -139,26 +127,6 @@ def corrected_critical_values(mean_n: float, params: DetectionParams) -> Critica
     )
 
 
-def _measured_sbr(stats: PhotonStats) -> float | None:
-    try:
-        return sbr_from_stats(stats)
-    except SbrNotApplicable:
-        return None
-
-
-def _indeterminate(params: DetectionParams, reason: str, **fields) -> Verdict:
-    defaults = dict(
-        p1_critical=math.nan,
-        p2_critical=math.nan,
-        sbr0=math.nan,
-        measured_sbr=None,
-        setup_sbr=math.nan,
-        margin_p1=math.nan,
-    )
-    defaults.update(fields)
-    return Verdict(decision=Decision.INDETERMINATE, params=params, reason=reason, **defaults)
-
-
 def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
     """Decide single / not-single / indeterminate for one measurement.
 
@@ -169,42 +137,29 @@ def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
     """
     mean_n = stats.mean_n
     if mean_n <= 0.0:
-        return _indeterminate(params, "no clicks observed; statistics carry no information")
+        return Verdict(Decision.INDETERMINATE, params,
+                       "no clicks observed; statistics carry no information")
     if mean_n > 1.0:
-        return _indeterminate(
-            params, f"mean click number {mean_n!r} exceeds 1; outside the test's domain"
-        )
+        return Verdict(Decision.INDETERMINATE, params,
+                       f"mean click number {mean_n!r} exceeds 1; outside the test's domain")
 
     crit = corrected_critical_values(mean_n, params)
     sbr0 = sbr_threshold(mean_n)
-    measured = _measured_sbr(stats)
+    measured = sbr_from_stats(stats)
     setup = setup_sbr(params)
     margin = stats.p1 - crit.p1_corrected
-    common = dict(
-        p1_critical=crit.p1_corrected,
-        p2_critical=crit.p2_corrected,
-        sbr0=sbr0,
-        measured_sbr=measured,
-        setup_sbr=setup,
-        margin_p1=margin,
-    )
-
+    decision = Decision.INDETERMINATE
     if measured is None:
-        return _indeterminate(
-            params,
-            "two-click rate too high for the signal+background model; "
-            "measured SBR undefined",
-            **common,
-        )
-    if setup < sbr0:
-        return _indeterminate(
-            params,
-            f"setup SBR {setup:.3f} below threshold {sbr0:.3f}; "
-            "background too strong for a verdict",
-            **common,
-        )
-    decision = Decision.SINGLE if margin > 0.0 else Decision.NOT_SINGLE
-    return Verdict(decision=decision, params=params, reason=None, **common)
+        reason = ("two-click rate too high for the signal+background model; "
+                  "measured SBR undefined")
+    elif setup < sbr0:
+        reason = (f"setup SBR {setup:.3f} below threshold {sbr0:.3f}; "
+                  "background too strong for a verdict")
+    else:
+        decision = Decision.SINGLE if margin > 0.0 else Decision.NOT_SINGLE
+        reason = None
+    return Verdict(decision, params, reason, critical=crit, sbr0=sbr0,
+                   measured_sbr=measured, setup_sbr=setup, margin_p1=margin)
 
 
 def classify_counts(
@@ -232,7 +187,7 @@ def classify_counts(
         gamma_eff = gamma
     else:
         gamma_eff = 0.0
-        measured = _measured_sbr(stats)
+        measured = sbr_from_stats(stats)
         if in_range and eta_eff > 0.0 and measured is not None and math.isfinite(measured):
             # invert b = 2 (1 - e^(-eta gamma / 2)) at b = eta / SBR,
             # capped away from the b = 2 pole for pathological inputs

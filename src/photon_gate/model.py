@@ -10,6 +10,8 @@ defined here:
   clicks behind the 50/50 splitter; mean and Mandel Q are derived.
 * :class:`ClickCounts` — raw per-pulse tallies of the four click
   patterns (none / A only / B only / both).
+* :class:`CriticalValues` — the critical click probabilities a
+  decision compares with, before and after correction.
 * :class:`Verdict` — outcome of the single-emitter test.
 * Source models: :class:`IdealEmitters`, :class:`EmitterWithBackground`,
   :class:`Coherent`, each reduced by :func:`photon_plan` to the photons
@@ -38,11 +40,6 @@ class GateError(ValueError):
     """Gate timing configuration is internally inconsistent."""
 
 
-class SbrNotApplicable(ValueError):
-    """Click statistics lie outside the regime where the quadratic
-    signal-to-background estimator is meaningful."""
-
-
 _SUM_TOL = 1e-9
 _NEG_TOL = 1e-12
 
@@ -51,6 +48,19 @@ def _check_prob(name: str, value: float) -> float:
     if not math.isfinite(value) or value < -_NEG_TOL or value > 1.0 + _NEG_TOL:
         raise RangeError(f"{name} must be a probability in [0, 1], got {value!r}")
     return min(max(value, 0.0), 1.0)
+
+
+def _store_int(obj: object, name: str, kind: str, low: int, high: float = math.inf) -> None:
+    """Store field `name` of a frozen dataclass as an int, after checking
+    that it is integral and in [low, high); `kind` words the error."""
+    v = getattr(obj, name)
+    try:
+        ok = low <= v < high and v == int(v)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise RangeError(f"{name} must be {kind}, got {v!r}")
+    object.__setattr__(obj, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -78,8 +88,7 @@ class DetectionParams:
             raise RangeError(f"delta must be in [0, 1), got {self.delta!r}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise RangeError(f"gamma must be finite and >= 0, got {self.gamma!r}")
-        if self.cycles < 1 or self.cycles != int(self.cycles):
-            raise RangeError(f"cycles must be a positive integer, got {self.cycles!r}")
+        _store_int(self, "cycles", "a positive integer", 1)
         if self.eta1 > 1.0 + _NEG_TOL:
             raise RangeError(
                 f"channel efficiency (1 + delta) * eta = {self.eta1!r} exceeds 1"
@@ -156,9 +165,7 @@ class ClickCounts:
 
     def __post_init__(self) -> None:
         for name in ("n_all", "n_00", "n_10", "n_01", "n_11"):
-            v = getattr(self, name)
-            if v < 0 or v != int(v):
-                raise RangeError(f"{name} must be a nonnegative integer, got {v!r}")
+            _store_int(self, name, "a nonnegative integer", 0)
         total = self.n_00 + self.n_10 + self.n_01 + self.n_11
         if total != self.n_all:
             raise RangeError(
@@ -196,28 +203,52 @@ class Decision(enum.Enum):
 
 
 @dataclass(frozen=True)
+class CriticalValues:
+    """Critical one- and two-click probabilities at one mean click
+    number, uncorrected and corrected for imbalance + finite sampling.
+
+    delta_* are the systematic deviations subtracted from the bounds,
+    stat_* the sampling variances added to them, and sigma_* the
+    corresponding one-standard-deviation values for error bars.
+    """
+
+    p1_bound: float
+    p2_bound: float
+    p1_corrected: float
+    p2_corrected: float
+    delta_p1: float
+    delta_p2: float
+    stat_p1: float
+    stat_p2: float
+    sigma_p1: float
+    sigma_p2: float
+
+
+@dataclass(frozen=True)
 class Verdict:
     """Outcome of the single-emitter test on one measurement.
 
-    measured_sbr is the signal-to-background ratio estimated from the
-    click statistics alone (None when the estimator is not applicable,
-    math.inf when no two-click events were seen).  setup_sbr is the
-    ratio implied by the calibration (eta, gamma); the test is gated on
-    it.  margin_p1 is p1 minus the corrected critical value — positive
-    exactly when the decision is SINGLE.  params is the calibration the
-    decision used, including any eta or gamma that classify_counts
-    filled in from the data.
+    params is the calibration the decision used, including any eta or
+    gamma that classify_counts filled in from the data.  A field at its
+    default, None or NaN, was not computed: the no-clicks and
+    mean-above-1 gates stop before any.  critical holds the values p1
+    was compared with.  measured_sbr is the signal-to-background ratio
+    estimated from the click statistics alone (None also when the
+    estimator is not applicable, math.inf when no two-click events were
+    seen).  setup_sbr is the ratio implied by the calibration (eta,
+    gamma); the test is gated on it against sbr0.  margin_p1 is p1 minus
+    critical.p1_corrected: positive exactly when a decided verdict is
+    SINGLE, of either sign on an indeterminate one.
     """
 
     decision: Decision
-    p1_critical: float
-    p2_critical: float
-    sbr0: float
-    measured_sbr: float | None
-    setup_sbr: float
-    margin_p1: float
     params: DetectionParams
     reason: str | None = None
+    critical: CriticalValues | None = None
+    sbr0: float = math.nan
+    measured_sbr: float | None = None
+    setup_sbr: float = math.nan
+    margin_p1: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -227,8 +258,7 @@ class IdealEmitters:
     s: int
 
     def __post_init__(self) -> None:
-        if self.s < 1 or self.s != int(self.s):
-            raise RangeError(f"s must be a positive integer, got {self.s!r}")
+        _store_int(self, "s", "a positive integer", 1)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClickCounts, DetectionParams, RangeError, SourceModel, photon_plan
+from .model import ClickCounts, DetectionParams, SourceModel, _store_int, photon_plan
 
 _DEFAULT_BLOCK = 1 << 17
 
@@ -65,10 +65,8 @@ class SimConfig:
     block_size: int = _DEFAULT_BLOCK
 
     def __post_init__(self) -> None:
-        if self.seed < 0 or self.seed != int(self.seed) or self.seed >= 1 << 64:
-            raise RangeError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.block_size < 1 or self.block_size != int(self.block_size):
-            raise RangeError(f"block_size must be a positive integer, got {self.block_size!r}")
+        _store_int(self, "seed", "an unsigned 64-bit integer", 0, 1 << 64)
+        _store_int(self, "block_size", "a positive integer", 1)
 
 
 def _batch(p: float, n: int) -> int:

@@ -10,9 +10,9 @@ click (the detector saturates).  The timing contract
 
     gate_width < dead_time < pulse_period
 
-guarantees a detector fires at most once per gate and has recovered by
-the next one, so per-pulse saturation is the complete description; the
-dead time therefore enters validation only.  Integral-valued gate
+is an assumption of the model, not a checked parameter: a detector
+fires at most once per gate and has recovered by the next one, so
+per-pulse saturation is the complete description.  Integral-valued gate
 timings (of any numeric type) fold in exact int64 arithmetic at every
 timestamp; a non-integral period folds in float64, which is exact only
 below 2**53 ns.
@@ -73,16 +73,11 @@ _CHANNEL_NAME = ("A", "B")
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Pulse-grid timing in nanoseconds.
-
-    dead_time_ns defaults to the midpoint between gate width and pulse
-    period, which always satisfies the ordering contract.
-    """
+    """Pulse-grid timing in nanoseconds; the gate must fit in the period."""
 
     pulse_period_ns: float
     gate_offset_ns: float
     gate_width_ns: float
-    dead_time_ns: float | None = None
 
     def __post_init__(self) -> None:
         period, offset, width = self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns
@@ -100,15 +95,6 @@ class GateConfig:
             raise GateError(
                 f"gate [{offset}, {offset + width}) ns does not fit in the "
                 f"{period} ns pulse period"
-            )
-        dead = self.dead_time_ns
-        if dead is None:
-            dead = 0.5 * (width + period)
-            object.__setattr__(self, "dead_time_ns", dead)
-        if not width < dead < period:
-            raise GateError(
-                f"need gate_width < dead_time < pulse_period, got "
-                f"{width!r} / {dead!r} / {period!r} ns"
             )
 
     def fold(self, timestamps) -> tuple[np.ndarray, np.ndarray]:

@@ -104,7 +104,7 @@ def test_criterion_2_reference_samples_2_and_3():
             params = DetectionParams(eta=eta, delta=0.3, gamma=gamma,
                                      cycles=CYCLES_REF)
             verdict = classify(stats, params)
-            assert abs(verdict.p1_critical - critical_ref) <= 1.5e-4
+            assert abs(verdict.critical.p1_corrected - critical_ref) <= 1.5e-4
             assert verdict.decision is expected
 
 

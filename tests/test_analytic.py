@@ -16,7 +16,6 @@ from photon_gate import (
     IdealEmitters,
     PhotonStats,
     RangeError,
-    SbrNotApplicable,
     expected_stats,
     g2_zero_estimate,
     sbr_from_stats,
@@ -285,12 +284,11 @@ class TestScalars:
         assert sbr_from_stats(PhotonStats(p0=0.9, p1=0.1, p2=0.0)) == math.inf
 
     def test_sbr_precondition(self):
-        with pytest.raises(SbrNotApplicable):
-            sbr_from_stats(PhotonStats(p0=0.89, p1=0.1, p2=0.01))
+        assert sbr_from_stats(PhotonStats(p0=0.89, p1=0.1, p2=0.01)) is None
         # exactly at the boundary is allowed
         p2 = 0.01
         p1 = 2 * math.sqrt(p2) - 3 * p2
-        sbr_from_stats(PhotonStats(p0=1 - p1 - p2, p1=p1, p2=p2))
+        assert sbr_from_stats(PhotonStats(p0=1 - p1 - p2, p1=p1, p2=p2)) is not None
 
     def test_g2_hand_value(self):
         c = ClickCounts(n_all=100, n_00=79, n_10=10, n_01=10, n_11=1)

@@ -27,6 +27,7 @@ from photon_gate import (
     stats_from_counts,
     systematic_deviation,
     uncorrected_bounds,
+    write_counts_block,
     write_timetags_binary,
     write_timetags_csv,
 )
@@ -53,18 +54,25 @@ SIM_CFG_TEXT = (
 def assert_report_shows(out, counts, verdict):
     """Every criterion number in a printed report is the verdict's own."""
     fields = {line[:19].strip(): line[19:] for line in out.splitlines()}
-    d1, d2 = systematic_deviation(verdict.params)
-    assert fields["critical p1 / p2"] == f"{_fmt(verdict.p1_critical)} / {_fmt(verdict.p2_critical)}"
+    k = verdict.critical
+    if k is None:  # an early gate: no critical values were computed
+        assert fields["critical p1 / p2"] == "n/a / n/a"
+        assert fields["systematic d1/d2"] == "n/a / n/a"
+    else:
+        assert fields["critical p1 / p2"] == f"{_fmt(k.p1_corrected)} / {_fmt(k.p2_corrected)}"
+        assert fields["systematic d1/d2"] == f"{_fmt(k.delta_p1)} / {_fmt(k.delta_p2)}"
     assert fields["SBR threshold"] == _fmt(verdict.sbr0)
     assert fields["setup SBR"] == _fmt(verdict.setup_sbr)
     assert fields["measured SBR"] == _fmt(verdict.measured_sbr)
     assert fields["margin (p1)"] == _fmt(verdict.margin_p1)
-    assert fields["systematic d1/d2"] == f"{_fmt(d1)} / {_fmt(d2)}"
     assert fields["decision"] == verdict.decision.value
-    p1_bound, _ = uncorrected_bounds(stats_from_counts(counts).mean_n)
-    assert verdict.p1_critical == (
-        p1_bound - d1 + p1_bound * (1.0 - p1_bound) / verdict.params.cycles
-    )
+    if k is not None:  # decided or SBR-gated
+        d1, d2 = systematic_deviation(verdict.params)
+        assert (k.delta_p1, k.delta_p2) == (d1, d2)
+        p1_bound, _ = uncorrected_bounds(stats_from_counts(counts).mean_n)
+        assert k.p1_corrected == (
+            p1_bound - d1 + p1_bound * (1.0 - p1_bound) / verdict.params.cycles
+        )
 
 
 @pytest.fixture
@@ -187,6 +195,18 @@ class TestClassifyCountsBlock:
         assert rc == 3
         assert "threshold" in capsys.readouterr().out
 
+    def test_mean_above_one_report(self, tmp_path, capsys):
+        counts = ClickCounts(n_all=1000, n_00=100, n_10=50, n_01=50, n_11=800)
+        config = SimConfig(source=IdealEmitters(3),
+                           params=DetectionParams(eta=0.9, cycles=1000), seed=1)
+        path = tmp_path / "run.counts"
+        write_counts_block(path, counts, config)
+        verdict = classify(stats_from_counts(counts), config.params)
+        assert verdict.critical is None
+        assert "exceeds 1" in verdict.reason
+        assert main(["classify", "--input", str(path)]) == 3
+        assert_report_shows(capsys.readouterr().out, counts, verdict)
+
 
 class TestClassifyTimetags:
     @pytest.fixture
@@ -268,13 +288,17 @@ class TestClassifyTimetags:
         assert main(["classify", "--input", str(path)]) == 2
         assert "--cycles" in capsys.readouterr().err
 
-    def test_gate_flags_respected(self, tmp_path, tag_arrays):
+    def test_gate_flags_respected(self, tmp_path, tag_arrays, capsys):
         channels, timestamps = tag_arrays
         write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
         # clicks sit at the gate center (50 ns); a 10 ns gate misses them
         rc = main(["classify", "--input", str(tmp_path / "t.csv"),
                    "--gate-width-ns", "10", "--cycles", "50000"])
         assert rc == 3  # nothing detected -> indeterminate
+        counts = ClickCounts(50_000, 50_000, 0, 0, 0)
+        verdict = classify_counts(counts, cycles=50_000)
+        assert verdict.critical is None
+        assert_report_shows(capsys.readouterr().out, counts, verdict)
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"

@@ -149,6 +149,18 @@ class TestSetupSbr:
     def test_no_background_is_infinite(self):
         assert setup_sbr(DetectionParams(eta=0.5, gamma=0.0)) == math.inf
 
+    def test_no_signal_takes_the_limit(self):
+        # eta -> 0 gives 1/gamma; eta = 0 is that limit, not an infinite ratio
+        assert setup_sbr(DetectionParams(eta=0.0, gamma=1.0)) == 1.0
+        assert setup_sbr(DetectionParams(eta=1e-300, gamma=1.0)) == 1.0
+        assert setup_sbr(DetectionParams(eta=0.0, gamma=4.0)) == 0.25
+
+    def test_no_signal_calibration_is_indeterminate(self):
+        # the README tallies: eta = 0 with background leaves SBR 1, below threshold
+        v = classify_counts(SAMPLE1_COUNTS, eta=0.0, gamma=1.0)
+        assert v.decision is Decision.INDETERMINATE
+        assert v.setup_sbr == 1.0 < v.sbr0
+
     def test_frozen_value(self):
         assert setup_sbr(DetectionParams(eta=0.1, gamma=0.2)) == pytest.approx(
             5.025041666597222, abs=1e-12
@@ -248,7 +260,7 @@ class TestClassifyCounts:
         v = classify_counts(SAMPLE1_COUNTS, delta=0.3)
         assert v.decision is Decision.SINGLE
         assert v.measured_sbr == pytest.approx(21.5017, abs=1e-3)
-        assert v.p1_critical == pytest.approx(0.0459544, abs=2e-6)
+        assert v.critical.p1_corrected == pytest.approx(0.0459544, abs=2e-6)
         assert v.margin_p1 == pytest.approx(4.455e-4, abs=1e-6)
         # uncalibrated mode gates on the measured SBR itself
         assert v.setup_sbr == pytest.approx(v.measured_sbr, rel=1e-9)
@@ -275,7 +287,7 @@ class TestClassifyCounts:
     def test_explicit_eta_overrides_boundary_default(self):
         v1 = classify_counts(SAMPLE1_COUNTS, delta=0.3)
         v2 = classify_counts(SAMPLE1_COUNTS, delta=0.3, eta=0.5)
-        assert v1.p1_critical != v2.p1_critical
+        assert v1.critical.p1_corrected != v2.critical.p1_corrected
 
     def test_infinite_measured_sbr(self):
         counts = ClickCounts(n_all=1000, n_00=900, n_10=50, n_01=50, n_11=0)

@@ -103,6 +103,33 @@ class TestClickCounts:
             stats_from_counts(ClickCounts(n_all=0, n_00=0, n_10=0, n_01=0, n_11=0))
 
 
+class TestIntegerFields:
+    """An integral float is stored as the int it equals, and anything
+    else that is not an integer is refused with RangeError."""
+
+    def test_cycles(self):
+        cycles = DetectionParams(eta=0.1, cycles=1e5).cycles
+        assert type(cycles) is int and cycles == 100_000
+
+    @pytest.mark.parametrize("name", ["n_all", "n_00", "n_10", "n_01", "n_11"])
+    def test_click_counts(self, name):
+        fields = dict(n_all=8, n_00=4, n_10=2, n_01=1, n_11=1)
+        fields[name] = float(fields[name])
+        value = getattr(ClickCounts(**fields), name)
+        assert type(value) is int and value == fields[name]
+
+    def test_ideal_emitters_s(self):
+        s = IdealEmitters(s=2.0).s
+        assert type(s) is int and s == 2
+
+    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, "3", None])
+    def test_non_integers_refused(self, value):
+        with pytest.raises(RangeError, match="cycles must be a positive integer"):
+            DetectionParams(eta=0.1, cycles=value)
+        with pytest.raises(RangeError, match="s must be a positive integer"):
+            IdealEmitters(s=value)
+
+
 class TestSourceModels:
     def test_ideal_emitters_validation(self):
         assert IdealEmitters(s=3).s == 3

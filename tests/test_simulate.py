@@ -342,6 +342,16 @@ class TestConfigValidation:
         with pytest.raises(RangeError):
             SimConfig(source=IdealEmitters(1), params=DetectionParams(eta=0.5), seed=1 << 64)
 
+    @pytest.mark.parametrize("field,value", [("seed", 1.0), ("block_size", 512.0)])
+    def test_integral_float_runs_as_int(self, field, value):
+        # cycles and s as integral floats too: each used to reach numpy as a float
+        fields = dict(source=IdealEmitters(2.0),
+                      params=DetectionParams(eta=0.5, cycles=2e3), seed=1, block_size=512)
+        as_int = SimConfig(**fields)
+        as_float = SimConfig(**{**fields, field: value})
+        assert type(getattr(as_float, field)) is int
+        assert simulate_pulses(as_float) == simulate_pulses(as_int)
+
     def test_block_size(self):
         with pytest.raises(RangeError):
             SimConfig(

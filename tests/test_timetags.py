@@ -50,13 +50,6 @@ def chunked(channels, timestamps, size):
 
 
 class TestGateConfig:
-    def test_default_dead_time_is_midpoint(self):
-        assert GATE.dead_time_ns == 300.0
-        assert GateConfig(80, 10, 20).dead_time_ns == 50.0
-
-    def test_explicit_dead_time(self):
-        assert GateConfig(500, 0, 100, dead_time_ns=499).dead_time_ns == 499
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -65,10 +58,6 @@ class TestGateConfig:
             dict(pulse_period_ns=500, gate_offset_ns=-1, gate_width_ns=100),
             dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=0),
             dict(pulse_period_ns=500, gate_offset_ns=450, gate_width_ns=100),
-            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=100,
-                 dead_time_ns=100),
-            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=100,
-                 dead_time_ns=500),
             dict(pulse_period_ns=math.inf, gate_offset_ns=0, gate_width_ns=1),
             dict(pulse_period_ns=500, gate_offset_ns=math.nan, gate_width_ns=1),
             dict(pulse_period_ns="500", gate_offset_ns=0, gate_width_ns=100),
@@ -585,6 +574,13 @@ class TestCountsBlock:
         got_counts, got_config = read_counts_block(path)
         assert got_counts == COUNTS
         assert got_config == config
+
+    def test_integral_float_counts_round_trip(self, tmp_path):
+        path = tmp_path / "run.counts"
+        counts = ClickCounts(n_all=1000.0, n_00=900.0, n_10=60.0, n_01=38.0, n_11=2.0)
+        write_counts_block(path, counts, CONFIGS[0])
+        assert "n_all = 1000\n" in path.read_text()
+        assert read_counts_block(path) == (COUNTS, CONFIGS[0])
 
     def test_write_is_deterministic(self, tmp_path):
         write_counts_block(tmp_path / "a", COUNTS, CONFIGS[1])
