@@ -58,6 +58,8 @@ class TestGateConfig:
             dict(pulse_period_ns=500, gate_offset_ns=-1, gate_width_ns=100),
             dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=0),
             dict(pulse_period_ns=500, gate_offset_ns=450, gate_width_ns=100),
+            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=-100),
+            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=501),
             dict(pulse_period_ns=math.inf, gate_offset_ns=0, gate_width_ns=1),
             dict(pulse_period_ns=500, gate_offset_ns=math.nan, gate_width_ns=1),
             dict(pulse_period_ns="500", gate_offset_ns=0, gate_width_ns=100),
