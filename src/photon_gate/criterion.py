@@ -130,10 +130,14 @@ def corrected_critical_values(mean_n: float, params: DetectionParams) -> Critica
 def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
     """Decide single / not-single / indeterminate for one measurement.
 
-    The decision is gated on the *setup* signal-to-background ratio
-    from the calibration params: below sbr_threshold(mean_n) no
-    verdict is possible.  The data-driven estimate (measured_sbr) is
-    reported alongside but does not gate a calibrated measurement.
+    The gates, in order, each leave it indeterminate: no clicks; a mean
+    click number above 1; a two-click rate the signal+background model
+    cannot give (measured SBR undefined); a *setup* signal-to-background
+    ratio, from the calibration params, below sbr_threshold(mean_n); a
+    calibration of eta = 0, which detects no photon.  Past them, p1
+    above its corrected critical value is single, else not single.  The
+    data-driven estimate (measured_sbr) is reported alongside but does
+    not gate a calibrated measurement.
     """
     mean_n = stats.mean_n
     if mean_n <= 0.0:
@@ -155,6 +159,8 @@ def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
     elif setup < sbr0:
         reason = (f"setup SBR {setup:.3f} below threshold {sbr0:.3f}; "
                   "background too strong for a verdict")
+    elif params.eta == 0.0:
+        reason = "calibration eta = 0 detects no photon, yet clicks were observed"
     else:
         decision = Decision.SINGLE if margin > 0.0 else Decision.NOT_SINGLE
         reason = None

@@ -39,8 +39,8 @@ def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
     x = delta * eta * gamma / 2.0
     sh = math.sinh(x / 2.0)
     bracket = (2.0 - eta) * 2.0 * sh * sh + delta * eta * math.sinh(x)
-    d1 = -bracket * math.exp(-eta * gamma / 2.0)
-    return d1, -d1
+    d2 = bracket * math.exp(-eta * gamma / 2.0)
+    return 0.0 - d2, d2  # not -d2, which is -0.0 when d2 is 0
 
 
 def relative_deviations(params: DetectionParams) -> tuple[float, float]:

@@ -29,7 +29,12 @@ from dataclasses import dataclass
 
 
 class RangeError(ValueError):
-    """A numeric field is outside its allowed range."""
+    """A numeric field is outside its allowed range.  field names the
+    one field at fault, when one alone is, and then starts the message."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(f"{field} {message}" if field else message)
+        self.field = field
 
 
 class FormatError(ValueError):
@@ -46,7 +51,7 @@ _NEG_TOL = 1e-12
 
 def _check_prob(name: str, value: float) -> float:
     if not math.isfinite(value) or value < -_NEG_TOL or value > 1.0 + _NEG_TOL:
-        raise RangeError(f"{name} must be a probability in [0, 1], got {value!r}")
+        raise RangeError(f"must be a probability in [0, 1], got {value!r}", name)
     return min(max(value, 0.0), 1.0)
 
 
@@ -59,7 +64,7 @@ def _store_int(obj: object, name: str, kind: str, low: int, high: float = math.i
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise RangeError(f"{name} must be {kind}, got {v!r}")
+        raise RangeError(f"must be {kind}, got {v!r}", name)
     object.__setattr__(obj, name, int(v))
 
 
@@ -83,11 +88,11 @@ class DetectionParams:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.eta <= 1.0:
-            raise RangeError(f"eta must be in [0, 1], got {self.eta!r}")
+            raise RangeError(f"must be in [0, 1], got {self.eta!r}", "eta")
         if not 0.0 <= self.delta < 1.0:
-            raise RangeError(f"delta must be in [0, 1), got {self.delta!r}")
+            raise RangeError(f"must be in [0, 1), got {self.delta!r}", "delta")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise RangeError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+            raise RangeError(f"must be finite and >= 0, got {self.gamma!r}", "gamma")
         _store_int(self, "cycles", "a positive integer", 1)
         if self.eta1 > 1.0 + _NEG_TOL:
             raise RangeError(
@@ -276,7 +281,7 @@ class Coherent:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
-            raise RangeError(f"mu must be finite and >= 0, got {self.mu!r}")
+            raise RangeError(f"must be finite and >= 0, got {self.mu!r}", "mu")
 
 
 SourceModel = IdealEmitters | EmitterWithBackground | Coherent

@@ -60,6 +60,7 @@ from .model import (
     FormatError,
     GateError,
     IdealEmitters,
+    RangeError,
 )
 from .simulate import SimConfig
 
@@ -308,7 +309,7 @@ def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndar
             if channels.max() > 1:
                 first = int(np.flatnonzero(channels > 1)[0])
                 raise FormatError(f"{path}: record {start + first}: channel byte "
-                                  f"{records['channel'][first]!r} not A/B")
+                                  f"{int(records['channel'][first]):#04x} not A/B")
             # a contiguous copy: the fold's per-channel split of it is 5x faster
             timestamps = records["timestamp"].astype(np.int64)
             if timestamps.min() < 0:
@@ -325,13 +326,17 @@ def fold_timetags(
     n_pulses: int | None = None,
 ) -> ClickCounts:
     """Tally the click patterns of a stream of (channels, timestamps)
-    chunks: channel codes 0 (A) or 1 (B), timestamps nonnegative and
-    nondecreasing per channel over the whole stream.  Out-of-gate records
-    never count; in-gate records at pulse n_pulses or beyond are dropped
-    (with a debug log).  Without n_pulses, the pulse count is one past
-    the last record's pulse (0 for no records)."""
-    if n_pulses is not None and n_pulses < 1:
-        raise FormatError(f"n_pulses must be >= 1, got {n_pulses!r}")
+    chunks: integer (or bool) channel codes 0 (A) or 1 (B), integer
+    timestamps nonnegative and nondecreasing per channel over the whole
+    stream; a nonempty chunk of another dtype is refused, not truncated.
+    Out-of-gate records never count; in-gate records at pulse n_pulses
+    or beyond are dropped (with a debug log).  Without n_pulses, the
+    pulse count is one past the last record's pulse (0 for no records)."""
+    if n_pulses is not None:
+        if n_pulses < 1:
+            raise FormatError(f"n_pulses must be >= 1, got {n_pulses!r}")
+        if not float(n_pulses).is_integer():
+            raise FormatError(f"n_pulses must be an integer, got {n_pulses!r}")
     # per channel: last timestamp, last kept pulse, kept count, and kept
     # pulses that a later pulse of the other channel may still match, as
     # sorted nonempty pieces joined only once the other channel reaches them
@@ -339,10 +344,13 @@ def fold_timetags(
     pending = [deque(), deque()]
     n_11, top, dropped = 0, -1, 0
     for channels, timestamps in chunks:
-        channels = np.asarray(channels)
-        ts = np.asarray(timestamps, dtype=np.int64)
-        if channels.shape != ts.shape:
+        channels, timestamps = np.asarray(channels), np.asarray(timestamps)
+        if channels.shape != timestamps.shape:
             raise FormatError("channels and timestamps must have equal length")
+        if channels.size and not (channels.dtype.kind in "biu" and timestamps.dtype.kind in "iu"):
+            raise FormatError("channel codes and timestamps must be integer arrays, got "
+                              f"{channels.dtype} and {timestamps.dtype}")
+        ts = timestamps.astype(np.int64, copy=False)
         is_channel = (channels == 0, channels == 1)
         if sum(np.count_nonzero(m) for m in is_channel) != channels.size:
             raise FormatError("channel codes must be 0 (A) or 1 (B)")
@@ -414,58 +422,57 @@ def records_from_click_arrays(
 
 # -------------------------------------------------- key-value persistence --
 
-# source.kind -> (model, fields as (name, type, default)); a field
-# without a default is required
+# each object a file describes, as fields (name, type, default); a field
+# without a default is required.  source.kind -> (model, its fields)
 _SOURCE_KINDS = {
     "ideal_emitters": (IdealEmitters, (("s", int, 1),)),
     "emitter_with_background": (EmitterWithBackground, ()),
     "coherent": (Coherent, (("mu", float, None),)),
 }
 _KIND_OF = {model: kind for kind, (model, _) in _SOURCE_KINDS.items()}
+_PARAM_FIELDS = (("eta", float, None), ("delta", float, 0.0), ("gamma", float, 0.0),
+                 ("cycles", int, None))
+_RUN_FIELDS = (("seed", int, None), ("block_size", int, SimConfig.block_size))
+_COUNT_KEYS = ("n_all", "n_00", "n_10", "n_01", "n_11")
+_COUNT_FIELDS = tuple((key, int, None) for key in _COUNT_KEYS)
+
+
+def _field_lines(obj: object, fields, prefix: str = "") -> list[str]:
+    """``key = value`` lines of the fields of obj, each value the repr
+    of its field type, so a numpy scalar is written as a plain number."""
+    return [f"{prefix}{name} = {field_type(getattr(obj, name))!r}"
+            for name, field_type, _ in fields]
 
 
 def _config_lines(config: SimConfig) -> list[str]:
     kind = _KIND_OF[type(config.source)]
-    lines = [f"seed = {config.seed}", f"block_size = {config.block_size}",
-             f"source.kind = {kind}"]
-    for name, field_type, _ in _SOURCE_KINDS[kind][1]:
-        text = repr if field_type is float else str
-        lines.append(f"source.{name} = {text(getattr(config.source, name))}")
-    p = config.params
-    lines.extend([
-        f"params.eta = {p.eta!r}",
-        f"params.delta = {p.delta!r}",
-        f"params.gamma = {p.gamma!r}",
-        f"params.cycles = {p.cycles}",
-    ])
-    return lines
-
-
-def _parse_kv(path: str | Path, lines: Iterable[str], start: int = 1) -> dict[str, tuple[int, str]]:
-    """(line number, value) of each key of ``key = value`` lines.  The
-    lines are read as ASCII with errors="surrogateescape", so a non-ASCII
-    byte fails here, with its file:line."""
-    out: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(lines, start=start):
-        if not raw.isascii():
-            raise FormatError(f"{path}:{lineno}: line is not ASCII")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise FormatError(f"{path}:{lineno}: empty key or value")
-        if key in out:
-            raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = (lineno, value)
-    return out
+    return (_field_lines(config, _RUN_FIELDS) + [f"source.kind = {kind}"]
+            + _field_lines(config.source, _SOURCE_KINDS[kind][1], "source.")
+            + _field_lines(config.params, _PARAM_FIELDS, "params."))
 
 
 class _KvReader:
-    def __init__(self, path: str | Path, kv: dict[str, tuple[int, str]]):
-        self.path, self.kv = path, dict(kv)
+    """The ``key = value`` lines of a file as (line number, value) by
+    key: kv holds the keys not yet taken, taken the rest.  The lines are
+    read as ASCII with errors="surrogateescape", so a non-ASCII byte
+    fails here, with its file:line."""
+
+    def __init__(self, path: str | Path, lines: Iterable[str], start: int = 1):
+        self.path, self.kv, self.taken = path, {}, {}
+        for lineno, raw in enumerate(lines, start=start):
+            if not raw.isascii():
+                raise FormatError(f"{path}:{lineno}: line is not ASCII")
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if not key or not value:
+                raise FormatError(f"{path}:{lineno}: empty key or value")
+            if key in self.kv:
+                raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
+            self.kv[key] = (lineno, value)
 
     def take(self, key: str, kind, default=None):
         """The value of key as kind; a key without a default is required."""
@@ -473,13 +480,27 @@ class _KvReader:
             if default is None:
                 raise FormatError(f"{self.path}: missing required key {key!r}")
             return default
-        lineno, raw = self.kv.pop(key)
+        lineno, raw = self.taken[key] = self.kv.pop(key)
         try:
             return kind(raw)
         except ValueError:
             raise FormatError(
                 f"{self.path}:{lineno}: {key} must be {kind.__name__}, got {raw!r}"
             ) from None
+
+    def build(self, model, fields, prefix: str = "", **given):
+        """model(**given), plus each field of the table taken from key
+        prefix + name, in table order.  A value out of its range fails
+        with the file:line of its key, or the file alone when no one key
+        set by the file is at fault."""
+        for name, field_type, default in fields:
+            given[name] = self.take(prefix + name, field_type, default)
+        try:
+            return model(**given)
+        except RangeError as exc:
+            lineno = self.taken.get(prefix + str(exc.field), (None,))[0]
+            where = f"{self.path}:{lineno}: {prefix}" if lineno else f"{self.path}: "
+            raise FormatError(f"{where}{exc}") from None
 
     def finish(self) -> None:
         if self.kv:
@@ -491,30 +512,16 @@ def _sim_config_from(reader: _KvReader) -> SimConfig:
     kind = reader.take("source.kind", str)
     if kind not in _SOURCE_KINDS:
         raise FormatError(f"{reader.path}: unknown source.kind {kind!r}")
-    model, fields = _SOURCE_KINDS[kind]
-    source = model(**{
-        name: reader.take(f"source.{name}", field_type, default)
-        for name, field_type, default in fields
-    })
-    params = DetectionParams(
-        eta=reader.take("params.eta", float),
-        delta=reader.take("params.delta", float, 0.0),
-        gamma=reader.take("params.gamma", float, 0.0),
-        cycles=reader.take("params.cycles", int),
-    )
-    return SimConfig(
-        source=source,
-        params=params,
-        seed=reader.take("seed", int),
-        block_size=reader.take("block_size", int, SimConfig.block_size),
-    )
+    source = reader.build(*_SOURCE_KINDS[kind], "source.")
+    params = reader.build(DetectionParams, _PARAM_FIELDS, "params.")
+    return reader.build(SimConfig, _RUN_FIELDS, source=source, params=params)
 
 
 def read_sim_config(path: str | Path) -> SimConfig:
     """Parse a simulation config file (flat ``key = value`` lines,
     ``#`` comments allowed)."""
     text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    reader = _KvReader(path, _parse_kv(path, text.splitlines()))
+    reader = _KvReader(path, text.splitlines())
     # accept 'cycles' as shorthand for params.cycles
     if "cycles" in reader.kv and "params.cycles" not in reader.kv:
         reader.kv["params.cycles"] = reader.kv.pop("cycles")
@@ -526,15 +533,7 @@ def read_sim_config(path: str | Path) -> SimConfig:
 def write_counts_block(path: str | Path, counts: ClickCounts, config: SimConfig) -> None:
     """Persist tallies plus the full producing configuration.  Output
     bytes depend only on (counts, config)."""
-    lines = [
-        COUNTS_MAGIC,
-        f"n_all = {counts.n_all}",
-        f"n_00 = {counts.n_00}",
-        f"n_10 = {counts.n_10}",
-        f"n_01 = {counts.n_01}",
-        f"n_11 = {counts.n_11}",
-    ]
-    lines.extend(_config_lines(config))
+    lines = [COUNTS_MAGIC, *_field_lines(counts, _COUNT_FIELDS), *_config_lines(config)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -555,14 +554,8 @@ def read_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_MAGIC:
         raise FormatError(f"{path}:1: expected {COUNTS_MAGIC!r} header")
-    reader = _KvReader(path, _parse_kv(path, lines[1:], start=2))
-    counts = ClickCounts(
-        n_all=reader.take("n_all", int),
-        n_00=reader.take("n_00", int),
-        n_10=reader.take("n_10", int),
-        n_01=reader.take("n_01", int),
-        n_11=reader.take("n_11", int),
-    )
+    reader = _KvReader(path, lines[1:], start=2)
+    counts = reader.build(ClickCounts, _COUNT_FIELDS)
     config = _sim_config_from(reader)
     reader.finish()
     return counts, config

@@ -125,6 +125,13 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and ":7:" in err
 
+    def test_out_of_range_value_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CFG_TEXT.replace("params.eta = 0.1", "params.eta = 1.5"))
+        rc = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg}:3: params.eta must be in [0, 1], got 1.5\n"
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope"),
                    "--output", str(tmp_path / "o")])
@@ -194,6 +201,27 @@ class TestClassifyCountsBlock:
         rc = main(["classify", "--input", str(out), "--gamma", "5.0"])
         assert rc == 3
         assert "threshold" in capsys.readouterr().out
+
+    @staticmethod
+    def readme_block(tmp_path, **params):
+        """The README tallies in a counts block echoing params."""
+        counts = ClickCounts(n_all=299613, n_00=285696, n_10=6951, n_01=6951, n_11=15)
+        config = SimConfig(source=EmitterWithBackground(),
+                           params=DetectionParams(cycles=counts.n_all, **params), seed=1)
+        path = tmp_path / "run.counts"
+        write_counts_block(path, counts, config)
+        return path
+
+    def test_balanced_report_prints_unsigned_zero(self, tmp_path, capsys):
+        path = self.readme_block(tmp_path, eta=0.1, gamma=0.2)
+        main(["classify", "--input", str(path)])
+        assert "\nsystematic d1/d2   0 / 0\n" in capsys.readouterr().out
+
+    def test_no_signal_calibration_exits_3(self, tmp_path, capsys):
+        path = self.readme_block(tmp_path, eta=0.1, gamma=0.2)
+        assert main(["classify", "--input", str(path), "--eta", "0", "--gamma", "0.1"]) == 3
+        out = capsys.readouterr().out
+        assert "decision           indeterminate\n" in out and "eta = 0" in out
 
     def test_mean_above_one_report(self, tmp_path, capsys):
         counts = ClickCounts(n_all=1000, n_00=100, n_10=50, n_01=50, n_11=800)

@@ -161,6 +161,15 @@ class TestSetupSbr:
         assert v.decision is Decision.INDETERMINATE
         assert v.setup_sbr == 1.0 < v.sbr0
 
+    def test_no_signal_calibration_with_clicks_never_decides(self):
+        # weak background leaves setup SBR 10, above threshold, yet eta = 0
+        # cannot give the clicks that were counted
+        v = classify_counts(SAMPLE1_COUNTS, eta=0.0, gamma=0.1)
+        assert v.setup_sbr == pytest.approx(10.0) and v.setup_sbr > v.sbr0
+        assert v.decision is Decision.INDETERMINATE
+        assert "eta = 0" in v.reason
+        assert v.critical is not None
+
     def test_frozen_value(self):
         assert setup_sbr(DetectionParams(eta=0.1, gamma=0.2)) == pytest.approx(
             5.025041666597222, abs=1e-12

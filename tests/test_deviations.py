@@ -76,9 +76,13 @@ class TestSystematicDeviation:
         assert d1 + d2 == 0.0
 
     def test_collapses_without_imbalance_or_background(self):
-        assert systematic_deviation(DetectionParams(eta=0.3, delta=0.0, gamma=0.7)) == (0.0, 0.0)
-        assert systematic_deviation(DetectionParams(eta=0.3, delta=0.4, gamma=0.0)) == (0.0, 0.0)
-        assert systematic_deviation(DetectionParams(eta=0.0, delta=0.4, gamma=0.7)) == (0.0, 0.0)
+        for params in (DetectionParams(eta=0.3, delta=0.0, gamma=0.7),
+                       DetectionParams(eta=0.3, delta=0.4, gamma=0.0),
+                       DetectionParams(eta=0.0, delta=0.4, gamma=0.7)):
+            d1, d2 = systematic_deviation(params)
+            assert (d1, d2) == (0.0, 0.0)
+            # -0.0 == 0.0, so only the sign shows it; a report would print "-0"
+            assert math.copysign(1.0, d1) == math.copysign(1.0, d2) == 1.0
 
     @pytest.mark.parametrize("eta", [0.05, 0.2, 0.5])
     @pytest.mark.parametrize("delta", [0.1, 0.4, 0.9])

@@ -269,8 +269,9 @@ class TestWriterChecks:
         ([0, 1], [5.0, 10.7], "record 0: timestamp 5.0 is float64, not an integer type"),
         # a float code is refused even where its value is 0 or 1
         ([0.0, 1.0], [5, 10], "record 0: channel code 0.0 is float64, not an integer type"),
+        ([0, 1], [5], "channels and timestamps must have equal length"),
     ], ids=("channel-minus-1", "channel-2", "negative-timestamp", "timestamp-2-63",
-            "float-timestamps", "float-channels"))
+            "float-timestamps", "float-channels", "unequal-length"))
     def test_bad_record_is_refused_before_writing(
             self, tmp_path, writer, channels, timestamps, message):
         path = tmp_path / "tags"
@@ -340,7 +341,15 @@ class TestBinaryFormat:
         path.write_bytes(bytes(data))
         monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
         with pytest.raises(FormatError, match=re.escape(
-                f"{path}: record 9: channel byte np.uint8(120) not A/B")):
+                f"{path}: record 9: channel byte 0x78 not A/B")):
+            read_all(iter_timetags_binary(path))
+
+    def test_timestamp_beyond_int64_is_refused(self, tmp_path):
+        path = tmp_path / "tags.bin"
+        body = b"A" + np.uint64(10).tobytes() + b"B" + np.uint64(2**63).tobytes()
+        path.write_bytes(np.uint64(2).tobytes() + body)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: timestamp exceeds the signed 64-bit range")):
             read_all(iter_timetags_binary(path))
 
     def test_chunks_concatenate_to_the_whole_file(self, tmp_path, monkeypatch):
@@ -429,6 +438,28 @@ class TestIngest:
             fold_timetags([(ch, np.array([10, 20]))], GATE, 1)
         with pytest.raises(FormatError):
             fold_timetags([(ch, np.array([-1]))], GATE, 1)
+
+    @pytest.mark.parametrize("channels,timestamps,message", [
+        # -0.5 would be cast to 0 and counted in the gate of pulse 0
+        ([0, 1], [-0.5, 50.7], "got int64 and float64"),
+        ([0.0, 1.0], [10, 60], "got float64 and int64"),
+    ], ids=("float-timestamps", "float-channels"))
+    def test_non_integer_arrays_refused(self, channels, timestamps, message):
+        with pytest.raises(FormatError, match=re.escape(
+                f"channel codes and timestamps must be integer arrays, {message}")):
+            fold_timetags([(np.array(channels), np.array(timestamps))], GATE, 2)
+
+    def test_bool_channels_and_empty_chunks_fold(self):
+        chunks = [(np.array([]), np.array([])),  # float64, but no record to truncate
+                  (np.array([False, True]), np.array([10, 60], dtype=np.uint64))]
+        assert fold_timetags(chunks, GATE, 2) == ClickCounts.from_totals(2, 1, 1, 1)
+
+    @pytest.mark.parametrize("n_pulses", [2.5, math.nan, math.inf])
+    def test_non_integral_pulse_count_is_named(self, n_pulses):
+        ch, ts = np.array([0], dtype=np.uint8), np.array([10])
+        with pytest.raises(FormatError, match=re.escape(
+                f"n_pulses must be an integer, got {n_pulses!r}")):
+            fold_timetags([(ch, ts)], GATE, n_pulses)
 
     @staticmethod
     def oracle_case(seed):
@@ -584,6 +615,18 @@ class TestCountsBlock:
         assert "n_all = 1000\n" in path.read_text()
         assert read_counts_block(path) == (COUNTS, CONFIGS[0])
 
+    def test_numpy_typed_config_round_trips(self, tmp_path):
+        path = tmp_path / "run.counts"
+        config = SimConfig(
+            source=Coherent(np.float32(0.35)),
+            params=DetectionParams(eta=np.float64(0.1), delta=np.float32(0.3),
+                                   gamma=np.float64(0.2), cycles=np.int64(1000)),
+            seed=np.int64(7),
+        )
+        write_counts_block(path, COUNTS, config)
+        assert "np." not in path.read_text()
+        assert read_counts_block(path) == (COUNTS, config)
+
     def test_write_is_deterministic(self, tmp_path):
         write_counts_block(tmp_path / "a", COUNTS, CONFIGS[1])
         write_counts_block(tmp_path / "b", COUNTS, CONFIGS[1])
@@ -633,6 +676,20 @@ class TestCountsBlock:
         text = path.read_text().replace("n_10 = 60", "n_10 = sixty")
         path.write_text(text)
         with pytest.raises(FormatError, match=":4: n_10 must be int"):
+            read_counts_block(path)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("n_10 = 60", "n_10 = -1", ":4: n_10 must be a nonnegative integer, got -1"),
+        ("n_10 = 60", "n_10 = 61", ": pattern counts sum to 1001, expected n_all = 1000"),
+        ("params.eta = 0.1", "params.eta = 1.0",
+         ": channel efficiency (1 + delta) * eta = 1.3 exceeds 1"),
+        ("seed = 7", "seed = -7", ":7: seed must be an unsigned 64-bit integer, got -7"),
+    ], ids=("tally", "tally-sum", "channel-efficiency", "seed"))
+    def test_out_of_range_value_names_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "run.counts"
+        write_counts_block(path, COUNTS, CONFIGS[1])
+        path.write_text(path.read_text().replace(old, new))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}{message}')}$"):
             read_counts_block(path)
 
 
@@ -754,6 +811,19 @@ class TestSimConfigFile:
             f"source.kind = ideal_emitters\n{line}\nseed = 1\ncycles = 10\n"
         )
         with pytest.raises(FormatError, match=fragment):
+            read_sim_config(path)
+
+    @pytest.mark.parametrize("values,message", [
+        ({"mu": "-1"}, ":3: source.mu must be finite and >= 0, got -1.0"),
+        ({"gamma": "-0.5"}, ":5: params.gamma must be finite and >= 0, got -0.5"),
+        ({"cycles": "0"}, ":6: params.cycles must be a positive integer, got 0"),
+    ], ids=("source", "params", "cycles-shorthand"))
+    def test_out_of_range_value_names_its_line(self, tmp_path, values, message):
+        path = tmp_path / "sim.cfg"
+        values = {"mu": "0.5", "gamma": "0.1", "cycles": "10", **values}
+        path.write_text("seed = 1\nsource.kind = coherent\nsource.mu = {mu}\nparams.eta = 0.5\n"
+                        "params.gamma = {gamma}\ncycles = {cycles}\n".format(**values))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}{message}')}$"):
             read_sim_config(path)
 
     def test_non_ascii_comment_is_numbered(self, tmp_path):
