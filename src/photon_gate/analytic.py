@@ -104,19 +104,17 @@ def sbr_from_stats(stats: PhotonStats) -> float | None:
     return stats.p1 * stats.p1 / (2.0 * stats.p2)
 
 
-def g2_zero_estimate(counts: ClickCounts) -> float:
+def g2_zero_estimate(counts: ClickCounts) -> float | None:
     """Normalized zero-delay coincidence ratio from raw tallies:
 
         g2(0) ~= (n_11 / n_all) / (p_A * p_B)
 
     with p_A, p_B the per-channel click probabilities.  Coherent pulses
     give 1 within statistics; an ideal single emitter gives exactly 0.
+    None where g2(0) is undefined: no pulses, or a channel without clicks.
     """
-    if counts.n_all == 0:
-        raise ZeroDivisionError("n_all is zero")
     m = float(counts.n_all)
-    p_a = (counts.n_10 + counts.n_11) / m
-    p_b = (counts.n_01 + counts.n_11) / m
-    if p_a == 0.0 or p_b == 0.0:
-        raise ZeroDivisionError("a channel saw no clicks; g2 undefined")
-    return (counts.n_11 / m) / (p_a * p_b)
+    clicks_a, clicks_b = counts.n_10 + counts.n_11, counts.n_01 + counts.n_11
+    if m == 0.0 or clicks_a == 0 or clicks_b == 0:
+        return None
+    return (counts.n_11 / m) / ((clicks_a / m) * (clicks_b / m))

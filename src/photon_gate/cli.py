@@ -71,7 +71,7 @@ _USER_ERRORS = (OSError, ValueError)
 
 
 def _fmt(x: float | None) -> str:
-    """x to 6 significant digits; n/a when it was not computed."""
+    """x to 6 significant digits; n/a when it is undefined or was not computed."""
     if x is None or math.isnan(x):
         return "n/a"
     return f"{x:.6g}"
@@ -80,10 +80,6 @@ def _fmt(x: float | None) -> str:
 def format_report(counts: ClickCounts, verdict: Verdict, duration_s: float) -> str:
     """The run report both simulate and classify print."""
     c, v, s = counts, verdict, stats_from_counts(counts)
-    try:
-        g2 = _fmt(g2_zero_estimate(c))
-    except ZeroDivisionError:
-        g2 = "n/a"
     k = v.critical  # None when the decision stopped before computing it
     critical = f"{_fmt(k.p1_corrected)} / {_fmt(k.p2_corrected)}" if k else "n/a / n/a"
     systematic = f"{_fmt(k.delta_p1)} / {_fmt(k.delta_p2)}" if k else "n/a / n/a"
@@ -93,7 +89,7 @@ def format_report(counts: ClickCounts, verdict: Verdict, duration_s: float) -> s
         f"p0 / p1 / p2       {_fmt(s.p0)} / {_fmt(s.p1)} / {_fmt(s.p2)}",
         f"mean clicks        {_fmt(s.mean_n)}",
         f"mandel q           {_fmt(s.q)}",
-        f"g2(0) estimate     {g2}",
+        f"g2(0) estimate     {_fmt(g2_zero_estimate(c))}",
         f"measured SBR       {_fmt(v.measured_sbr)}",
         f"setup SBR          {_fmt(v.setup_sbr)}",
         f"SBR threshold      {_fmt(v.sbr0)}",
@@ -134,7 +130,12 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
         gate_width_ns=args.gate_width_ns,
     )
     chunks = (iter_timetags_csv if args.format == "csv" else iter_timetags_binary)(args.input)
-    counts = fold_timetags(chunks, gate, args.cycles)
+    try:
+        counts = fold_timetags(chunks, gate, args.cycles)
+    except FormatError as exc:
+        if exc.record is None:  # a reader's error names the file itself
+            raise
+        raise FormatError(f"{args.input}: {exc}", exc.record) from None
     if counts.n_all == 0:
         raise FormatError(f"{args.input}: no records and no --cycles; pulse count unknown")
     return counts, classify_counts(counts, **_calibration_flags(args))

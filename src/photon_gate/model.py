@@ -38,7 +38,13 @@ class RangeError(ValueError):
 
 
 class FormatError(ValueError):
-    """A serialized record or file does not match the expected layout."""
+    """A serialized record or file does not match the expected layout.
+    record, when set, is the 0-based number in its stream of the record
+    at fault, which the message names."""
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 class GateError(ValueError):

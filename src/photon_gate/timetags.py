@@ -22,8 +22,11 @@ fold_timetags folds in turn, carrying per channel the last timestamp,
 the last kept pulse and the kept pulses awaiting a coincidence: memory
 is O(chunk) plus those, which grow only while a channel runs ahead.
 
-Two record formats are supported, both with timestamps in [0, 2**63)
-ns, nondecreasing per channel:
+Every record keeps one contract: an integer (or bool) channel code 0
+(A) or 1 (B), and an integer timestamp in [0, 2**63) ns, nondecreasing
+per channel.  _checked_records holds it, so the writers refuse what
+fold_timetags refuses, and a fold error names ``record N``, counted from
+0 at the start of the stream.  Two record formats are supported:
 
 * CSV with header ``channel,timestamp_ns`` and one ``A,123`` or
   ``B,123`` record per line.  A line may also carry surrounding
@@ -48,7 +51,7 @@ import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,18 +129,25 @@ def _integral(v: float) -> float:
 # ---------------------------------------------------------------- CSV --
 
 
-def _checked_records(
-    path: str | Path, channels: np.ndarray, timestamps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The records a writer may write, as arrays: equal lengths, integer
-    (or bool) channel codes 0 (A) or 1 (B) and integer timestamps in
-    [0, 2**63), as the readers demand, or a FormatError naming the first
-    bad record before any file is created."""
+def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
+                     last: Sequence = (0, 0), first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 timestamps of channel A and of channel B, once the
+    records keep the contract of the module docstring, each channel going
+    on from its last.  Else a FormatError, prefixed by where, names the
+    first record bad in itself, or else out of order, counting from first."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
     if channels.shape != timestamps.shape:
-        raise FormatError(f"{path}: channels and timestamps must have equal length")
+        raise FormatError(f"{where}channels and timestamps must have equal length")
     # a float would be truncated, written as 5.0 or used as a tuple index
     int_channels, int_times = channels.dtype.kind in "biu", timestamps.dtype.kind in "iu"
+    if not channels.size or int_channels and int_times:
+        # a uint64 timestamp >= 2**63 casts below 0, out of order as each last is >= 0
+        ts = timestamps.astype(np.int64, copy=False)
+        split = (np.compress(channels == 0, ts), np.compress(channels == 1, ts))
+        ordered = all(t.size == 0 or last[code] <= t[0] and np.all(t[:-1] <= t[1:])
+                      for code, t in enumerate(split))
+        if ordered and split[0].size + split[1].size == ts.size:  # a code not 0/1 is in neither
+            return split
     bad_channel = ((channels != 0) & (channels != 1) if int_channels
                    else np.ones(channels.shape, dtype=bool))
     bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if int_times else True)
@@ -152,15 +162,22 @@ def _checked_records(
             what = f"timestamp {t} is {timestamps.dtype}, not an integer type"
         else:
             what = f"timestamp {t} is negative" if t < 0 else f"timestamp {t} is not below 2**63"
-        raise FormatError(f"{path}: record {i}: {what}")
-    return channels, timestamps
+    else:  # all well formed, so ts exists: each record against the last one of its channel
+        before = np.empty(ts.size, dtype=np.int64)
+        for code in (0, 1):
+            at = np.flatnonzero(channels == code)
+            before[at] = np.concatenate(([last[code]], ts[at]))[:at.size]
+        i = int(np.argmax(ts < before))
+        name = _CHANNEL_NAME[int(channels[i])]
+        what = f"channel {name} timestamps are not sorted ({ts[i]} after {before[i]})"
+    raise FormatError(f"{where}record {first + i}: {what}", first + i)
 
 
 def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
-    channels, timestamps = _checked_records(path, channels, timestamps)
+    _checked_records(f"{path}: ", channels, timestamps)
     lines = [CSV_HEADER]
-    names = [_CHANNEL_NAME[c] for c in channels.tolist()]
-    lines.extend(f"{c},{t}" for c, t in zip(names, timestamps.tolist()))
+    names = [_CHANNEL_NAME[c] for c in np.asarray(channels).tolist()]
+    lines.extend(f"{c},{t}" for c, t in zip(names, np.asarray(timestamps).tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -280,10 +297,10 @@ _BIN_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 
 
 def write_timetags_binary(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
-    channels, timestamps = _checked_records(path, channels, timestamps)
+    _checked_records(f"{path}: ", channels, timestamps)
     records = np.empty(len(channels), dtype=_BIN_DTYPE)
-    records["channel"] = np.where(channels == 0, ord("A"), ord("B"))
-    records["timestamp"] = timestamps.astype(np.uint64)
+    records["channel"] = np.where(np.equal(channels, 0), ord("A"), ord("B"))
+    records["timestamp"] = timestamps
     header = np.uint64(len(records)).tobytes()  # little-endian on all supported targets
     Path(path).write_bytes(header + records.tobytes())
 
@@ -326,12 +343,10 @@ def fold_timetags(
     n_pulses: int | None = None,
 ) -> ClickCounts:
     """Tally the click patterns of a stream of (channels, timestamps)
-    chunks: integer (or bool) channel codes 0 (A) or 1 (B), integer
-    timestamps nonnegative and nondecreasing per channel over the whole
-    stream; a nonempty chunk of another dtype is refused, not truncated.
-    Out-of-gate records never count; in-gate records at pulse n_pulses
-    or beyond are dropped (with a debug log).  Without n_pulses, the
-    pulse count is one past the last record's pulse (0 for no records)."""
+    chunks that keep the record contract over the whole stream.  Records
+    out of the gate never count; in-gate records at pulse n_pulses or
+    beyond are dropped (with a debug log).  Without n_pulses, the pulse
+    count is one past the last record's pulse (0 for no records)."""
     if n_pulses is not None:
         if n_pulses < 1:
             raise FormatError(f"n_pulses must be >= 1, got {n_pulses!r}")
@@ -342,26 +357,12 @@ def fold_timetags(
     # sorted nonempty pieces joined only once the other channel reaches them
     last_t, last_kept, kept = [0, 0], [-1, -1], [0, 0]
     pending = [deque(), deque()]
-    n_11, top, dropped = 0, -1, 0
+    n_11, top, dropped, records = 0, -1, 0, 0
     for channels, timestamps in chunks:
-        channels, timestamps = np.asarray(channels), np.asarray(timestamps)
-        if channels.shape != timestamps.shape:
-            raise FormatError("channels and timestamps must have equal length")
-        if channels.size and not (channels.dtype.kind in "biu" and timestamps.dtype.kind in "iu"):
-            raise FormatError("channel codes and timestamps must be integer arrays, got "
-                              f"{channels.dtype} and {timestamps.dtype}")
-        ts = timestamps.astype(np.int64, copy=False)
-        is_channel = (channels == 0, channels == 1)
-        if sum(np.count_nonzero(m) for m in is_channel) != channels.size:
-            raise FormatError("channel codes must be 0 (A) or 1 (B)")
-        for code, mask in enumerate(is_channel):
-            t = np.compress(mask, ts)
+        for code, t in enumerate(_checked_records("", channels, timestamps, last_t, records)):
             if t.size == 0:
                 continue
-            if t[0] < 0:
-                raise FormatError("timestamps must be nonnegative")
-            if t[0] < last_t[code] or np.any(t[1:] < t[:-1]):
-                raise FormatError(f"channel {_CHANNEL_NAME[code]} timestamps are not sorted")
+            records += t.size
             last_t[code] = t[-1]
             pulse, in_gate = gate.fold(t)
             top = max(top, int(pulse[-1]))
@@ -452,10 +453,10 @@ def _config_lines(config: SimConfig) -> list[str]:
 
 
 class _KvReader:
-    """The ``key = value`` lines of a file as (line number, value) by
-    key: kv holds the keys not yet taken, taken the rest.  The lines are
-    read as ASCII with errors="surrogateescape", so a non-ASCII byte
-    fails here, with its file:line."""
+    """The ``key = value`` lines of a file as (line number, value, key
+    as written) by key: kv holds the keys not yet taken, taken the rest.
+    The lines are read as ASCII with errors="surrogateescape", so a
+    non-ASCII byte fails here, with its file:line."""
 
     def __init__(self, path: str | Path, lines: Iterable[str], start: int = 1):
         self.path, self.kv, self.taken = path, {}, {}
@@ -472,7 +473,7 @@ class _KvReader:
                 raise FormatError(f"{path}:{lineno}: empty key or value")
             if key in self.kv:
                 raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-            self.kv[key] = (lineno, value)
+            self.kv[key] = (lineno, value, key)
 
     def take(self, key: str, kind, default=None):
         """The value of key as kind; a key without a default is required."""
@@ -480,12 +481,12 @@ class _KvReader:
             if default is None:
                 raise FormatError(f"{self.path}: missing required key {key!r}")
             return default
-        lineno, raw = self.taken[key] = self.kv.pop(key)
+        lineno, raw, written = self.taken[key] = self.kv.pop(key)
         try:
             return kind(raw)
         except ValueError:
             raise FormatError(
-                f"{self.path}:{lineno}: {key} must be {kind.__name__}, got {raw!r}"
+                f"{self.path}:{lineno}: {written} must be {kind.__name__}, got {raw!r}"
             ) from None
 
     def build(self, model, fields, prefix: str = "", **given):
@@ -498,13 +499,16 @@ class _KvReader:
         try:
             return model(**given)
         except RangeError as exc:
-            lineno = self.taken.get(prefix + str(exc.field), (None,))[0]
-            where = f"{self.path}:{lineno}: {prefix}" if lineno else f"{self.path}: "
-            raise FormatError(f"{where}{exc}") from None
+            if prefix + str(exc.field) not in self.taken:
+                raise FormatError(f"{self.path}: {exc}") from None
+            lineno, _, written = self.taken[prefix + exc.field]
+            # the message starts with the field, which the file may name otherwise
+            message = str(exc)[len(exc.field):]
+            raise FormatError(f"{self.path}:{lineno}: {written}{message}") from None
 
     def finish(self) -> None:
         if self.kv:
-            key, (lineno, _) = next(iter(self.kv.items()))
+            key, (lineno, *_) = next(iter(self.kv.items()))
             raise FormatError(f"{self.path}:{lineno}: unknown key {key!r}")
 
 
@@ -522,7 +526,7 @@ def read_sim_config(path: str | Path) -> SimConfig:
     ``#`` comments allowed)."""
     text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
     reader = _KvReader(path, text.splitlines())
-    # accept 'cycles' as shorthand for params.cycles
+    # accept 'cycles' as shorthand for params.cycles; its errors name cycles
     if "cycles" in reader.kv and "params.cycles" not in reader.kv:
         reader.kv["params.cycles"] = reader.kv.pop("cycles")
     config = _sim_config_from(reader)

@@ -299,5 +299,7 @@ class TestScalars:
         assert g2_zero_estimate(c) == pytest.approx(0.09261577644387173, abs=1e-12)
 
     def test_g2_undefined_without_singles(self):
-        with pytest.raises(ZeroDivisionError):
-            g2_zero_estimate(ClickCounts(n_all=5, n_00=5, n_10=0, n_01=0, n_11=0))
+        # None where g2(0) is undefined: no clicks, one dark channel, no pulses
+        assert g2_zero_estimate(ClickCounts(n_all=5, n_00=5, n_10=0, n_01=0, n_11=0)) is None
+        assert g2_zero_estimate(ClickCounts(n_all=5, n_00=3, n_10=2, n_01=0, n_11=0)) is None
+        assert g2_zero_estimate(ClickCounts(n_all=0, n_00=0, n_10=0, n_01=0, n_11=0)) is None

@@ -340,6 +340,30 @@ class TestClassifyTimetags:
         assert main(["classify", "--input", str(path)]) == 2
         assert ":3: timestamp must be < 2**63" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_unsorted_record_names_the_file(self, tmp_path, capsys, fmt):
+        path = tmp_path / f"u.{fmt}"
+        if fmt == "csv":
+            path.write_text("channel,timestamp_ns\nA,20\nA,10\n")
+        else:  # the writers refuse unsorted records
+            path.write_bytes(np.uint64(2).tobytes() + b"A" + np.uint64(20).tobytes()
+                             + b"A" + np.uint64(10).tobytes())
+        assert main(["classify", "--input", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: record 1: channel A timestamps are not sorted (10 after 20)\n")
+
+    @pytest.mark.parametrize("fmt,body,message", [
+        ("csv", b"channel,timestamp_ns\nA,10\nA,ten\n",
+         ":3: timestamp must be an integer, got 'ten'"),
+        ("binary", np.uint64(2).tobytes() + b"A" + np.uint64(10).tobytes()
+         + b"C" + np.uint64(20).tobytes(), ": record 1: channel byte 0x43 not A/B"),
+    ], ids=("csv", "binary"))
+    def test_reader_error_names_the_file_once(self, tmp_path, capsys, fmt, body, message):
+        path = tmp_path / f"t.{fmt}"
+        path.write_bytes(body)
+        assert main(["classify", "--input", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
     def test_epoch_scale_tags_fold_exactly(self, tmp_path, capsys):
         # Unix-epoch timestamps: float64 would round the A tag (last ns of
         # pulse k - 1) up to 500 k, one pulse too many and inside a gate

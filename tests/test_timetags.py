@@ -270,8 +270,10 @@ class TestWriterChecks:
         # a float code is refused even where its value is 0 or 1
         ([0.0, 1.0], [5, 10], "record 0: channel code 0.0 is float64, not an integer type"),
         ([0, 1], [5], "channels and timestamps must have equal length"),
+        # the fold refuses it, so the writers do too
+        ([0, 1, 0], [20, 5, 10], "record 2: channel A timestamps are not sorted (10 after 20)"),
     ], ids=("channel-minus-1", "channel-2", "negative-timestamp", "timestamp-2-63",
-            "float-timestamps", "float-channels", "unequal-length"))
+            "float-timestamps", "float-channels", "unequal-length", "unsorted-channel"))
     def test_bad_record_is_refused_before_writing(
             self, tmp_path, writer, channels, timestamps, message):
         path = tmp_path / "tags"
@@ -419,7 +421,8 @@ class TestIngest:
     def test_unsorted_channel_rejected(self):
         channels = np.array([0, 0], dtype=np.uint8)
         timestamps = np.array([600, 10], dtype=np.int64)
-        with pytest.raises(FormatError, match="not sorted"):
+        message = "record 1: channel A timestamps are not sorted (10 after 600)"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             fold_timetags([(channels, timestamps)], GATE, 2)
 
     def test_interleaved_channels_may_cross(self):
@@ -441,13 +444,29 @@ class TestIngest:
 
     @pytest.mark.parametrize("channels,timestamps,message", [
         # -0.5 would be cast to 0 and counted in the gate of pulse 0
-        ([0, 1], [-0.5, 50.7], "got int64 and float64"),
-        ([0.0, 1.0], [10, 60], "got float64 and int64"),
+        ([0, 1], [-0.5, 50.7], "record 0: timestamp -0.5 is float64, not an integer type"),
+        ([0.0, 1.0], [10, 60], "record 0: channel code 0.0 is float64, not an integer type"),
     ], ids=("float-timestamps", "float-channels"))
     def test_non_integer_arrays_refused(self, channels, timestamps, message):
-        with pytest.raises(FormatError, match=re.escape(
-                f"channel codes and timestamps must be integer arrays, {message}")):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             fold_timetags([(np.array(channels), np.array(timestamps))], GATE, 2)
+
+    @pytest.mark.parametrize("chunks,message", [
+        # records count from the start of the stream, across chunks
+        ([([0, 1], [10, 20]), ([1, 2, 0], [30, 40, 50])],
+         "record 3: channel code 2 is not 0 (A) or 1 (B)"),
+        ([([0, 1], [10, 20]), ([], []), ([1, 0], [30, -5])], "record 3: timestamp -5 is negative"),
+        # compared before any cast: as int64 it would read as negative
+        ([([0], np.array([2**63], dtype=np.uint64))],
+         "record 0: timestamp 9223372036854775808 is not below 2**63"),
+        ([([0, 1], [10, 20]), ([1], np.array([2**64 - 1], dtype=np.uint64))],
+         "record 2: timestamp 18446744073709551615 is not below 2**63"),
+    ], ids=("code-in-a-later-chunk", "negative-in-a-later-chunk", "uint64-2-63",
+            "uint64-max-in-a-later-chunk"))
+    def test_bad_record_is_numbered_in_the_stream(self, chunks, message):
+        chunks = [(np.array(ch, dtype=np.uint8), np.asarray(ts)) for ch, ts in chunks]
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            fold_timetags(chunks, GATE, 2)
 
     def test_bool_channels_and_empty_chunks_fold(self):
         chunks = [(np.array([]), np.array([])),  # float64, but no record to truncate
@@ -536,7 +555,8 @@ class TestIngest:
         channels = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
         timestamps = np.array([10, 20, 600, 700, 599, 900], dtype=np.int64)
         # each chunk is sorted; A goes from 600 back to 599 across the edge
-        with pytest.raises(FormatError, match="^channel A timestamps are not sorted$"):
+        message = "record 4: channel A timestamps are not sorted (599 after 600)"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             fold_timetags(chunked(channels, timestamps, 4), GATE, 3)
 
     def test_three_records_and_unknown_channel(self):
@@ -816,8 +836,10 @@ class TestSimConfigFile:
     @pytest.mark.parametrize("values,message", [
         ({"mu": "-1"}, ":3: source.mu must be finite and >= 0, got -1.0"),
         ({"gamma": "-0.5"}, ":5: params.gamma must be finite and >= 0, got -0.5"),
-        ({"cycles": "0"}, ":6: params.cycles must be a positive integer, got 0"),
-    ], ids=("source", "params", "cycles-shorthand"))
+        # the shorthand is named as the file gives it
+        ({"cycles": "0"}, ":6: cycles must be a positive integer, got 0"),
+        ({"cycles": "x"}, ":6: cycles must be int, got 'x'"),
+    ], ids=("source", "params", "cycles-shorthand", "cycles-shorthand-not-int"))
     def test_out_of_range_value_names_its_line(self, tmp_path, values, message):
         path = tmp_path / "sim.cfg"
         values = {"mu": "0.5", "gamma": "0.1", "cycles": "10", **values}
