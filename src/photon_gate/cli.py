@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analytic import g2_zero_estimate
-from .criterion import classify, classify_counts, corrected_critical_values, sbr_threshold
+from .criterion import _critical_values, _sbr_threshold, classify, classify_counts
 from .model import (
     ClickCounts,
     Decision,
@@ -180,26 +180,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if grid.size and args.stop > 1.0:
             raise RangeError(f"--stop {args.stop} exceeds 1, the largest mean click number")
         header = "mean_n,sbr0"
-        rows = [f"{float(x)!r},{sbr_threshold(float(x))!r}" for x in grid]
+        columns = (grid, _sbr_threshold(grid))
     else:
         if grid.size and args.start < 0.0:
             raise RangeError(f"--start must be >= 0 (a detection efficiency), got {args.start}")
         if grid.size and args.stop > _ETA_MAX:
             raise RangeError(f"--stop {args.stop} exceeds 2 - sqrt(2) = {_ETA_MAX:.6g}, "
                              "where the mean click number 2 eta - eta^2/2 reaches 1")
+        # (1 + delta) eta grows with eta, so the calibration at --stop holds for every row
+        if grid.size:
+            try:
+                DetectionParams(eta=args.stop, delta=args.delta, gamma=args.gamma,
+                                cycles=args.cycles)
+            except RangeError as exc:  # a field error starts with the field, the flag's name
+                raise RangeError(f"--{exc}" if exc.field else
+                                 f"--delta {args.delta} at --stop {args.stop}: {exc}") from None
         header = "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical"
-        rows = []
-        for eta in grid:
-            eta = float(eta)
-            mean_n = 2.0 * eta - 0.5 * eta * eta
-            params = DetectionParams(
-                eta=eta, delta=args.delta, gamma=args.gamma, cycles=args.cycles
-            )
-            crit = corrected_critical_values(mean_n, params)
-            rows.append(
-                f"{eta!r},{mean_n!r},{crit.p1_bound!r},{crit.p2_bound!r},"
-                f"{crit.p1_corrected!r},{crit.p2_corrected!r}"
-            )
+        mean_n = 2.0 * grid - 0.5 * grid * grid
+        crit = _critical_values(mean_n, grid, args.delta, args.gamma, args.cycles)
+        columns = (grid, mean_n, crit.p1_bound, crit.p2_bound,
+                   crit.p1_corrected, crit.p2_corrected)
+    # repr, not a numpy format: the shortest text that reads back as the same float
+    rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
     log.info("%d rows written to %s", len(rows), args.output)
@@ -273,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # usage error (2) or --help (0), message printed
         return exc.code
     try:
+        # checked here, or simulate and classify name the library parameter it sets
+        if getattr(args, "cycles", None) is not None and args.cycles < 1:
+            raise RangeError(f"--cycles must be a positive integer, got {args.cycles}")
         return args.func(args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

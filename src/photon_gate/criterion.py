@@ -41,15 +41,22 @@ Channel imbalance and finite sampling shift the critical values:
 with the systematic deviations of ``deviations`` (delta_p1 <= 0, so the
 one-click threshold moves up) and the sampling variance p(1-p)/M.  One
 standard deviation is also reported for error bars.
+
+The closed forms live in private functions that take a float or a numpy
+array, whose type selects math or numpy, so ``photon-gate sweep``
+evaluates a whole curve in one pass through the text the public
+functions run.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # called by this name, so a wrapper set on criterion.sbr_from_stats sees each call
 from .analytic import sbr_from_stats
-from .deviations import sampling_fluctuation, systematic_deviation
+from .deviations import _deviation, _fluctuation
 from .model import (
     ClickCounts,
     CriticalValues,
@@ -61,20 +68,34 @@ from .model import (
     stats_from_counts,
 )
 
+
+def _checked_mean(mean_n: float) -> float:
+    if not 0.0 <= mean_n <= 1.0:
+        raise RangeError(f"mean_n must be in [0, 1], got {mean_n!r}")
+    return mean_n
+
+
 def boundary_eta(mean_n: float) -> float:
     """Efficiency eta* at which two ideal emitters produce the given
     mean click number; computed as mean_n / (1 + sqrt(1 - mean_n/2)),
     which is exact and avoids cancellation for small means."""
-    if not 0.0 <= mean_n <= 1.0:
-        raise RangeError(f"mean_n must be in [0, 1], got {mean_n!r}")
-    return mean_n / (1.0 + math.sqrt(1.0 - mean_n / 2.0))
+    return _bounds(_checked_mean(mean_n))[0]
 
 
 def uncorrected_bounds(mean_n: float) -> tuple[float, float]:
     """(p1_bound, p2_bound) of the two-emitter boundary system at the
     given mean; p1_bound + 2 p2_bound = mean_n."""
-    eta_sq = boundary_eta(mean_n) ** 2
-    return mean_n - eta_sq, 0.5 * eta_sq
+    _, p1_bound, p2_bound = _bounds(_checked_mean(mean_n))
+    return p1_bound, p2_bound
+
+
+def _bounds(mean_n):
+    """(eta*, p1_bound, p2_bound) at a float or an array of means in
+    [0, 1], unchecked."""
+    xp = np if isinstance(mean_n, np.ndarray) else math
+    eta = mean_n / (1.0 + xp.sqrt(1.0 - mean_n / 2.0))
+    eta_sq = eta * eta  # not eta ** 2: libm's pow and numpy's square differ in the last bit
+    return eta, mean_n - eta_sq, 0.5 * eta_sq
 
 
 def sbr_threshold(mean_n: float) -> float:
@@ -88,8 +109,14 @@ def sbr_threshold(mean_n: float) -> float:
     """
     if not 0.0 < mean_n <= 1.0:
         raise RangeError(f"mean_n must be in (0, 1], got {mean_n!r}")
-    _, p2_bound = uncorrected_bounds(mean_n)
-    b = 4.0 * p2_bound / (mean_n + math.sqrt(mean_n * mean_n - 4.0 * p2_bound))
+    return _sbr_threshold(mean_n)
+
+
+def _sbr_threshold(mean_n):
+    """sbr_threshold of a float or an array of means in (0, 1], unchecked."""
+    _, _, p2_bound = _bounds(mean_n)
+    xp = np if isinstance(mean_n, np.ndarray) else math
+    b = 4.0 * p2_bound / (mean_n + xp.sqrt(mean_n * mean_n - 4.0 * p2_bound))
     return ((mean_n - b) / (1.0 - b / 2.0)) / b
 
 
@@ -109,10 +136,17 @@ def setup_sbr(params: DetectionParams) -> float:
 def corrected_critical_values(mean_n: float, params: DetectionParams) -> CriticalValues:
     """Critical values at mean_n, corrected for the calibration's
     channel imbalance and for sampling over params.cycles pulses."""
-    p1_bound, p2_bound = uncorrected_bounds(mean_n)
-    d1, d2 = systematic_deviation(params)
-    var1, sig1 = sampling_fluctuation(p1_bound, params.cycles)
-    var2, sig2 = sampling_fluctuation(p2_bound, params.cycles)
+    return _critical_values(_checked_mean(mean_n), params.eta, params.delta,
+                            params.gamma, params.cycles)
+
+
+def _critical_values(mean_n, eta, delta: float, gamma: float, cycles: int) -> CriticalValues:
+    """corrected_critical_values, unchecked; with arrays of mean_n in
+    [0, 1] and of eta, each field is an array over them."""
+    _, p1_bound, p2_bound = _bounds(mean_n)
+    d1, d2 = _deviation(eta, delta, gamma)
+    var1, sig1 = _fluctuation(p1_bound, cycles)
+    var2, sig2 = _fluctuation(p2_bound, cycles)
     return CriticalValues(
         p1_bound=p1_bound,
         p2_bound=p2_bound,

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from .analytic import expected_stats
 from .model import DetectionParams, EmitterWithBackground, RangeError
 
@@ -35,11 +37,16 @@ def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
     """(delta_p1, delta_p2): balanced minus unbalanced one- and
     two-click probabilities.  Both vanish when delta, gamma or eta is
     zero; delta_p1 <= 0 <= delta_p2 and they sum to zero exactly."""
-    eta, delta, gamma = params.eta, params.delta, params.gamma
+    return _deviation(params.eta, params.delta, params.gamma)
+
+
+def _deviation(eta, delta: float, gamma: float):
+    """systematic_deviation at eta, a float or an array."""
     x = delta * eta * gamma / 2.0
-    sh = math.sinh(x / 2.0)
-    bracket = (2.0 - eta) * 2.0 * sh * sh + delta * eta * math.sinh(x)
-    d2 = bracket * math.exp(-eta * gamma / 2.0)
+    xp = np if isinstance(x, np.ndarray) else math
+    sh = xp.sinh(x / 2.0)
+    bracket = (2.0 - eta) * 2.0 * sh * sh + delta * eta * xp.sinh(x)
+    d2 = bracket * xp.exp(-eta * gamma / 2.0)
     return 0.0 - d2, d2  # not -d2, which is -0.0 when d2 is 0
 
 
@@ -67,6 +74,12 @@ def sampling_fluctuation(p: float, cycles: int) -> tuple[float, float]:
         raise RangeError(f"p must be in [0, 1], got {p!r}")
     if cycles < 1 or cycles != int(cycles):
         raise RangeError(f"cycles must be a positive integer, got {cycles!r}")
+    return _fluctuation(p, cycles)
+
+
+def _fluctuation(p, cycles: int):
+    """sampling_fluctuation of p, a float or an array, unchecked."""
     var = p * (1.0 - p) / cycles
-    return var, math.sqrt(var)
+    xp = np if isinstance(var, np.ndarray) else math
+    return var, xp.sqrt(var)
 

@@ -1,6 +1,7 @@
 """Command-line interface, exercised in-process through main(argv)."""
 
 import argparse
+import math
 import tracemalloc
 import types
 from pathlib import Path
@@ -17,9 +18,11 @@ from photon_gate import (
     SimConfig,
     classify,
     classify_counts,
+    corrected_critical_values,
     counts_from_click_arrays,
     fold_timetags,
     read_counts_block,
+    read_sim_config,
     records_from_click_arrays,
     sbr_threshold,
     simulate_click_arrays,
@@ -410,14 +413,50 @@ class TestSweep:
     def test_sbr0_matches_library(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "sbr0", "--start", "0.01", "--stop", "1.0",
-                   "--points", "5", "--output", str(out)])
+                   "--points", "1000", "--output", str(out)])
         assert rc == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "mean_n,sbr0"
-        assert len(lines) == 6
+        assert len(lines) == 1001
         for line in lines[1:]:
             mean_n, sbr0 = (float(v) for v in line.split(","))
             assert sbr0 == sbr_threshold(mean_n)
+
+    @pytest.mark.parametrize("delta,gamma", [("0.3", "0.2"), ("0.3", "0")],
+                             ids=("imbalance-and-background", "no-background"))
+    def test_critical_rows_match_library(self, tmp_path, delta, gamma):
+        # the corrected columns take numpy's sinh and exp, which may round
+        # differently from the math module's in the last bit
+        out = tmp_path / "crit.csv"
+        rc = main(["sweep", "critical", "--start", "0.001", "--stop", "0.58", "--points", "1000",
+                   "--delta", delta, "--gamma", gamma, "--cycles", "299613", "--output", str(out)])
+        assert rc == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == np.linspace(0.001, 0.58, 1000).tolist()
+        for eta, mean_n, p1_bound, p2_bound, p1_critical, p2_critical in rows:
+            params = DetectionParams(eta=eta, delta=float(delta), gamma=float(gamma), cycles=299613)
+            crit = corrected_critical_values(mean_n, params)
+            assert mean_n == 2.0 * eta - 0.5 * eta * eta
+            assert (p1_bound, p2_bound) == (crit.p1_bound, crit.p2_bound)
+            assert abs(p1_critical - crit.p1_corrected) <= 2 * math.ulp(crit.p1_corrected)
+            assert abs(p2_critical - crit.p2_corrected) <= 2 * math.ulp(crit.p2_corrected)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--delta", "0.9"],
+         "--delta 0.9 at --stop 0.55: channel efficiency (1 + delta) * eta = 1.045 exceeds 1"),
+        (["--delta", "1.5"], "--delta must be in [0, 1), got 1.5"),
+        (["--gamma", "-1"], "--gamma must be finite and >= 0, got -1.0"),
+    ], ids=("channel-efficiency", "delta", "gamma"))
+    def test_critical_flags_are_checked_before_any_row(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "c.csv"
+        argv = ["sweep", "critical", "--start", "0.01", "--stop", "0.55", *flags,
+                "--output", str(out)]
+        assert main([*argv, "--points", "5"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # an empty grid has no row to check, as in the sbr0 sweep
+        assert main([*argv, "--points", "0"]) == 0
+        assert out.read_text() == "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical\n"
 
     def test_sbr0_empty_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -503,6 +542,24 @@ class TestSweep:
             monkeypatch.setenv("PHOTON_GATE_LOG", level)
             assert main(argv) != 2
             assert capsys.readouterr().err == logged, (level, argv[0])
+
+
+@pytest.mark.parametrize("command", ["classify-timetags", "simulate", "classify-counts",
+                                     "sweep-critical"])
+def test_bad_cycles_names_the_flag(tmp_path, sim_cfg, capsys, command):
+    tags, block, out = tmp_path / "ok.csv", tmp_path / "run.counts", tmp_path / "o"
+    tags.write_text("channel,timestamp_ns\nA,10\n")
+    write_counts_block(block, ClickCounts(1000, 950, 25, 24, 1), read_sim_config(sim_cfg))
+    argv = {
+        "classify-timetags": ["classify", "--input", str(tags)],
+        "simulate": ["simulate", "--config", str(sim_cfg), "--output", str(out)],
+        "classify-counts": ["classify", "--input", str(block)],
+        "sweep-critical": ["sweep", "critical", "--start", "0.01", "--stop", "0.5",
+                           "--points", "5", "--output", str(out)],
+    }[command]
+    assert main([*argv, "--cycles", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --cycles must be a positive integer, got 0\n")
+    assert not out.exists()
 
 
 class TestRepeatedCalls:

@@ -212,6 +212,40 @@ class TestCorrectedCriticalValues:
         assert crit.p2_corrected == pytest.approx(crit.p2_bound - crit.stat_p2, abs=1e-15)
 
 
+# (mean_n, boundary_eta, p1_bound, p2_bound, sbr_threshold, p1_corrected,
+# p2_corrected), the corrected values at SCALAR_PARAMS
+SCALAR_PARAMS = DetectionParams(eta=0.1, delta=0.3, gamma=0.2, cycles=299613)
+SCALAR_VALUES = [
+    (1e-06, 5.000000625000156e-07, 9.999997499999374e-07, 1.2500003125000976e-13,
+     2.4142128855963314, 9.856955420909935e-05, -9.756955099646508e-05),
+    (0.001, 0.0005000625156298845, 0.0009997499374804618, 1.2503125976904423e-07,
+     2.4135367177946776, 0.0010973228220702259, -9.744452027900479e-05),
+    (0.0465, 0.023386734841638276, 0.0459530606334469, 0.0002734696832765488,
+     2.382594513958302, 0.04605077651125263, 0.00017589921966164223),
+    (0.2, 0.10263340389897241, 0.1894663844041104, 0.005266807797944802,
+     2.2759571767290554, 0.18956446651267625, 0.005169220760704465),
+    (0.5, 0.2679491924311227, 0.42820323027550916, 0.03589838486224541,
+     2.055492776832292, 0.42830161703157116, 0.03580069979647396),
+    (0.8, 0.45080666151703325, 0.596773353931867, 0.10161332303406649,
+     1.8128848440267673, 0.5968717266354484, 0.10151544879638065),
+    (1.0, 0.585786437626905, 0.6568542494923801, 0.1715728752538099,
+     1.6322418823119005, 0.6569525713364409, 0.17147483130530336),
+]
+
+
+@pytest.mark.parametrize("row", SCALAR_VALUES, ids=lambda row: repr(row[0]))
+def test_scalar_closed_forms_return_floats(row):
+    """The closed forms also take numpy arrays; a float in gives a float
+    out, within 1 ulp of the value frozen above."""
+    mean, *frozen = row
+    crit = corrected_critical_values(mean, SCALAR_PARAMS)
+    got = [boundary_eta(mean), *uncorrected_bounds(mean), sbr_threshold(mean),
+           crit.p1_corrected, crit.p2_corrected]
+    assert all(type(v) is float for v in [*got, *vars(crit).values()])
+    for value, want in zip(got, frozen):
+        assert abs(value - want) <= math.ulp(want)
+
+
 class TestClassify:
     def test_two_emitters_at_boundary_are_rejected(self):
         st = double_molecule_stats(0.3)  # mean 0.555, exactly on the boundary
