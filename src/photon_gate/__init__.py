@@ -9,14 +9,11 @@ from .criterion import (
     classify,
     classify_counts,
     corrected_critical_values,
+    relative_deviations,
     sbr_threshold,
     setup_sbr,
-    uncorrected_bounds,
-)
-from .deviations import (
-    relative_deviations,
-    sampling_fluctuation,
     systematic_deviation,
+    uncorrected_bounds,
 )
 from .model import (
     ClickCounts,

@@ -192,9 +192,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 DetectionParams(eta=args.stop, delta=args.delta, gamma=args.gamma,
                                 cycles=args.cycles)
-            except RangeError as exc:  # a field error starts with the field, the flag's name
-                raise RangeError(f"--{exc}" if exc.field else
-                                 f"--delta {args.delta} at --stop {args.stop}: {exc}") from None
+            except RangeError as exc:
+                if exc.field:  # main names it as the flag
+                    raise
+                raise RangeError(f"--delta {args.delta} at --stop {args.stop}: {exc}") from None
         header = "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical"
         mean_n = 2.0 * grid - 0.5 * grid * grid
         crit = _critical_values(mean_n, grid, args.delta, args.gamma, args.cycles)
@@ -275,12 +276,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # usage error (2) or --help (0), message printed
         return exc.code
     try:
-        # checked here, or simulate and classify name the library parameter it sets
+        # checked here, or a time-tag classify names fold_timetags' n_pulses
         if getattr(args, "cycles", None) is not None and args.cycles < 1:
             raise RangeError(f"--cycles must be a positive integer, got {args.cycles}")
         return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a RangeError starts with its field; one the user gave is named as the flag
+        field = getattr(exc, "field", None)
+        flag = "--" if field and getattr(args, field, None) is not None else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 2
 
 

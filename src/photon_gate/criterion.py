@@ -38,8 +38,19 @@ Channel imbalance and finite sampling shift the critical values:
     P1_critical = p1_bound - delta_p1 + var_p1
     P2_critical = p2_bound - delta_p2 - var_p2
 
-with the systematic deviations of ``deviations`` (delta_p1 <= 0, so the
-one-click threshold moves up) and the sampling variance p(1-p)/M.  One
+Real arms are never balanced: the channel efficiencies are
+eta1 = (1 + delta) eta and eta2 = (1 - delta) eta, and imbalance moves
+probability from the one-click to the two-click pattern.  For one
+emitter over Poissonian background (exact unbalanced statistics in
+``analytic.expected_stats``) the systematic deviations
+delta_p = P_balanced - P_unbalanced have the closed form
+(x = delta * eta * gamma / 2)
+
+    delta_p1 = -[ (2 - eta) * 2 sinh^2(x/2) + delta eta sinh(x) ] e^(-eta gamma / 2)
+    delta_p2 = -delta_p1          (the two deviations cancel exactly)
+
+so delta_p1 <= 0 and the one-click threshold moves up.  Sampling over M
+pulses adds the variance p(1-p)/M of an estimated probability; one
 standard deviation is also reported for error bars.
 
 The closed forms live in private functions that take a float or a numpy
@@ -51,17 +62,18 @@ functions run.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 # called by this name, so a wrapper set on criterion.sbr_from_stats sees each call
-from .analytic import sbr_from_stats
-from .deviations import _deviation, _fluctuation
+from .analytic import expected_stats, sbr_from_stats
 from .model import (
     ClickCounts,
     CriticalValues,
     Decision,
     DetectionParams,
+    EmitterWithBackground,
     PhotonStats,
     RangeError,
     Verdict,
@@ -131,6 +143,48 @@ def setup_sbr(params: DetectionParams) -> float:
     x = params.eta * params.gamma / 2.0
     g = -math.expm1(-x) / x if x else 1.0
     return 1.0 / (params.gamma * g)
+
+
+def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
+    """(delta_p1, delta_p2): balanced minus unbalanced one- and
+    two-click probabilities.  Both vanish when delta, gamma or eta is
+    zero; delta_p1 <= 0 <= delta_p2 and they sum to zero exactly."""
+    return _deviation(params.eta, params.delta, params.gamma)
+
+
+def _deviation(eta, delta: float, gamma: float):
+    """systematic_deviation at eta, a float or an array."""
+    x = delta * eta * gamma / 2.0
+    xp = np if isinstance(x, np.ndarray) else math
+    sh = xp.sinh(x / 2.0)
+    bracket = (2.0 - eta) * 2.0 * sh * sh + delta * eta * xp.sinh(x)
+    d2 = bracket * xp.exp(-eta * gamma / 2.0)
+    return 0.0 - d2, d2  # not -d2, which is -0.0 when d2 is 0
+
+
+def relative_deviations(params: DetectionParams) -> tuple[float, float]:
+    """(r1, r2) = systematic deviations relative to the balanced
+    probabilities they perturb.  r1 <= 0 <= r2; r2 is nearly flat in
+    eta and gamma and scales with delta^2.  Raises ZeroDivisionError
+    when the balanced probability vanishes (e.g. gamma = 0 makes the
+    two-click probability of a single emitter exactly zero)."""
+    balanced = expected_stats(EmitterWithBackground(), replace(params, delta=0.0))
+    d1, d2 = systematic_deviation(params)
+    if balanced.p1 == 0.0 or balanced.p2 == 0.0:
+        raise ZeroDivisionError(
+            "balanced reference probability is zero "
+            f"(p1={balanced.p1!r}, p2={balanced.p2!r}); relative deviation undefined"
+        )
+    return d1 / balanced.p1, d2 / balanced.p2
+
+
+def _fluctuation(p, cycles: int):
+    """(variance p (1 - p) / cycles, one standard deviation) of a
+    probability p estimated over cycles pulses; p a float or an array,
+    unchecked."""
+    var = p * (1.0 - p) / cycles
+    xp = np if isinstance(var, np.ndarray) else math
+    return var, xp.sqrt(var)
 
 
 def corrected_critical_values(mean_n: float, params: DetectionParams) -> CriticalValues:

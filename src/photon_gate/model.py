@@ -113,20 +113,6 @@ class DetectionParams:
     def eta2(self) -> float:
         return (1.0 - self.delta) * self.eta
 
-    @classmethod
-    def from_channel_efficiencies(
-        cls, eta1: float, eta2: float, gamma: float = 0.0, cycles: int = 1
-    ) -> "DetectionParams":
-        """Build from per-channel efficiencies; requires eta1 >= eta2
-        (relabel the channels otherwise)."""
-        if not 0.0 <= eta2 <= eta1 <= 1.0:
-            raise RangeError(
-                f"need 0 <= eta2 <= eta1 <= 1, got eta1={eta1!r}, eta2={eta2!r}"
-            )
-        eta = 0.5 * (eta1 + eta2)
-        delta = 0.0 if eta == 0.0 else (eta1 - eta2) / (eta1 + eta2)
-        return cls(eta=eta, delta=delta, gamma=gamma, cycles=cycles)
-
 
 @dataclass(frozen=True)
 class PhotonStats:

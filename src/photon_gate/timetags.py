@@ -329,8 +329,10 @@ def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndar
                                   f"{int(records['channel'][first]):#04x} not A/B")
             # a contiguous copy: the fold's per-channel split of it is 5x faster
             timestamps = records["timestamp"].astype(np.int64)
-            if timestamps.min() < 0:
-                raise FormatError(f"{path}: timestamp exceeds the signed 64-bit range")
+            if timestamps.min() < 0:  # a tag >= 2**63 casts below 0
+                first = int(np.flatnonzero(timestamps < 0)[0])
+                raise FormatError(f"{path}: record {start + first}: timestamp "
+                                  f"{int(records['timestamp'][first])} is not below 2**63")
             yield channels, timestamps
 
 

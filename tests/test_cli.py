@@ -562,6 +562,31 @@ def test_bad_cycles_names_the_flag(tmp_path, sim_cfg, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags,message", [
+    ("classify-counts", ["--eta", "2"], "--eta must be in [0, 1], got 2.0"),
+    ("classify-timetags", ["--eta", "2"], "--eta must be in [0, 1], got 2.0"),
+    ("classify-counts", ["--gamma", "-1"], "--gamma must be finite and >= 0, got -1.0"),
+    ("classify-timetags", ["--gamma", "-1"], "--gamma must be finite and >= 0, got -1.0"),
+    ("classify-counts", ["--delta", "1"], "--delta must be in [0, 1), got 1.0"),
+    ("simulate", ["--seed", "-1"], "--seed must be an unsigned 64-bit integer, got -1"),
+    # no one flag is at fault, so none is named
+    ("classify-counts", ["--eta", "1"],
+     "channel efficiency (1 + delta) * eta = 1.3 exceeds 1"),
+])
+def test_bad_value_names_the_flag(tmp_path, sim_cfg, capsys, command, flags, message):
+    tags, block, out = tmp_path / "ok.csv", tmp_path / "run.counts", tmp_path / "o"
+    tags.write_text("channel,timestamp_ns\nA,10\n")
+    write_counts_block(block, ClickCounts(1000, 950, 25, 24, 1), read_sim_config(sim_cfg))
+    argv = {
+        "classify-timetags": ["classify", "--input", str(tags)],
+        "classify-counts": ["classify", "--input", str(block)],
+        "simulate": ["simulate", "--config", str(sim_cfg), "--output", str(out)],
+    }[command]
+    assert main([*argv, *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 class TestRepeatedCalls:
     """main(argv) called again and again in one process, as a batch driver
     or the benchmark calls it."""

@@ -204,12 +204,20 @@ class TestCorrectedCriticalValues:
         assert crit.delta_p1 + crit.delta_p2 == 0.0
 
     def test_statistical_terms(self):
-        params = DetectionParams(eta=0.1, delta=0.0, gamma=0.0, cycles=400)
-        crit = corrected_critical_values(0.1, params)
-        assert crit.stat_p1 == pytest.approx(crit.p1_bound * (1 - crit.p1_bound) / 400, rel=1e-12)
-        assert crit.sigma_p1 == pytest.approx(math.sqrt(crit.stat_p1), rel=1e-12)
-        assert crit.p1_corrected == pytest.approx(crit.p1_bound + crit.stat_p1, abs=1e-15)
-        assert crit.p2_corrected == pytest.approx(crit.p2_bound - crit.stat_p2, abs=1e-15)
+        one_pulse = corrected_critical_values(0.1, DetectionParams(eta=0.1, cycles=1))
+        for mean, cycles in [(0.1, 400), (0.1, 1600), (0.0, 400)]:
+            params = DetectionParams(eta=0.1, delta=0.0, gamma=0.0, cycles=cycles)
+            crit = corrected_critical_values(mean, params)
+            assert crit.stat_p1 == pytest.approx(
+                crit.p1_bound * (1 - crit.p1_bound) / cycles, rel=1e-12)
+            assert crit.sigma_p1 == pytest.approx(math.sqrt(crit.stat_p1), rel=1e-12)
+            assert crit.p1_corrected == pytest.approx(crit.p1_bound + crit.stat_p1, abs=1e-15)
+            assert crit.p2_corrected == pytest.approx(crit.p2_bound - crit.stat_p2, abs=1e-15)
+            if mean:  # the variance falls as 1/M
+                assert crit.stat_p1 == pytest.approx(one_pulse.stat_p1 / cycles, rel=1e-12)
+                assert crit.stat_p2 == pytest.approx(one_pulse.stat_p2 / cycles, rel=1e-12)
+            else:  # no clicks, no spread
+                assert (crit.stat_p1, crit.sigma_p1, crit.stat_p2, crit.sigma_p2) == (0.0,) * 4
 
 
 # (mean_n, boundary_eta, p1_bound, p2_bound, sbr_threshold, p1_corrected,

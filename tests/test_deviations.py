@@ -9,10 +9,8 @@ import pytest
 from photon_gate import (
     DetectionParams,
     EmitterWithBackground,
-    RangeError,
     expected_stats,
     relative_deviations,
-    sampling_fluctuation,
     systematic_deviation,
 )
 
@@ -169,25 +167,4 @@ class TestRelativeDeviations:
     def test_undefined_without_background(self):
         with pytest.raises(ZeroDivisionError):
             relative_deviations(DetectionParams(eta=0.1, delta=0.3, gamma=0.0))
-
-
-class TestSamplingFluctuation:
-    def test_hand_value(self):
-        assert sampling_fluctuation(0.5, 100) == (0.0025, 0.05)
-
-    def test_degenerate_probabilities(self):
-        assert sampling_fluctuation(0.0, 10) == (0.0, 0.0)
-        assert sampling_fluctuation(1.0, 10) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("p", [0.01, 0.3, 0.9])
-    def test_inverse_scaling(self, p):
-        var_m, _ = sampling_fluctuation(p, 1000)
-        var_4m, _ = sampling_fluctuation(p, 4000)
-        assert var_4m == pytest.approx(var_m / 4.0, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(RangeError):
-            sampling_fluctuation(1.2, 100)
-        with pytest.raises(RangeError):
-            sampling_fluctuation(0.5, 0)
 

@@ -43,17 +43,14 @@ class TestDetectionParams:
     @pytest.mark.parametrize("eta", [0.01, 0.1, 0.37, 0.5])
     @pytest.mark.parametrize("delta", [0.0, 0.17, 0.3, 0.9])
     def test_round_trip_channel_efficiencies(self, eta, delta):
+        # the calibration of two measured channel efficiencies e1 >= e2
         p = DetectionParams(eta=eta, delta=delta)
-        q = DetectionParams.from_channel_efficiencies(p.eta1, p.eta2)
+        e1, e2 = p.eta1, p.eta2
+        q = DetectionParams(eta=(e1 + e2) / 2, delta=(e1 - e2) / (e1 + e2))
         assert q.eta == pytest.approx(eta, abs=1e-12)
         assert q.delta == pytest.approx(delta, abs=1e-12)
         assert q.eta1 == pytest.approx(p.eta1, abs=1e-12)
         assert q.eta2 == pytest.approx(p.eta2, abs=1e-12)
-
-    def test_from_channel_efficiencies_degenerate_and_order(self):
-        assert DetectionParams.from_channel_efficiencies(0.0, 0.0).eta == 0.0
-        with pytest.raises(RangeError):
-            DetectionParams.from_channel_efficiencies(0.1, 0.2)  # must relabel
 
 
 class TestPhotonStats:

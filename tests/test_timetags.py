@@ -351,7 +351,18 @@ class TestBinaryFormat:
         body = b"A" + np.uint64(10).tobytes() + b"B" + np.uint64(2**63).tobytes()
         path.write_bytes(np.uint64(2).tobytes() + body)
         with pytest.raises(FormatError, match=re.escape(
-                f"{path}: timestamp exceeds the signed 64-bit range")):
+                f"{path}: record 1: timestamp {2**63} is not below 2**63")):
+            read_all(iter_timetags_binary(path))
+
+    def test_timestamp_beyond_int64_in_a_later_chunk(self, tmp_path, monkeypatch):
+        path = tmp_path / "tags.bin"
+        write_timetags_binary(path, np.zeros(12, dtype=np.uint8), np.arange(12))
+        data = bytearray(path.read_bytes())
+        data[8 + 9 * 9 + 1:8 + 9 * 10] = np.uint64(2**64 - 1).tobytes()  # record 9
+        path.write_bytes(bytes(data))
+        monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: record 9: timestamp {2**64 - 1} is not below 2**63")):
             read_all(iter_timetags_binary(path))
 
     def test_chunks_concatenate_to_the_whole_file(self, tmp_path, monkeypatch):
