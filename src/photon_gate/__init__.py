@@ -13,7 +13,6 @@ from .criterion import (
     sbr_threshold,
     setup_sbr,
     systematic_deviation,
-    uncorrected_bounds,
 )
 from .model import (
     ClickCounts,
@@ -23,7 +22,6 @@ from .model import (
     DetectionParams,
     EmitterWithBackground,
     FormatError,
-    GateError,
     IdealEmitters,
     PhotonStats,
     RangeError,

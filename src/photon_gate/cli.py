@@ -66,7 +66,7 @@ _EXIT_BY_DECISION = {
     Decision.NOT_SINGLE: 1,
     Decision.INDETERMINATE: 3,
 }
-# FormatError, GateError and RangeError are ValueErrors
+# FormatError and RangeError are ValueErrors
 _USER_ERRORS = (OSError, ValueError)
 
 
@@ -143,8 +143,12 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
 
 def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
     counts, config = read_counts_block(args.input)
-    params = replace(config.params, **_calibration_flags(args))
-    return counts, classify(stats_from_counts(counts), params)
+    # the sampling term is over the pulses the block tallies
+    if args.cycles not in (None, counts.n_all):
+        raise RangeError(f"must equal the block's pulse count {counts.n_all}, "
+                         f"got {args.cycles}", "cycles")
+    flags = {**_calibration_flags(args), "cycles": counts.n_all}
+    return counts, classify(stats_from_counts(counts), replace(config.params, **flags))
 
 
 def _calibration_flags(args: argparse.Namespace) -> dict[str, float | int]:
@@ -282,9 +286,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _USER_ERRORS as exc:
         # a RangeError starts with its field; one the user gave is named as the flag
-        field = getattr(exc, "field", None)
-        flag = "--" if field and getattr(args, field, None) is not None else ""
-        print(f"error: {flag}{exc}", file=sys.stderr)
+        field, message = getattr(exc, "field", None), str(exc)
+        if field and getattr(args, field, None) is not None:
+            message = f"--{field.replace('_', '-')}{message[len(field):]}"
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

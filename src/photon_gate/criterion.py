@@ -94,13 +94,6 @@ def boundary_eta(mean_n: float) -> float:
     return _bounds(_checked_mean(mean_n))[0]
 
 
-def uncorrected_bounds(mean_n: float) -> tuple[float, float]:
-    """(p1_bound, p2_bound) of the two-emitter boundary system at the
-    given mean; p1_bound + 2 p2_bound = mean_n."""
-    _, p1_bound, p2_bound = _bounds(_checked_mean(mean_n))
-    return p1_bound, p2_bound
-
-
 def _bounds(mean_n):
     """(eta*, p1_bound, p2_bound) at a float or an array of means in
     [0, 1], unchecked."""

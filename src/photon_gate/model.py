@@ -17,8 +17,9 @@ defined here:
   :class:`Coherent`, each reduced by :func:`photon_plan` to the photons
   every pulse carries plus a Poisson mean.
 
-All types validate on construction and raise :class:`RangeError`,
-:class:`FormatError` or :class:`GateError` naming the offending field.
+All types validate on construction.  A bad value raises
+:class:`RangeError`, naming its field when one alone is at fault; a bad
+record or file raises :class:`FormatError`.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class FormatError(ValueError):
     def __init__(self, message: str, record: int | None = None):
         super().__init__(message)
         self.record = record
-
-
-class GateError(ValueError):
-    """Gate timing configuration is internally inconsistent."""
 
 
 _SUM_TOL = 1e-9

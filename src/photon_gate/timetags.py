@@ -14,8 +14,9 @@ is an assumption of the model, not a checked parameter: a detector
 fires at most once per gate and has recovered by the next one, so
 per-pulse saturation is the complete description.  Integral-valued gate
 timings (of any numeric type) fold in exact int64 arithmetic at every
-timestamp; a non-integral period folds in float64, which is exact only
-below 2**53 ns.
+timestamp; a non-integral period folds in float64, which holds a tag
+only below 2**53 ns, so a later one is refused.  A bad gate timing or
+pulse count raises RangeError, a bad record or file FormatError.
 
 Files are read in chunks (65536 records, or about 1 MiB of CSV) that
 fold_timetags folds in turn, carrying per channel the last timestamp,
@@ -61,7 +62,6 @@ from .model import (
     DetectionParams,
     EmitterWithBackground,
     FormatError,
-    GateError,
     IdealEmitters,
     RangeError,
 )
@@ -77,7 +77,8 @@ _CHANNEL_NAME = ("A", "B")
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Pulse-grid timing in nanoseconds; the gate must fit in the period."""
+    """Pulse-grid timing in nanoseconds; the gate must fit in the period.
+    Integral values below 2**63, of any numeric type, are stored as ints."""
 
     pulse_period_ns: float
     gate_offset_ns: float
@@ -85,45 +86,44 @@ class GateConfig:
 
     def __post_init__(self) -> None:
         period, offset, width = self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns
-        for name, v in (("pulse_period_ns", period), ("gate_offset_ns", offset),
-                        ("gate_width_ns", width)):
+        for name, v in vars(self).items():
             if not (isinstance(v, numbers.Real) and math.isfinite(v)):
-                raise GateError(f"{name} must be a finite real number, got {v!r}")
+                raise RangeError(f"must be a finite real number, got {v!r}", name)
         if period <= 0:
-            raise GateError(f"pulse_period_ns must be positive, got {period!r}")
+            raise RangeError(f"must be positive, got {period!r}", "pulse_period_ns")
         if width <= 0:
-            raise GateError(f"gate_width_ns must be positive, got {width!r}")
+            raise RangeError(f"must be positive, got {width!r}", "gate_width_ns")
         if offset < 0:
-            raise GateError(f"gate_offset_ns must be >= 0, got {offset!r}")
+            raise RangeError(f"must be >= 0, got {offset!r}", "gate_offset_ns")
         if offset + width > period:
-            raise GateError(
+            raise RangeError(
                 f"gate [{offset}, {offset + width}) ns does not fit in the "
                 f"{period} ns pulse period"
             )
+        for name, v in vars(self).items():  # replacing a value, not a key
+            if float(v).is_integer() and v < 2**63:
+                object.__setattr__(self, name, int(v))
 
     def fold(self, timestamps) -> tuple[np.ndarray, np.ndarray]:
-        """Pulse index floor(t / pulse_period) of each timestamp, and
-        whether its position in the period lies inside the gate.
+        """Pulse index floor(t / pulse_period) of each sorted timestamp,
+        and whether its position in the period lies inside the gate.
 
-        Integral-valued timings, whatever their Python type, fold in
-        exact int64 arithmetic; a non-integral period folds in float64,
-        which is exact only below 2**53 ns.
+        An integral period folds in exact int64 arithmetic.  A non-integral
+        one folds in float64: a timestamp at or above 2**53 ns is refused
+        with a FormatError, and the fold is exact only below 2**(53 - k) ns
+        for a period of k binary fraction digits (12.5: k = 1).
         """
         t = np.asarray(timestamps, dtype=np.int64)
-        period, offset, width = (
-            _integral(v) for v in (self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns)
-        )
+        period, offset, width = self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns
         if isinstance(period, int):
             pulse = t // period
+        elif t.size and t.flat[-1] >= 2**53:
+            raise FormatError(f"timestamp {t[t >= 2**53].flat[0]} is not below 2**53, "
+                              f"beyond which float64 cannot fold the {period} ns period")
         else:
             pulse = np.floor(t / period).astype(np.int64)
         position = t - pulse * period
         return pulse, (position >= offset) & (position < offset + width)
-
-
-def _integral(v: float) -> float:
-    """v as an int when it is integral-valued and fits int64."""
-    return int(v) if float(v).is_integer() and abs(v) < 2**63 else v
 
 
 # ---------------------------------------------------------------- CSV --
@@ -351,9 +351,9 @@ def fold_timetags(
     count is one past the last record's pulse (0 for no records)."""
     if n_pulses is not None:
         if n_pulses < 1:
-            raise FormatError(f"n_pulses must be >= 1, got {n_pulses!r}")
+            raise RangeError(f"must be >= 1, got {n_pulses!r}", "n_pulses")
         if not float(n_pulses).is_integer():
-            raise FormatError(f"n_pulses must be an integer, got {n_pulses!r}")
+            raise RangeError(f"must be an integer, got {n_pulses!r}", "n_pulses")
     # per channel: last timestamp, last kept pulse, kept count, and kept
     # pulses that a later pulse of the other channel may still match, as
     # sorted nonempty pieces joined only once the other channel reaches them
@@ -364,9 +364,12 @@ def fold_timetags(
         for code, t in enumerate(_checked_records("", channels, timestamps, last_t, records)):
             if t.size == 0:
                 continue
-            records += t.size
             last_t[code] = t[-1]
-            pulse, in_gate = gate.fold(t)
+            try:
+                pulse, in_gate = gate.fold(t)
+            except FormatError as exc:  # numbered as the channel's tag it names
+                i = records + int(np.flatnonzero(np.equal(channels, code))[t.searchsorted(2**53)])
+                raise FormatError(f"record {i}: {exc}", i) from None
             top = max(top, int(pulse[-1]))
             if n_pulses is not None and pulse[-1] >= n_pulses:
                 beyond = pulse >= n_pulses
@@ -387,6 +390,7 @@ def fold_timetags(
             merged = np.concatenate(done)
             merged.sort(kind="stable")
             n_11 += int(np.count_nonzero(merged[1:] == merged[:-1]))
+        records += len(timestamps)
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
     n_all = top + 1 if n_pulses is None else n_pulses

@@ -26,7 +26,8 @@ from itertools import product
 
 import numpy as np
 
-from photon_gate import DetectionParams, PhotonStats, RangeError, uncorrected_bounds
+from photon_gate import DetectionParams, PhotonStats, RangeError
+from photon_gate.criterion import _bounds
 
 _TAIL_LIMIT = 1e-12
 
@@ -328,7 +329,7 @@ def sbr_threshold_bisection(mean_n: float, steps: int = 200) -> float:
     (b/2)(mean_n - b/2) grows monotonically in b there, and the
     threshold is s / b with s = (mean_n - b) / (1 - b/2) where it
     reaches p2_bound."""
-    _, p2_bound = uncorrected_bounds(mean_n)
+    _, _, p2_bound = _bounds(mean_n)
 
     def excess(b: float) -> float:
         return (b / 2.0) * (mean_n - b / 2.0) - p2_bound

@@ -4,6 +4,7 @@ import argparse
 import math
 import tracemalloc
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,13 @@ from photon_gate import (
     simulate_pulses,
     stats_from_counts,
     systematic_deviation,
-    uncorrected_bounds,
     write_counts_block,
     write_timetags_binary,
     write_timetags_csv,
 )
 from photon_gate import cli
 from photon_gate.cli import _fmt, main
+from photon_gate.criterion import _bounds
 from photon_gate.timetags import GateConfig
 
 EXIT_BY_DECISION = {
@@ -72,7 +73,7 @@ def assert_report_shows(out, counts, verdict):
     if k is not None:  # decided or SBR-gated
         d1, d2 = systematic_deviation(verdict.params)
         assert (k.delta_p1, k.delta_p2) == (d1, d2)
-        p1_bound, _ = uncorrected_bounds(stats_from_counts(counts).mean_n)
+        _, p1_bound, _ = _bounds(stats_from_counts(counts).mean_n)
         assert k.p1_corrected == (
             p1_bound - d1 + p1_bound * (1.0 - p1_bound) / verdict.params.cycles
         )
@@ -168,8 +169,25 @@ class TestClassifyCountsBlock:
         })
         verdict = classify(stats_from_counts(counts), override)
         rc = main(["classify", "--input", str(out), f"--{field}", str(value)])
+        if field == "cycles":  # a block is classified over its own pulses only
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "error: --cycles must equal the block's pulse count 150000, got 100000\n")
+            return
         assert rc == EXIT_BY_DECISION[verdict.decision]
         assert_report_shows(capsys.readouterr().out, counts, verdict)
+
+    def test_block_is_classified_over_its_own_pulses(self, tmp_path, sim_cfg, capsys):
+        # the echoed config says 150000 pulses, the tallies 1000
+        block = tmp_path / "run.counts"
+        counts = ClickCounts(1000, 950, 25, 24, 1)
+        config = read_sim_config(sim_cfg)
+        write_counts_block(block, counts, config)
+        verdict = classify(stats_from_counts(counts), replace(config.params, cycles=1000))
+        for flags in ([], ["--cycles", "1000"]):
+            assert main(["classify", "--input", str(block), *flags]) == (
+                EXIT_BY_DECISION[verdict.decision])
+            assert_report_shows(capsys.readouterr().out, counts, verdict)
 
     def test_non_ascii_line_is_numbered(self, tmp_path, sim_cfg, capsys):
         # a non-ASCII byte after the magic line must not route the block to
@@ -380,6 +398,15 @@ class TestClassifyTimetags:
         assert f"pulses             {k}\n" in out
         assert f"n00={k - 1} n10=0 n01=1 n11=0" in out
 
+    def test_fractional_period_refuses_tags_from_2_53(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(f"channel,timestamp_ns\nA,10\nB,{2**53}\n")
+        assert main(["classify", "--input", str(path), "--pulse-period-ns", "12.5",
+                     "--gate-width-ns", "5"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: record 1: timestamp {2**53} is not "
+                                       "below 2**53, beyond which float64 cannot fold the "
+                                       "12.5 ns period\n")
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["classify", "--input", str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -572,6 +599,9 @@ def test_bad_cycles_names_the_flag(tmp_path, sim_cfg, capsys, command):
     # no one flag is at fault, so none is named
     ("classify-counts", ["--eta", "1"],
      "channel efficiency (1 + delta) * eta = 1.3 exceeds 1"),
+    ("classify-timetags", ["--pulse-period-ns", "0"], "--pulse-period-ns must be positive, got 0.0"),
+    ("classify-timetags", ["--gate-offset-ns", "-1"], "--gate-offset-ns must be >= 0, got -1.0"),
+    ("classify-timetags", ["--gate-width-ns", "-1"], "--gate-width-ns must be positive, got -1.0"),
 ])
 def test_bad_value_names_the_flag(tmp_path, sim_cfg, capsys, command, flags, message):
     tags, block, out = tmp_path / "ok.csv", tmp_path / "run.counts", tmp_path / "o"

@@ -24,8 +24,8 @@ from photon_gate import (
     setup_sbr,
     simulate_pulses,
     stats_from_counts,
-    uncorrected_bounds,
 )
+from photon_gate.criterion import _bounds
 
 from _oracles import (
     double_molecule_stats,
@@ -70,11 +70,11 @@ class TestBoundary:
 
     @pytest.mark.parametrize("mean", MEANS)
     def test_bounds_complementarity_exact(self, mean):
-        p1b, p2b = uncorrected_bounds(mean)
+        _, p1b, p2b = _bounds(mean)
         assert p1b + 2.0 * p2b == pytest.approx(mean, abs=1e-15)
 
     def test_bounds_frozen_values(self):
-        p1b, p2b = uncorrected_bounds(0.0465)
+        _, p1b, p2b = _bounds(0.0465)
         assert p1b == pytest.approx(0.0459530606334469, abs=1e-12)
         assert p2b == pytest.approx(0.0002734696832765488, abs=1e-12)
 
@@ -86,14 +86,14 @@ class TestBoundary:
     def test_multi_emitter_systems_respect_bounds(self, s, eta):
         st = ideal_stats(s, eta)
         assert st.mean_n <= 1.0  # combos chosen inside the criterion domain
-        p1b, p2b = uncorrected_bounds(st.mean_n)
+        _, p1b, p2b = _bounds(st.mean_n)
         assert st.p1 <= p1b + 1e-12
         assert st.p2 >= p2b - 1e-12
 
     @pytest.mark.parametrize("eta", [0.05, 0.2, 0.4, 0.585])
     def test_single_emitter_exceeds_bound(self, eta):
         st = ideal_stats(1, eta)
-        p1b, _ = uncorrected_bounds(st.mean_n)
+        _, p1b, _ = _bounds(st.mean_n)
         assert st.p1 > p1b
 
 
@@ -110,7 +110,7 @@ class TestSbrThreshold:
     def test_against_closed_form_root(self, mean):
         # the textbook root b = mean - sqrt(mean^2 - 4 p2_bound), which
         # sbr_threshold rewrites without cancellation
-        _, p2b = uncorrected_bounds(mean)
+        _, _, p2b = _bounds(mean)
         b = mean - math.sqrt(mean * mean - 4.0 * p2b)
         s = (mean - b) / (1.0 - b / 2.0)
         assert sbr_threshold(mean) == pytest.approx(s / b, rel=1e-10)
@@ -129,7 +129,7 @@ class TestSbrThreshold:
         ratio = sbr_threshold(mean)
         b = (ratio + 1.0 - math.sqrt((ratio + 1.0) ** 2 - 2.0 * ratio * mean)) / ratio
         st = stats_from_sb(ratio * b, b)
-        _, p2b = uncorrected_bounds(mean)
+        _, _, p2b = _bounds(mean)
         assert st.mean_n == pytest.approx(mean, rel=1e-12)
         assert st.p2 == pytest.approx(p2b, rel=1e-9)
 
@@ -247,7 +247,7 @@ def test_scalar_closed_forms_return_floats(row):
     out, within 1 ulp of the value frozen above."""
     mean, *frozen = row
     crit = corrected_critical_values(mean, SCALAR_PARAMS)
-    got = [boundary_eta(mean), *uncorrected_bounds(mean), sbr_threshold(mean),
+    got = [boundary_eta(mean), crit.p1_bound, crit.p2_bound, sbr_threshold(mean),
            crit.p1_corrected, crit.p2_corrected]
     assert all(type(v) is float for v in [*got, *vars(crit).values()])
     for value, want in zip(got, frozen):

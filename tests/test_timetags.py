@@ -14,8 +14,8 @@ from photon_gate import (
     EmitterWithBackground,
     FormatError,
     GateConfig,
-    GateError,
     IdealEmitters,
+    RangeError,
     SimConfig,
     counts_from_click_arrays,
     fold_timetags,
@@ -49,25 +49,37 @@ def chunked(channels, timestamps, size):
             for i in range(0, len(timestamps), size)]
 
 
+# GateConfig keywords, and the field at fault (None: the gate does not fit)
+BAD_TIMINGS = [
+    (dict(pulse_period_ns=0, gate_offset_ns=0, gate_width_ns=1), "pulse_period_ns"),
+    (dict(pulse_period_ns=-5, gate_offset_ns=0, gate_width_ns=1), "pulse_period_ns"),
+    (dict(pulse_period_ns=500, gate_offset_ns=-1, gate_width_ns=100), "gate_offset_ns"),
+    (dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=0), "gate_width_ns"),
+    (dict(pulse_period_ns=500, gate_offset_ns=450, gate_width_ns=100), None),
+    (dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=-100), "gate_width_ns"),
+    (dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=501), None),
+    (dict(pulse_period_ns=math.inf, gate_offset_ns=0, gate_width_ns=1), "pulse_period_ns"),
+    (dict(pulse_period_ns=500, gate_offset_ns=math.nan, gate_width_ns=1), "gate_offset_ns"),
+    (dict(pulse_period_ns="500", gate_offset_ns=0, gate_width_ns=100), "pulse_period_ns"),
+]
+
+
 class TestGateConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(pulse_period_ns=0, gate_offset_ns=0, gate_width_ns=1),
-            dict(pulse_period_ns=-5, gate_offset_ns=0, gate_width_ns=1),
-            dict(pulse_period_ns=500, gate_offset_ns=-1, gate_width_ns=100),
-            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=0),
-            dict(pulse_period_ns=500, gate_offset_ns=450, gate_width_ns=100),
-            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=-100),
-            dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=501),
-            dict(pulse_period_ns=math.inf, gate_offset_ns=0, gate_width_ns=1),
-            dict(pulse_period_ns=500, gate_offset_ns=math.nan, gate_width_ns=1),
-            dict(pulse_period_ns="500", gate_offset_ns=0, gate_width_ns=100),
-        ],
-    )
-    def test_rejects_bad_timing(self, kwargs):
-        with pytest.raises(GateError):
+    @pytest.mark.parametrize("kwargs,field", BAD_TIMINGS,
+                             ids=[f"kwargs{i}" for i in range(len(BAD_TIMINGS))])
+    def test_rejects_bad_timing(self, kwargs, field):
+        with pytest.raises(RangeError) as exc:
             GateConfig(**kwargs)
+        assert exc.value.field == field
+        assert str(exc.value).startswith(field or "gate [")
+
+    def test_integral_float_timings_are_stored_as_ints(self):
+        gate = GateConfig(500.0, 0.0, 100.0)
+        assert [type(v) for v in vars(gate).values()] == [int, int, int]
+        assert gate == GATE
+        timestamps = np.array([0, 99, 100, 499, 500, 1_760_000_000_000_000_099])
+        for got, want in zip(gate.fold(timestamps), GATE.fold(timestamps)):
+            assert np.array_equal(got, want)
 
 
 class TestCsvFormat:
@@ -446,7 +458,7 @@ class TestIngest:
     def test_validation_errors(self):
         ch = np.array([0], dtype=np.uint8)
         ts = np.array([10], dtype=np.int64)
-        with pytest.raises(FormatError):
+        with pytest.raises(RangeError, match="^n_pulses must be >= 1, got 0$"):
             fold_timetags([(ch, ts)], GATE, 0)
         with pytest.raises(FormatError):
             fold_timetags([(ch, np.array([10, 20]))], GATE, 1)
@@ -487,9 +499,26 @@ class TestIngest:
     @pytest.mark.parametrize("n_pulses", [2.5, math.nan, math.inf])
     def test_non_integral_pulse_count_is_named(self, n_pulses):
         ch, ts = np.array([0], dtype=np.uint8), np.array([10])
-        with pytest.raises(FormatError, match=re.escape(
-                f"n_pulses must be an integer, got {n_pulses!r}")):
+        with pytest.raises(RangeError, match=re.escape(
+                f"n_pulses must be an integer, got {n_pulses!r}")) as exc:
             fold_timetags([(ch, ts)], GATE, n_pulses)
+        assert exc.value.field == "n_pulses"
+
+    @pytest.mark.parametrize("chunks,record", [
+        ([([0, 1, 1], [10, 20, 2**53 + 2])], 2),
+        # 2**53 - 1 still folds
+        ([([0, 1], [10, 2**53 - 1]), ([1, 0, 0], [2**53 - 1, 30, 2**53])], 4),
+    ], ids=("first-chunk", "later-chunk"))
+    def test_fractional_period_refuses_tags_from_2_53(self, chunks, record):
+        # float64 misfolds such tags: of 1000 tags 2 ns into even 12.5 ns pulses
+        # near 6.8e16 ns, it would put a quarter out of the gate [0, 5)
+        chunks = [(np.array(ch, dtype=np.uint8), np.array(ts)) for ch, ts in chunks]
+        t = int(np.concatenate([ts for _, ts in chunks])[record])
+        message = (f"record {record}: timestamp {t} is not below 2**53, "
+                   "beyond which float64 cannot fold the 12.5 ns period")
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as exc:
+            fold_timetags(chunks, GateConfig(12.5, 0, 5), 2**50)
+        assert exc.value.record == record
 
     @staticmethod
     def oracle_case(seed):
