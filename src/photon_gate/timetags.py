@@ -12,11 +12,12 @@ click (the detector saturates).  The timing contract
 
 is an assumption of the model, not a checked parameter: a detector
 fires at most once per gate and has recovered by the next one, so
-per-pulse saturation is the complete description.  Integral-valued gate
-timings (of any numeric type) fold in exact int64 arithmetic at every
-timestamp; a non-integral period folds in float64, which holds a tag
-only below 2**53 ns, so a later one is refused.  A bad gate timing or
-pulse count raises RangeError, a bad record or file FormatError.
+per-pulse saturation is the complete description.  Gate timings are
+exact rationals (a float is the decimal it prints as: 12.3 is 123/10),
+and the fold is exact int64 arithmetic for every tag below 2**63 ns; a
+period below 1 ns, or too long for int64 on the timings' common grid, is
+refused.  A bad gate timing or pulse count raises RangeError, a bad
+record or file FormatError.
 
 Files are read in chunks (65536 records, or about 1 MiB of CSV) that
 fold_timetags folds in turn, carrying per channel the last timestamp,
@@ -77,52 +78,55 @@ _CHANNEL_NAME = ("A", "B")
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Pulse-grid timing in nanoseconds; the gate must fit in the period.
-    Integral values below 2**63, of any numeric type, are stored as ints."""
+    """Pulse-grid timing in ns, the gate inside the period.  Each timing is
+    stored exactly, as an int when whole, else a Fraction: a float is the
+    decimal str prints for it, and Fraction(250, 19) is a 76 MHz period."""
 
-    pulse_period_ns: float
-    gate_offset_ns: float
-    gate_width_ns: float
+    pulse_period_ns: numbers.Rational
+    gate_offset_ns: numbers.Rational
+    gate_width_ns: numbers.Rational
 
     def __post_init__(self) -> None:
-        period, offset, width = self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns
-        for name, v in vars(self).items():
-            if not (isinstance(v, numbers.Real) and math.isfinite(v)):
+        period, offset, width = given = tuple(vars(self).values())
+        for name, v in zip(vars(self), given):  # replacing a value, not a key
+            if isinstance(v, numbers.Rational):
+                n, d = int(v.numerator), int(v.denominator)
+            elif isinstance(v, numbers.Real) and math.isfinite(v):
+                digits, _, exp = str(float(v)).partition("e")
+                (whole, _, frac), e = digits.partition("."), int(exp or 0)
+                n, d = int(whole + frac) * 10**max(e, 0), 10**(len(frac) - min(e, 0))
+            else:
                 raise RangeError(f"must be a finite real number, got {v!r}", name)
-        if period <= 0:
-            raise RangeError(f"must be positive, got {period!r}", "pulse_period_ns")
-        if width <= 0:
+            if n % d:  # only a fractional timing pays for importing fractions
+                from fractions import Fraction
+            object.__setattr__(self, name, Fraction(n, d) if n % d else n // d)
+        scale, p, o, w = self._grid()
+        if not scale <= p or p * scale >= 2**63:  # so fold's int64 products cannot overflow
+            limit = "positive" if p <= 0 else f"in [1, 2**63 / {scale**2}) ns"
+            raise RangeError(f"must be {limit}, got {period!r}", "pulse_period_ns")
+        if w <= 0:
             raise RangeError(f"must be positive, got {width!r}", "gate_width_ns")
-        if offset < 0:
+        if o < 0:
             raise RangeError(f"must be >= 0, got {offset!r}", "gate_offset_ns")
-        if offset + width > period:
-            raise RangeError(
-                f"gate [{offset}, {offset + width}) ns does not fit in the "
-                f"{period} ns pulse period"
-            )
-        for name, v in vars(self).items():  # replacing a value, not a key
-            if float(v).is_integer() and v < 2**63:
-                object.__setattr__(self, name, int(v))
+        if o + w > p:
+            raise RangeError(f"gate [{offset}, {offset + width}) ns does not fit in {period} ns")
+
+    def _grid(self) -> tuple[int, int, int, int]:
+        """The lcm scale of the timings' denominators, then each in steps of 1/scale ns."""
+        scale = math.lcm(*(v.denominator for v in vars(self).values()))
+        return scale, *(int(v * scale) for v in vars(self).values())
 
     def fold(self, timestamps) -> tuple[np.ndarray, np.ndarray]:
-        """Pulse index floor(t / pulse_period) of each sorted timestamp,
-        and whether its position in the period lies inside the gate.
-
-        An integral period folds in exact int64 arithmetic.  A non-integral
-        one folds in float64: a timestamp at or above 2**53 ns is refused
-        with a FormatError, and the fold is exact only below 2**(53 - k) ns
-        for a period of k binary fraction digits (12.5: k = 1).
-        """
+        """Pulse index floor(t / pulse_period) of each timestamp t, and whether
+        t lies in its pulse's gate, exact in int64 for t in [0, 2**63): on a grid of
+        1/scale ns, t = a*P + b is in pulse a*scale + b*scale // P, which is <= t."""
         t = np.asarray(timestamps, dtype=np.int64)
-        period, offset, width = self.pulse_period_ns, self.gate_offset_ns, self.gate_width_ns
-        if isinstance(period, int):
-            pulse = t // period
-        elif t.size and t.flat[-1] >= 2**53:
-            raise FormatError(f"timestamp {t[t >= 2**53].flat[0]} is not below 2**53, "
-                              f"beyond which float64 cannot fold the {period} ns period")
-        else:
-            pulse = np.floor(t / period).astype(np.int64)
+        scale, period, offset, width = self._grid()
+        pulse = t // period
         position = t - pulse * period
+        if scale > 1:
+            extra, position = np.divmod(position * scale, period)  # below P * scale
+            pulse = pulse * scale + extra
         return pulse, (position >= offset) & (position < offset + width)
 
 
@@ -365,11 +369,7 @@ def fold_timetags(
             if t.size == 0:
                 continue
             last_t[code] = t[-1]
-            try:
-                pulse, in_gate = gate.fold(t)
-            except FormatError as exc:  # numbered as the channel's tag it names
-                i = records + int(np.flatnonzero(np.equal(channels, code))[t.searchsorted(2**53)])
-                raise FormatError(f"record {i}: {exc}", i) from None
+            pulse, in_gate = gate.fold(t)
             top = max(top, int(pulse[-1]))
             if n_pulses is not None and pulse[-1] >= n_pulses:
                 beyond = pulse >= n_pulses

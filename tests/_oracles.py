@@ -275,8 +275,10 @@ def ingest_oracle(
     rational arithmetic: tag t lies in pulse k = floor(t / period) at
     position t - k * period, and is kept when that position is in
     [offset, offset + width) and k < n_pulses.  Each channel's kept
-    pulses form a set, so repeats within one pulse count once."""
-    period, offset, width = Fraction(period), Fraction(offset), Fraction(width)
+    pulses form a set, so repeats within one pulse count once.  A float
+    timing is the decimal it prints as, as GateConfig reads it."""
+    period, offset, width = (Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+                             for x in (period, offset, width))
     fired = (set(), set())
     for ch, t in zip(channels, timestamps):
         k = math.floor(Fraction(int(t)) / period)

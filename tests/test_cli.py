@@ -398,14 +398,18 @@ class TestClassifyTimetags:
         assert f"pulses             {k}\n" in out
         assert f"n00={k - 1} n10=0 n01=1 n11=0" in out
 
-    def test_fractional_period_refuses_tags_from_2_53(self, tmp_path, capsys):
+    def test_fractional_period_folds_epoch_tags(self, tmp_path, capsys):
+        # 12.5 ns pulses from k = 1.408e17: A 3 ns into pulse k, B 0.5 ns into k + 1
+        k = 1_760_000_000_000_000_000 * 2 // 25
         path = tmp_path / "t.csv"
-        path.write_text(f"channel,timestamp_ns\nA,10\nB,{2**53}\n")
-        assert main(["classify", "--input", str(path), "--pulse-period-ns", "12.5",
-                     "--gate-width-ns", "5"]) == 2
-        assert capsys.readouterr() == ("", f"error: {path}: record 1: timestamp {2**53} is not "
-                                       "below 2**53, beyond which float64 cannot fold the "
-                                       "12.5 ns period\n")
+        path.write_text(f"channel,timestamp_ns\nA,{25 * k // 2 + 3}\nB,{25 * k // 2 + 13}\n")
+        expected = classify_counts(ClickCounts(k + 2, k, 1, 1, 0))
+        rc = main(["classify", "--input", str(path), "--pulse-period-ns", "12.5",
+                   "--gate-width-ns", "5"])
+        assert rc == EXIT_BY_DECISION[expected.decision]
+        out = capsys.readouterr().out
+        assert f"pulses             {k + 2}\n" in out
+        assert f"pattern counts     n00={k} n10=1 n01=1 n11=0\n" in out
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["classify", "--input", str(tmp_path / "nope.csv")]) == 2

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +62,15 @@ BAD_TIMINGS = [
     (dict(pulse_period_ns=math.inf, gate_offset_ns=0, gate_width_ns=1), "pulse_period_ns"),
     (dict(pulse_period_ns=500, gate_offset_ns=math.nan, gate_width_ns=1), "gate_offset_ns"),
     (dict(pulse_period_ns="500", gate_offset_ns=0, gate_width_ns=100), "pulse_period_ns"),
+    (dict(pulse_period_ns=10**400, gate_offset_ns=0, gate_width_ns=5), "pulse_period_ns"),
+    (dict(pulse_period_ns=2**63, gate_offset_ns=0, gate_width_ns=5), "pulse_period_ns"),
+    # below 1 ns a pulse index can pass 2**63
+    (dict(pulse_period_ns=0.5, gate_offset_ns=0, gate_width_ns=0.25), "pulse_period_ns"),
+    # 2**62 + 1 steps of 1/2 ns, times 2, reach 2**63
+    (dict(pulse_period_ns=Fraction(2**62 + 1, 2), gate_offset_ns=0, gate_width_ns=1),
+     "pulse_period_ns"),
+    # the width puts the period on a 1e-10 ns grid: 1.23e11 steps, times 1e10
+    (dict(pulse_period_ns=12.3, gate_offset_ns=0, gate_width_ns=1e-10), "pulse_period_ns"),
 ]
 
 
@@ -80,6 +90,26 @@ class TestGateConfig:
         timestamps = np.array([0, 99, 100, 499, 500, 1_760_000_000_000_000_099])
         for got, want in zip(gate.fold(timestamps), GATE.fold(timestamps)):
             assert np.array_equal(got, want)
+
+    def test_timings_are_exact_rationals(self):
+        # a float is the decimal it prints as; an int or Fraction is taken as given
+        gate = GateConfig(12.3, 2.5, 4.1)
+        assert vars(gate) == dict(pulse_period_ns=Fraction(123, 10), gate_offset_ns=Fraction(5, 2),
+                                  gate_width_ns=Fraction(41, 10))
+        assert GateConfig(12.5, 0.0, 5.0) == GateConfig(Fraction(25, 2), 0, 5)
+        assert GateConfig(1.76e18, 0, 5).pulse_period_ns == 1_760_000_000_000_000_000
+        assert GateConfig(12.5, 1e-05, 5).gate_offset_ns == Fraction(1, 100_000)
+        assert vars(GateConfig(Fraction(250, 19), Fraction(4, 2), 5))["gate_offset_ns"] == 2
+
+    def test_fold_is_exact_at_the_grid_limit(self):
+        # 2**62 - 1 steps of 1/2 ns: the largest period the 1/2 ns grid takes
+        gate = GateConfig(Fraction(2**62 - 1, 2), 0, Fraction(1, 2))
+        timestamps = [0, 2**62 - 1, 2**62, 2**63 - 2, 2**63 - 1]
+        pulse, in_gate = gate.fold(np.array(timestamps))
+        period = gate.pulse_period_ns
+        assert pulse.tolist() == [math.floor(t / period) for t in timestamps] == [0, 2, 2, 4, 4]
+        assert in_gate.tolist() == [t - k * period < Fraction(1, 2)
+                                    for t, k in zip(timestamps, pulse.tolist())]
 
 
 class TestCsvFormat:
@@ -504,44 +534,52 @@ class TestIngest:
             fold_timetags([(ch, ts)], GATE, n_pulses)
         assert exc.value.field == "n_pulses"
 
-    @pytest.mark.parametrize("chunks,record", [
-        ([([0, 1, 1], [10, 20, 2**53 + 2])], 2),
-        # 2**53 - 1 still folds
-        ([([0, 1], [10, 2**53 - 1]), ([1, 0, 0], [2**53 - 1, 30, 2**53])], 4),
-    ], ids=("first-chunk", "later-chunk"))
-    def test_fractional_period_refuses_tags_from_2_53(self, chunks, record):
-        # float64 misfolds such tags: of 1000 tags 2 ns into even 12.5 ns pulses
-        # near 6.8e16 ns, it would put a quarter out of the gate [0, 5)
+    @pytest.mark.parametrize("chunks,expected", [
+        # 2**53 - 1 and 2**53 lie 3.5 and 4.5 ns into one 12.5 ns pulse, 2**53 + 2 past its gate
+        ([([0, 1, 1], [10, 2**53 - 1, 2**53 + 2])], (0, 1, 0)),
+        ([([0, 1], [2, 2**53 - 1]), ([1, 0, 0], [2**53, 30, 2**53])], (1, 0, 1)),
+        # Unix-epoch tags 3 ns into a pulse, 12 ns into it (out of the gate), 0.5 ns into the next
+        ([([0, 1], [1_760_000_000_000_000_003, 1_760_000_000_000_000_012]),
+          ([1], [1_760_000_000_000_000_013])], (1, 1, 0)),
+    ], ids=("first-chunk", "later-chunk", "unix-epoch"))
+    def test_fractional_period_folds_tags_from_2_53(self, chunks, expected):
         chunks = [(np.array(ch, dtype=np.uint8), np.array(ts)) for ch, ts in chunks]
-        t = int(np.concatenate([ts for _, ts in chunks])[record])
-        message = (f"record {record}: timestamp {t} is not below 2**53, "
-                   "beyond which float64 cannot fold the 12.5 ns period")
-        with pytest.raises(FormatError, match=f"^{re.escape(message)}$") as exc:
-            fold_timetags(chunks, GateConfig(12.5, 0, 5), 2**50)
-        assert exc.value.record == record
+        counts = fold_timetags(chunks, GateConfig(12.5, 0, 5), 2**60)
+        assert (counts.n_10, counts.n_01, counts.n_11) == expected
+        assert (counts.n_00, *expected) == ingest_oracle(*read_all(chunks), 12.5, 0, 5, 2**60)
+
+    def test_fractional_period_folds_pulse_starts(self):
+        # t = 123 m ns starts pulse 10 m of 12.3 ns; float64 put 9 418 of
+        # these out of the gate [0, 1) and 4 095 in a wrong pulse
+        m = np.arange(1, 100_001)
+        pulse, in_gate = GateConfig(12.3, 0, 1).fold(123 * m)
+        assert in_gate.all()
+        assert np.array_equal(pulse, 10 * m)
 
     @staticmethod
     def oracle_case(seed):
         """A seeded random stream, its gate and pulse count, and the
         per-tag oracle's (n_00, n_10, n_01, n_11)."""
         rng = np.random.default_rng(seed)
-        # int and float integral periods, then dyadic ones that float64
-        # folds exactly at these magnitudes
+        # int and float integral periods, dyadic and decimal fractional
+        # ones, and a 76 MHz period given as a Fraction
         period, offset, width = [(500, 0, 100), (500.0, 20.0, 100.0), (80, 10, 20),
-                                 (12.5, 2.5, 4.25), (333.75, 100.5, 60.0)][seed % 5]
+                                 (12.5, 2.5, 4.25), (333.75, 100.5, 60.0), (12.3, 2.5, 4.1),
+                                 (Fraction(250, 19), Fraction(3, 7), 5)][seed % 7]
         gate = GateConfig(period, offset, width)
         n_pulses = int(rng.integers(1, 40))
+        exact = Fraction(str(period))
         base = 0
-        if float(period).is_integer() and seed % 2:
-            base = 1_760_000_000_000_000_000 // int(period)  # Unix epoch in ns
+        if seed % 2:  # a pulse that starts at a whole ns near the Unix epoch in ns
+            base = 1_760_000_000_000_000_000 // exact.numerator * exact.denominator
         streams = []
         for _ in range(2):
             n = 0 if rng.random() < 0.15 else int(rng.integers(1, 120))
             # few distinct pulses, so several tags share one; some beyond n_pulses
             pulse = rng.integers(0, n_pulses + 3, n)
             position = rng.integers(0, math.ceil(period), n)
-            streams.append(np.sort(base * int(period) + np.floor(pulse * period).astype(np.int64)
-                                   + position))
+            streams.append(np.sort(int(base * exact) + position
+                                   + np.floor(pulse * float(period)).astype(np.int64)))
         # interleave the channels in a random order that keeps each sorted
         channels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.uint8),
                                              [streams[0].size, streams[1].size]))
