@@ -96,12 +96,19 @@ def sbr_from_stats(stats: PhotonStats) -> float | None:
     Valid only in the weak-background regime: None when the
     applicability precondition P(1) >= 2 sqrt(P(2)) - 3 P(2) fails.
     Returns math.inf when no two-click probability is present at all.
+    criterion.classify_counts estimates it from its tallies' p1 and p2
+    through the same text, _measured_sbr, once per verdict.
     """
-    if stats.p1 < 2.0 * math.sqrt(stats.p2) - 3.0 * stats.p2:
+    return _measured_sbr(stats.p1, stats.p2)
+
+
+def _measured_sbr(p1: float, p2: float) -> float | None:
+    """sbr_from_stats of the one- and two-click probabilities p1, p2."""
+    if p1 < 2.0 * math.sqrt(p2) - 3.0 * p2:
         return None
-    if stats.p2 == 0.0:
+    if p2 == 0.0:
         return math.inf
-    return stats.p1 * stats.p1 / (2.0 * stats.p2)
+    return p1 * p1 / (2.0 * p2)
 
 
 def g2_zero_estimate(counts: ClickCounts) -> float | None:

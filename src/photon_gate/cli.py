@@ -33,7 +33,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analytic import g2_zero_estimate
-from .criterion import _critical_values, _sbr_threshold, classify, classify_counts
+from .criterion import _bounds, _critical_values, _sbr_threshold, classify, classify_counts
 from .model import (
     ClickCounts,
     Decision,
@@ -166,6 +166,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return _EXIT_BY_DECISION[verdict.decision]
 
 
+def _ns(text: str):
+    """A gate flag in ns: a ratio n/d as an exact Fraction, other text as a float."""
+    try:
+        if "/" not in text:
+            return float(text)
+        from fractions import Fraction  # only a ratio pays for the import
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # Fraction("1/0") raises the latter
+        raise argparse.ArgumentTypeError(f"invalid float or ratio value: {text!r}") from None
+
+
 def _linspace(args: argparse.Namespace) -> np.ndarray:
     if args.points < 0:
         raise RangeError(f"--points must be >= 0, got {args.points}")
@@ -184,7 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if grid.size and args.stop > 1.0:
             raise RangeError(f"--stop {args.stop} exceeds 1, the largest mean click number")
         header = "mean_n,sbr0"
-        columns = (grid, _sbr_threshold(grid))
+        columns = (grid, _sbr_threshold(grid, _bounds(grid)[2]))
     else:
         if grid.size and args.start < 0.0:
             raise RangeError(f"--start must be >= 0 (a detection efficiency), got {args.start}")
@@ -202,7 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 raise RangeError(f"--delta {args.delta} at --stop {args.stop}: {exc}") from None
         header = "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical"
         mean_n = 2.0 * grid - 0.5 * grid * grid
-        crit = _critical_values(mean_n, grid, args.delta, args.gamma, args.cycles)
+        crit = _critical_values(_bounds(mean_n), grid, args.delta, args.gamma, args.cycles)
         columns = (grid, mean_n, crit.p1_bound, crit.p2_bound,
                    crit.p1_corrected, crit.p2_corrected)
     # repr, not a numpy format: the shortest text that reads back as the same float
@@ -233,9 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cla.add_argument("--input", required=True, help="counts block or time-tag file")
     cla.add_argument("--format", choices=("csv", "binary"), default="csv",
                      help="time-tag file layout (counts blocks are auto-detected)")
-    cla.add_argument("--pulse-period-ns", type=float, default=500.0)
-    cla.add_argument("--gate-offset-ns", type=float, default=0.0)
-    cla.add_argument("--gate-width-ns", type=float, default=100.0)
+    cla.add_argument("--pulse-period-ns", type=_ns, default=500.0, help="float or ratio n/d")
+    cla.add_argument("--gate-offset-ns", type=_ns, default=0.0, help="float or ratio n/d")
+    cla.add_argument("--gate-width-ns", type=_ns, default=100.0, help="float or ratio n/d")
     cla.add_argument("--eta", type=float, help="detection efficiency calibration")
     cla.add_argument("--delta", type=float, help="channel imbalance")
     cla.add_argument("--gamma", type=float, help="background photons per pulse")

@@ -56,7 +56,11 @@ standard deviation is also reported for error bars.
 The closed forms live in private functions that take a float or a numpy
 array, whose type selects math or numpy, so ``photon-gate sweep``
 evaluates a whole curve in one pass through the text the public
-functions run.
+functions run.  They take the _bounds at the mean as arguments, so each
+verdict or curve evaluates every closed form once.  classify and
+classify_counts share one core, which classify_counts feeds from the
+tallies directly: p1 and p2 (no PhotonStats), the bounds (whose eta* is
+the default eta) and the measured SBR (whence the default gamma).
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ from dataclasses import replace
 
 import numpy as np
 
-# called by this name, so a wrapper set on criterion.sbr_from_stats sees each call
-from .analytic import expected_stats, sbr_from_stats
+# called by this name, so a wrapper set on criterion.sbr_from_stats sees each classify call
+from .analytic import _measured_sbr, expected_stats, sbr_from_stats
 from .model import (
     ClickCounts,
     CriticalValues,
@@ -77,7 +81,6 @@ from .model import (
     PhotonStats,
     RangeError,
     Verdict,
-    stats_from_counts,
 )
 
 
@@ -114,12 +117,11 @@ def sbr_threshold(mean_n: float) -> float:
     """
     if not 0.0 < mean_n <= 1.0:
         raise RangeError(f"mean_n must be in (0, 1], got {mean_n!r}")
-    return _sbr_threshold(mean_n)
+    return _sbr_threshold(mean_n, _bounds(mean_n)[2])
 
 
-def _sbr_threshold(mean_n):
-    """sbr_threshold of a float or an array of means in (0, 1], unchecked."""
-    _, _, p2_bound = _bounds(mean_n)
+def _sbr_threshold(mean_n, p2_bound):
+    """sbr_threshold at a float or an array of means in (0, 1], unchecked."""
     xp = np if isinstance(mean_n, np.ndarray) else math
     b = 4.0 * p2_bound / (mean_n + xp.sqrt(mean_n * mean_n - 4.0 * p2_bound))
     return ((mean_n - b) / (1.0 - b / 2.0)) / b
@@ -183,56 +185,36 @@ def _fluctuation(p, cycles: int):
 def corrected_critical_values(mean_n: float, params: DetectionParams) -> CriticalValues:
     """Critical values at mean_n, corrected for the calibration's
     channel imbalance and for sampling over params.cycles pulses."""
-    return _critical_values(_checked_mean(mean_n), params.eta, params.delta,
+    return _critical_values(_bounds(_checked_mean(mean_n)), params.eta, params.delta,
                             params.gamma, params.cycles)
 
 
-def _critical_values(mean_n, eta, delta: float, gamma: float, cycles: int) -> CriticalValues:
-    """corrected_critical_values, unchecked; with arrays of mean_n in
-    [0, 1] and of eta, each field is an array over them."""
-    _, p1_bound, p2_bound = _bounds(mean_n)
+def _critical_values(bounds, eta, delta: float, gamma: float, cycles: int) -> CriticalValues:
+    """corrected_critical_values from the _bounds at the mean, unchecked;
+    with arrays of bounds and of eta, each field is an array over them."""
+    _, p1_bound, p2_bound = bounds
     d1, d2 = _deviation(eta, delta, gamma)
     var1, sig1 = _fluctuation(p1_bound, cycles)
     var2, sig2 = _fluctuation(p2_bound, cycles)
-    return CriticalValues(
-        p1_bound=p1_bound,
-        p2_bound=p2_bound,
-        p1_corrected=p1_bound - d1 + var1,
-        p2_corrected=p2_bound - d2 - var2,
-        delta_p1=d1,
-        delta_p2=d2,
-        stat_p1=var1,
-        stat_p2=var2,
-        sigma_p1=sig1,
-        sigma_p2=sig2,
-    )
+    return CriticalValues(p1_bound, p2_bound, p1_bound - d1 + var1, p2_bound - d2 - var2,
+                          d1, d2, var1, var2, sig1, sig2)  # in field order
 
 
-def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
-    """Decide single / not-single / indeterminate for one measurement.
-
-    The gates, in order, each leave it indeterminate: no clicks; a mean
-    click number above 1; a two-click rate the signal+background model
-    cannot give (measured SBR undefined); a *setup* signal-to-background
-    ratio, from the calibration params, below sbr_threshold(mean_n); a
-    calibration of eta = 0, which detects no photon.  Past them, p1
-    above its corrected critical value is single, else not single.  The
-    data-driven estimate (measured_sbr) is reported alongside but does
-    not gate a calibrated measurement.
-    """
-    mean_n = stats.mean_n
+def _verdict(p1: float, p2: float, measured: float | None, bounds,
+             params: DetectionParams) -> Verdict:
+    """The verdict of classify from p1, p2, the measured SBR and the _bounds
+    at the mean p1 + 2 p2 (None outside (0, 1]), each computed once."""
+    mean_n = p1 + 2.0 * p2
     if mean_n <= 0.0:
         return Verdict(Decision.INDETERMINATE, params,
                        "no clicks observed; statistics carry no information")
     if mean_n > 1.0:
         return Verdict(Decision.INDETERMINATE, params,
                        f"mean click number {mean_n!r} exceeds 1; outside the test's domain")
-
-    crit = corrected_critical_values(mean_n, params)
-    sbr0 = sbr_threshold(mean_n)
-    measured = sbr_from_stats(stats)
+    crit = _critical_values(bounds, params.eta, params.delta, params.gamma, params.cycles)
+    sbr0 = _sbr_threshold(mean_n, bounds[2])
     setup = setup_sbr(params)
-    margin = stats.p1 - crit.p1_corrected
+    margin = p1 - crit.p1_corrected
     decision = Decision.INDETERMINATE
     if measured is None:
         reason = ("two-click rate too high for the signal+background model; "
@@ -249,6 +231,23 @@ def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
                    measured_sbr=measured, setup_sbr=setup, margin_p1=margin)
 
 
+def classify(stats: PhotonStats, params: DetectionParams) -> Verdict:
+    """Decide single / not-single / indeterminate for one measurement.
+
+    The gates, in order, each leave it indeterminate: no clicks; a mean
+    click number above 1; a two-click rate the signal+background model
+    cannot give (measured SBR undefined); a *setup* signal-to-background
+    ratio, from the calibration params, below sbr_threshold(mean_n); a
+    calibration of eta = 0, which detects no photon.  Past them, p1
+    above its corrected critical value is single, else not single.  The
+    data-driven estimate (measured_sbr) is reported alongside but does
+    not gate a calibrated measurement.
+    """
+    mean_n = stats.mean_n
+    bounds = _bounds(mean_n) if 0.0 < mean_n <= 1.0 else None
+    return _verdict(stats.p1, stats.p2, sbr_from_stats(stats), bounds, params)
+
+
 def classify_counts(
     counts: ClickCounts,
     *,
@@ -263,27 +262,25 @@ def classify_counts(
     mean is assumed.  Without an explicit gamma the background level is
     back-solved from the measured SBR, which makes the applicability
     gate act on the data-driven SBR itself — the conservative,
-    uncalibrated reading.  Pass the real calibration to override.
+    uncalibrated reading.  Pass the real calibration to override.  The
+    verdict is classify(stats_from_counts(counts), verdict.params).
     """
-    stats = stats_from_counts(counts)
-    mean_n = stats.mean_n
-    in_range = 0.0 < mean_n <= 1.0
-
-    eta_eff = eta if eta is not None else (boundary_eta(mean_n) if in_range else 0.0)
-    if gamma is not None:
-        gamma_eff = gamma
-    else:
-        gamma_eff = 0.0
-        measured = sbr_from_stats(stats)
-        if in_range and eta_eff > 0.0 and measured is not None and math.isfinite(measured):
+    if counts.n_all == 0:
+        raise RangeError("n_all must be positive to form probabilities")
+    m = float(counts.n_all)  # as stats_from_counts divides
+    p1, p2 = (counts.n_10 + counts.n_01) / m, counts.n_11 / m
+    mean_n = p1 + 2.0 * p2
+    bounds = _bounds(mean_n) if 0.0 < mean_n <= 1.0 else None
+    measured = _measured_sbr(p1, p2)
+    if eta is None:
+        eta = bounds[0] if bounds else 0.0
+    if gamma is None:
+        gamma = 0.0
+        if bounds and eta > 0.0 and measured is not None and math.isfinite(measured):
             # invert b = 2 (1 - e^(-eta gamma / 2)) at b = eta / SBR,
             # capped away from the b = 2 pole for pathological inputs
-            b = min(eta_eff / measured, 1.99)
-            gamma_eff = -2.0 * math.log1p(-b / 2.0) / eta_eff
-    params = DetectionParams(
-        eta=eta_eff,
-        delta=delta,
-        gamma=gamma_eff,
-        cycles=cycles if cycles is not None else counts.n_all,
-    )
-    return classify(stats, params)
+            b = min(eta / measured, 1.99)
+            gamma = -2.0 * math.log1p(-b / 2.0) / eta
+    params = DetectionParams(eta=eta, delta=delta, gamma=gamma,
+                             cycles=cycles if cycles is not None else counts.n_all)
+    return _verdict(p1, p2, measured, bounds, params)

@@ -102,14 +102,17 @@ class GateConfig:
             object.__setattr__(self, name, Fraction(n, d) if n % d else n // d)
         scale, p, o, w = self._grid()
         if not scale <= p or p * scale >= 2**63:  # so fold's int64 products cannot overflow
-            limit = "positive" if p <= 0 else f"in [1, 2**63 / {scale**2}) ns"
-            raise RangeError(f"must be {limit}, got {period!r}", "pulse_period_ns")
+            grid = f" / {_echo(scale**2)}" if scale > 1 else ""
+            limit = "positive" if p <= 0 else f"in [1, 2**63{grid}) ns"
+            raise RangeError(f"must be {limit}, got {_echo(period)}", "pulse_period_ns")
         if w <= 0:
-            raise RangeError(f"must be positive, got {width!r}", "gate_width_ns")
+            raise RangeError(f"must be positive, got {_echo(width)}", "gate_width_ns")
         if o < 0:
-            raise RangeError(f"must be >= 0, got {offset!r}", "gate_offset_ns")
-        if o + w > p:
-            raise RangeError(f"gate [{offset}, {offset + width}) ns does not fit in {period} ns")
+            raise RangeError(f"must be >= 0, got {_echo(offset)}", "gate_offset_ns")
+        if o + w > p:  # named by the exact timings: a float given plus a huge int overflows
+            end = self.gate_offset_ns + self.gate_width_ns
+            raise RangeError(f"gate [{_echo(self.gate_offset_ns)}, {_echo(end)}) ns does not "
+                             f"fit in {_echo(self.pulse_period_ns)} ns")
 
     def _grid(self) -> tuple[int, int, int, int]:
         """The lcm scale of the timings' denominators, then each in steps of 1/scale ns."""
@@ -128,6 +131,15 @@ class GateConfig:
             extra, position = np.divmod(position * scale, period)  # below P * scale
             pulse = pulse * scale + extra
         return pulse, (position >= offset) & (position < offset + width)
+
+
+def _echo(v) -> str:
+    """A timing as messages give it: str(v), as 250/19 for a Fraction, or to
+    6 significant digits, as 1e+400, for a rational of over 20 digits."""
+    if not isinstance(v, numbers.Rational) or max(abs(v.numerator), v.denominator) < 10**20:
+        return str(v)
+    from decimal import Context
+    return f"{Context(prec=6).divide(int(v.numerator), int(v.denominator)).normalize():e}"
 
 
 # ---------------------------------------------------------------- CSV --

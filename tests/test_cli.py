@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import types
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,30 @@ class TestClassifyTimetags:
         assert f"pulses             {k + 2}\n" in out
         assert f"pattern counts     n00={k} n10=1 n01=1 n11=0\n" in out
 
+    def test_ratio_period_folds_as_its_fraction(self, tmp_path, capsys):
+        # a 76 MHz period, 250/19 ns, is no float; its pulses start off the ns grid
+        rng = np.random.default_rng(19)
+        channels = rng.integers(0, 2, 400).astype(np.uint8)
+        timestamps = np.sort(rng.integers(0, 5_000, 400))
+        path = tmp_path / "t.csv"
+        write_timetags_csv(path, channels, timestamps)
+        chunks = [(channels, timestamps)]
+        counts = fold_timetags(chunks, GateConfig(Fraction(250, 19), 0, 5), 400)
+        rc = main(["classify", "--input", str(path), "--pulse-period-ns", "250/19",
+                   "--gate-width-ns", "5", "--cycles", "400"])
+        assert rc == EXIT_BY_DECISION[classify_counts(counts).decision]
+        out = capsys.readouterr().out
+        assert (f"pattern counts     n00={counts.n_00} n10={counts.n_10} "
+                f"n01={counts.n_01} n11={counts.n_11}\n") in out
+
+    @pytest.mark.parametrize("value", ["1/0", "x/2", "1.5/2", "x"])
+    def test_bad_ratio_is_a_usage_error(self, tmp_path, capsys, value):
+        path = tmp_path / "t.csv"
+        path.write_text("channel,timestamp_ns\nA,10\n")
+        assert main(["classify", "--input", str(path), "--pulse-period-ns", value]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --pulse-period-ns: invalid float or ratio value: {value!r}\n")
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert main(["classify", "--input", str(tmp_path / "nope.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -488,6 +513,30 @@ class TestSweep:
         # an empty grid has no row to check, as in the sbr0 sweep
         assert main([*argv, "--points", "0"]) == 0
         assert out.read_text() == "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical\n"
+
+    @pytest.mark.parametrize("argv,text", [
+        (["sbr0", "--start", "0.001", "--stop", "1", "--points", "5"],
+         "mean_n,sbr0\n"
+         "0.001,2.4135367177946776\n"
+         "0.25075,2.2398688663664994\n"
+         "0.5005,2.0551094379413413\n"
+         "0.75025,1.855110939458784\n"
+         "1.0,1.6322418823119005\n"),
+        # no background: the deviations are 0 whatever numpy's sinh and exp round to
+        (["critical", "--start", "0.001", "--stop", "0.58", "--points", "4",
+          "--delta", "0.3", "--gamma", "0", "--cycles", "299613"],
+         "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical\n"
+         "0.001,0.0019995,0.0019985,5e-07,0.0019985066569407793,4.999983311813907e-07\n"
+         "0.19399999999999998,0.36918199999999995,0.33154599999999995,0.018817999999999994,"
+         "0.3315467396983771,0.018817938374226493\n"
+         "0.38699999999999996,0.6991154999999999,0.5493465,0.07488449999999998,"
+         "0.549347326282314,0.07488426877901938\n"
+         "0.58,0.9917999999999999,0.6554,0.1682,0.6554007538085463,0.16819953303508192\n"),
+    ], ids=("sbr0", "critical"))
+    def test_curves_are_pinned(self, tmp_path, argv, text):
+        out = tmp_path / "curve.csv"
+        assert main(["sweep", *argv, "--output", str(out)]) == 0
+        assert out.read_bytes() == text.encode("ascii")
 
     def test_sbr0_empty_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -606,6 +655,10 @@ def test_bad_cycles_names_the_flag(tmp_path, sim_cfg, capsys, command):
     ("classify-timetags", ["--pulse-period-ns", "0"], "--pulse-period-ns must be positive, got 0.0"),
     ("classify-timetags", ["--gate-offset-ns", "-1"], "--gate-offset-ns must be >= 0, got -1.0"),
     ("classify-timetags", ["--gate-width-ns", "-1"], "--gate-width-ns must be positive, got -1.0"),
+    # a ratio is echoed as typed, reduced
+    ("classify-timetags", ["--gate-width-ns=-10/4"], "--gate-width-ns must be positive, got -5/2"),
+    ("classify-timetags", ["--pulse-period-ns", "1/3"],
+     "--pulse-period-ns must be in [1, 2**63 / 9) ns, got 1/3"),
 ])
 def test_bad_value_names_the_flag(tmp_path, sim_cfg, capsys, command, flags, message):
     tags, block, out = tmp_path / "ok.csv", tmp_path / "run.counts", tmp_path / "o"

@@ -1,13 +1,17 @@
 """Boundary system, SBR threshold, corrected critical values and the
 classify decision logic."""
 
+import json
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from photon_gate import (
     ClickCounts,
+    CriticalValues,
     Decision,
     DetectionParams,
     EmitterWithBackground,
@@ -346,6 +350,96 @@ class TestClassifyCounts:
         assert v.measured_sbr == math.inf
         assert v.setup_sbr == math.inf
         assert v.decision is Decision.SINGLE
+
+
+def verdict_grid():
+    """(counts, calibration) pairs that reach every gate of the criterion:
+    tallies at each gate's edge, then seeded ones around the two-emitter
+    boundary p2 = mean^2 / 8 (random.Random draws the same on every
+    Python version)."""
+    grid = [
+        (ClickCounts(5000, 5000, 0, 0, 0), dict(eta=0.1, delta=0.1, gamma=0.2)),
+        (ClickCounts(1000, 0, 100, 100, 800), dict(eta=0.5, delta=0.0, gamma=0.0)),
+        (ClickCounts(10**6, 890000, 50000, 50000, 10000), dict(eta=0.06, delta=0.0, gamma=0.0)),
+        (SAMPLE1_COUNTS, dict(eta=0.1, delta=0.3, gamma=5.0)),
+        (SAMPLE1_COUNTS, dict(eta=0.0, delta=0.3, gamma=0.1)),
+        (SAMPLE1_COUNTS, dict(eta=0.0234, delta=0.3, gamma=0.01, cycles=10**6)),
+        (ClickCounts(1000, 900, 50, 50, 0), dict(eta=0.1, delta=0.0, gamma=0.0)),
+    ]
+    rng = random.Random(20)
+    for _ in range(16):
+        n_all = rng.randrange(10**3, 10**7)
+        mean = rng.uniform(0.001, 0.99)
+        n11 = round(n_all * rng.uniform(0.3, 2.5) * mean * mean / 8.0)
+        n1 = min(round(n_all * mean) - 2 * n11, n_all - n11)
+        n10 = rng.randint(0, max(n1, 0))
+        counts = ClickCounts(n_all, n_all - n1 - n11, n10, n1 - n10, n11)
+        calibration = dict(eta=rng.choice([0.0, rng.uniform(0.0, 0.6)]),
+                           delta=rng.uniform(0.0, 0.3), gamma=rng.choice([0.0, rng.uniform(0.0, 2.0)]))
+        if rng.random() < 0.5:
+            calibration["cycles"] = rng.randrange(1, 10**7)
+        grid.append((counts, calibration))
+    return grid
+
+
+def verdict_fields(v):
+    """Every field of a Verdict, flat, by name; critical's are None when not computed."""
+    critical = dict.fromkeys(CriticalValues.__dataclass_fields__)
+    if v.critical is not None:
+        critical = vars(v.critical)
+    return {"decision": v.decision.value, **vars(v.params), "reason": v.reason, **critical,
+            "sbr0": v.sbr0, "measured_sbr": v.measured_sbr, "setup_sbr": v.setup_sbr,
+            "margin_p1": v.margin_p1}
+
+
+PINNED_VERDICTS = Path(__file__).with_name("pinned_verdicts.json")
+
+
+class TestOneCore:
+    """classify and classify_counts share one core; its verdicts are
+    pinned to the last bit (on x86-64 Linux, whose libm rounds exp,
+    sinh, expm1 and log1p as the pins do)."""
+
+    @staticmethod
+    def gate(v):
+        gates = {"no clicks": "no-clicks", "mean click": "mean-above-1",
+                 "two-click": "sbr-not-applicable", "setup SBR": "setup-sbr-below-threshold",
+                 "calibration eta": "eta-zero"}
+        if v.reason is None:
+            return v.decision.value
+        return next(g for prefix, g in gates.items() if v.reason.startswith(prefix))
+
+    def test_grid_verdicts_are_pinned(self):
+        pinned = [json.loads(line) for line in PINNED_VERDICTS.read_text().splitlines()]
+        grid = verdict_grid()
+        assert len(pinned) == 2 * len(grid)
+        reached = set()
+        for i, (counts, calibration) in enumerate(grid):
+            for want, kw in zip(pinned[2 * i: 2 * i + 2],
+                                (calibration, {"delta": calibration["delta"]})):
+                v = classify_counts(counts, **kw)
+                reached.add(self.gate(v))
+                assert want.pop("counts") == list(vars(counts).values())
+                assert want.pop("kwargs") == kw
+                got = verdict_fields(v)
+                assert got.keys() == want.keys()
+                for name, value in want.items():
+                    # NaN marks a field not computed, in both
+                    assert got[name] == value or got[name] != got[name] and value != value, \
+                        (i, kw, name, got[name], value)
+        assert reached == {"no-clicks", "mean-above-1", "sbr-not-applicable",
+                           "setup-sbr-below-threshold", "eta-zero", "single", "not-single"}
+
+    def test_counts_match_classify_of_their_stats(self):
+        for counts, calibration in verdict_grid():
+            for kw in (calibration, {"delta": calibration["delta"]}):
+                v = classify_counts(counts, **kw)
+                assert v == classify(stats_from_counts(counts), v.params), (counts, kw)
+
+    def test_no_pulses_is_refused(self):
+        with pytest.raises(RangeError, match="^n_all must be positive to form probabilities$") as exc:
+            classify_counts(ClickCounts(0, 0, 0, 0, 0), eta=0.1, gamma=0.0)
+        assert exc.value.field is None
 
 
 class TestOperatingCharacteristic:

@@ -83,6 +83,20 @@ class TestGateConfig:
         assert exc.value.field == field
         assert str(exc.value).startswith(field or "gate [")
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(pulse_period_ns=10**400, gate_offset_ns=0, gate_width_ns=5),
+         "pulse_period_ns must be in [1, 2**63) ns, got 1e+400"),
+        (dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=10**400),
+         "gate [0, 1e+400) ns does not fit in 500 ns"),
+        (dict(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=Fraction(1, 10**300)),
+         "pulse_period_ns must be in [1, 2**63 / 1e+600) ns, got 500"),
+    ], ids=("huge-period", "huge-width", "fine-grid"))
+    def test_huge_timing_is_echoed_short(self, kwargs, message):
+        with pytest.raises(RangeError) as exc:
+            GateConfig(**kwargs)
+        assert str(exc.value) == message
+        assert len(message) < 120
+
     def test_integral_float_timings_are_stored_as_ints(self):
         gate = GateConfig(500.0, 0.0, 100.0)
         assert [type(v) for v in vars(gate).values()] == [int, int, int]
