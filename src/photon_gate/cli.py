@@ -46,6 +46,7 @@ from .model import (
 from .simulate import simulate_pulses
 from .timetags import (
     GateConfig,
+    _echo,
     fold_timetags,
     is_counts_block,
     iter_timetags_binary,
@@ -147,14 +148,15 @@ def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdi
     if args.cycles not in (None, counts.n_all):
         raise RangeError(f"must equal the block's pulse count {counts.n_all}, "
                          f"got {args.cycles}", "cycles")
-    flags = {**_calibration_flags(args), "cycles": counts.n_all}
-    return counts, classify(stats_from_counts(counts), replace(config.params, **flags))
+    flags = _calibration_flags(args)
+    return counts, classify(stats_from_counts(counts),
+                            replace(config.params, cycles=counts.n_all, **flags))
 
 
-def _calibration_flags(args: argparse.Namespace) -> dict[str, float | int]:
-    """The calibration flags given on the command line, by DetectionParams
-    field; the flags left out keep the echoed or default calibration."""
-    return {name: getattr(args, name) for name in ("eta", "delta", "gamma", "cycles")
+def _calibration_flags(args: argparse.Namespace) -> dict[str, float]:
+    """The calibration flags given, by DetectionParams field; the rest keep the
+    echoed or default calibration, and the pulse count is the tallies' n_all."""
+    return {name: getattr(args, name) for name in ("eta", "delta", "gamma")
             if getattr(args, name) is not None}
 
 
@@ -292,8 +294,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         # checked here, or a time-tag classify names fold_timetags' n_pulses
-        if getattr(args, "cycles", None) is not None and args.cycles < 1:
-            raise RangeError(f"--cycles must be a positive integer, got {args.cycles}")
+        cycles = getattr(args, "cycles", None)
+        if cycles is not None and not 1 <= cycles < 2**63:  # pulse indices are int64
+            limit = "a positive integer" if cycles < 1 else "below 2**63"
+            raise RangeError(f"--cycles must be {limit}, got {_echo(cycles)}")
         return args.func(args)
     except _USER_ERRORS as exc:
         # a RangeError starts with its field; one the user gave is named as the flag

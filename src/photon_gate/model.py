@@ -81,7 +81,7 @@ class DetectionParams:
             Only delta >= 0 is stored; a swapped pair is the same
             physical setup with the labels exchanged.
     gamma   mean background photons per pulse at the source plane
-    cycles  number of excitation pulses M
+    cycles  number of excitation pulses M, below 2**63
     """
 
     eta: float
@@ -96,7 +96,7 @@ class DetectionParams:
             raise RangeError(f"must be in [0, 1), got {self.delta!r}", "delta")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise RangeError(f"must be finite and >= 0, got {self.gamma!r}", "gamma")
-        _store_int(self, "cycles", "a positive integer", 1)
+        _store_int(self, "cycles", "a positive integer", 1, 2**63)  # pulse indices are int64
         if self.eta1 > 1.0 + _NEG_TOL:
             raise RangeError(
                 f"channel efficiency (1 + delta) * eta = {self.eta1!r} exceeds 1"

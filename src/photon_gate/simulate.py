@@ -133,7 +133,7 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
 def _map_blocks(config: SimConfig, fn, workers: int) -> list:
     """fn(click_a, click_b) of every block, in block order."""
     cycles, block = config.params.cycles, config.block_size
-    blocks = [(i, min(block, cycles - i * block)) for i in range(math.ceil(cycles / block))]
+    blocks = [(i, min(block, cycles - i * block)) for i in range(-(-cycles // block))]
 
     def run(b: tuple[int, int]):
         return fn(*_block_clicks(config, *b))

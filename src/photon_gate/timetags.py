@@ -366,10 +366,13 @@ def fold_timetags(
     beyond are dropped (with a debug log).  Without n_pulses, the pulse
     count is one past the last record's pulse (0 for no records)."""
     if n_pulses is not None:
-        if n_pulses < 1:
-            raise RangeError(f"must be >= 1, got {n_pulses!r}", "n_pulses")
-        if not float(n_pulses).is_integer():
-            raise RangeError(f"must be an integer, got {n_pulses!r}", "n_pulses")
+        try:  # _store_int's rule, with no float() to overflow
+            whole = n_pulses == int(n_pulses)
+        except (ValueError, OverflowError):
+            whole = False
+        if n_pulses < 1 or not whole or n_pulses >= 2**63:  # pulse indices are int64
+            bound = ">= 1" if n_pulses < 1 else "below 2**63" if whole else "an integer"
+            raise RangeError(f"must be {bound}, got {_echo(n_pulses)}", "n_pulses")
     # per channel: last timestamp, last kept pulse, kept count, and kept
     # pulses that a later pulse of the other channel may still match, as
     # sorted nonempty pieces joined only once the other channel reaches them
@@ -424,17 +427,21 @@ def _pop_through(pieces: deque, cutoff: int) -> list[np.ndarray]:
 def records_from_click_arrays(
     click_a: np.ndarray, click_b: np.ndarray, gate: GateConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesize a time-tag stream from per-pulse click indicators,
-    placing each click at the center of its pulse's gate.  Output is
-    sorted by timestamp, hence per channel too."""
-    center = gate.gate_offset_ns + gate.gate_width_ns / 2.0
-    pa = np.flatnonzero(click_a)
-    pb = np.flatnonzero(click_b)
-    channels = np.concatenate(
-        [np.zeros(pa.size, dtype=np.uint8), np.ones(pb.size, dtype=np.uint8)]
-    )
-    pulses = np.concatenate([pa, pb])
-    timestamps = np.rint(pulses * float(gate.pulse_period_ns) + center).astype(np.int64)
+    """Synthesize a time-tag stream from per-pulse click indicators.  Each
+    click is tagged at the whole ns nearest its gate's centre, a tie going
+    down: ceil(start + (width - 1 ns) / 2), inside every gate at least
+    1 ns wide; a narrower gate is refused.  Exact for tags below 2**63 ns.
+    Output is sorted by timestamp, hence per channel too."""
+    scale, period, offset, width = gate._grid()
+    if width < scale:
+        raise RangeError(f"must be >= 1 ns, got {_echo(gate.gate_width_ns)}", "gate_width_ns")
+    pa, pb = np.flatnonzero(click_a), np.flatnonzero(click_b)
+    channels = np.repeat(np.array([0, 1], dtype=np.uint8), [pa.size, pb.size])
+    # pulse a*scale + b starts a*period + (b*period + offset) / scale ns in: each part fits int64
+    a, b = np.divmod(np.concatenate([pa, pb]), scale)
+    half, odd = divmod(width - scale, 2)
+    start = b * period + (offset + half)  # in 1/scale ns, less the odd half step
+    timestamps = a * period + (start // scale + 1 if odd else -(-start // scale))
     order = np.lexsort((channels, timestamps))
     return channels[order], timestamps[order]
 
@@ -452,8 +459,7 @@ _KIND_OF = {model: kind for kind, (model, _) in _SOURCE_KINDS.items()}
 _PARAM_FIELDS = (("eta", float, None), ("delta", float, 0.0), ("gamma", float, 0.0),
                  ("cycles", int, None))
 _RUN_FIELDS = (("seed", int, None), ("block_size", int, SimConfig.block_size))
-_COUNT_KEYS = ("n_all", "n_00", "n_10", "n_01", "n_11")
-_COUNT_FIELDS = tuple((key, int, None) for key in _COUNT_KEYS)
+_COUNT_FIELDS = tuple((key, int, None) for key in ("n_all", "n_00", "n_10", "n_01", "n_11"))
 
 
 def _field_lines(obj: object, fields, prefix: str = "") -> list[str]:
@@ -470,86 +476,78 @@ def _config_lines(config: SimConfig) -> list[str]:
             + _field_lines(config.params, _PARAM_FIELDS, "params."))
 
 
-class _KvReader:
-    """The ``key = value`` lines of a file as (line number, value, key
-    as written) by key: kv holds the keys not yet taken, taken the rest.
-    The lines are read as ASCII with errors="surrogateescape", so a
+def _kv_lines(path: str | Path, lines: Iterable[str], start: int = 1) -> dict:
+    """key -> (line number, value, key as written) of the ``key = value``
+    lines of a file, read as ASCII with errors="surrogateescape", so a
     non-ASCII byte fails here, with its file:line."""
-
-    def __init__(self, path: str | Path, lines: Iterable[str], start: int = 1):
-        self.path, self.kv, self.taken = path, {}, {}
-        for lineno, raw in enumerate(lines, start=start):
-            if not raw.isascii():
-                raise FormatError(f"{path}:{lineno}: line is not ASCII")
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key or not value:
-                raise FormatError(f"{path}:{lineno}: empty key or value")
-            if key in self.kv:
-                raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
-            self.kv[key] = (lineno, value, key)
-
-    def take(self, key: str, kind, default=None):
-        """The value of key as kind; a key without a default is required."""
-        if key not in self.kv:
-            if default is None:
-                raise FormatError(f"{self.path}: missing required key {key!r}")
-            return default
-        lineno, raw, written = self.taken[key] = self.kv.pop(key)
-        try:
-            return kind(raw)
-        except ValueError:
-            raise FormatError(
-                f"{self.path}:{lineno}: {written} must be {kind.__name__}, got {raw!r}"
-            ) from None
-
-    def build(self, model, fields, prefix: str = "", **given):
-        """model(**given), plus each field of the table taken from key
-        prefix + name, in table order.  A value out of its range fails
-        with the file:line of its key, or the file alone when no one key
-        set by the file is at fault."""
-        for name, field_type, default in fields:
-            given[name] = self.take(prefix + name, field_type, default)
-        try:
-            return model(**given)
-        except RangeError as exc:
-            if prefix + str(exc.field) not in self.taken:
-                raise FormatError(f"{self.path}: {exc}") from None
-            lineno, _, written = self.taken[prefix + exc.field]
-            # the message starts with the field, which the file may name otherwise
-            message = str(exc)[len(exc.field):]
-            raise FormatError(f"{self.path}:{lineno}: {written}{message}") from None
-
-    def finish(self) -> None:
-        if self.kv:
-            key, (lineno, *_) = next(iter(self.kv.items()))
-            raise FormatError(f"{self.path}:{lineno}: unknown key {key!r}")
+    kv = {}
+    for lineno, raw in enumerate(lines, start=start):
+        if not raw.isascii():
+            raise FormatError(f"{path}:{lineno}: line is not ASCII")
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise FormatError(f"{path}:{lineno}: empty key or value")
+        if key in kv:
+            raise FormatError(f"{path}:{lineno}: duplicate key {key!r}")
+        kv[key] = (lineno, value, key)
+    return kv
 
 
-def _sim_config_from(reader: _KvReader) -> SimConfig:
-    kind = reader.take("source.kind", str)
+def _build(path: str | Path, kv: dict, model, fields, prefix: str = "", **given):
+    """model(**given), plus each field of the table popped from kv at key
+    prefix + name, in table order; a field without a default is required.
+    A value out of its range fails with the file:line of its key, or the
+    file alone when no one key of this table is at fault."""
+    taken = {}
+    for name, field_type, default in fields:
+        given[name] = default
+        if prefix + name in kv:
+            lineno, raw, written = taken[name] = kv.pop(prefix + name)
+            try:
+                given[name] = field_type(raw)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: {written} must be {field_type.__name__}, "
+                                  f"got {raw!r}") from None
+        elif default is None:
+            raise FormatError(f"{path}: missing required key {prefix + name!r}")
+    try:
+        return model(**given)
+    except RangeError as exc:
+        if exc.field not in taken:
+            raise FormatError(f"{path}: {exc}") from None
+        lineno, _, written = taken[exc.field]
+        # the message starts with the field, which the file may name otherwise
+        raise FormatError(f"{path}:{lineno}: {written}{str(exc)[len(exc.field):]}") from None
+
+
+def _sim_config_from(path: str | Path, kv: dict) -> SimConfig:
+    """The SimConfig of the keys left in kv, which must be all its keys."""
+    kind = _build(path, kv, dict, (("kind", str, None),), "source.")["kind"]
     if kind not in _SOURCE_KINDS:
-        raise FormatError(f"{reader.path}: unknown source.kind {kind!r}")
-    source = reader.build(*_SOURCE_KINDS[kind], "source.")
-    params = reader.build(DetectionParams, _PARAM_FIELDS, "params.")
-    return reader.build(SimConfig, _RUN_FIELDS, source=source, params=params)
+        raise FormatError(f"{path}: unknown source.kind {kind!r}")
+    source = _build(path, kv, *_SOURCE_KINDS[kind], "source.")
+    params = _build(path, kv, DetectionParams, _PARAM_FIELDS, "params.")
+    config = _build(path, kv, SimConfig, _RUN_FIELDS, source=source, params=params)
+    if kv:
+        key, (lineno, *_) = next(iter(kv.items()))
+        raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+    return config
 
 
 def read_sim_config(path: str | Path) -> SimConfig:
     """Parse a simulation config file (flat ``key = value`` lines,
     ``#`` comments allowed)."""
     text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    reader = _KvReader(path, text.splitlines())
+    kv = _kv_lines(path, text.splitlines())
     # accept 'cycles' as shorthand for params.cycles; its errors name cycles
-    if "cycles" in reader.kv and "params.cycles" not in reader.kv:
-        reader.kv["params.cycles"] = reader.kv.pop("cycles")
-    config = _sim_config_from(reader)
-    reader.finish()
-    return config
+    if "cycles" in kv and "params.cycles" not in kv:
+        kv["params.cycles"] = kv.pop("cycles")
+    return _sim_config_from(path, kv)
 
 
 def write_counts_block(path: str | Path, counts: ClickCounts, config: SimConfig) -> None:
@@ -576,8 +574,5 @@ def read_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig]:
     lines = text.splitlines()
     if not lines or lines[0].strip() != COUNTS_MAGIC:
         raise FormatError(f"{path}:1: expected {COUNTS_MAGIC!r} header")
-    reader = _KvReader(path, lines[1:], start=2)
-    counts = reader.build(ClickCounts, _COUNT_FIELDS)
-    config = _sim_config_from(reader)
-    reader.finish()
-    return counts, config
+    kv = _kv_lines(path, lines[1:], start=2)
+    return _build(path, kv, ClickCounts, _COUNT_FIELDS), _sim_config_from(path, kv)

@@ -642,6 +642,24 @@ def test_bad_cycles_names_the_flag(tmp_path, sim_cfg, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["classify-timetags", "simulate", "sweep-critical"])
+def test_huge_cycles_exit_2_with_one_short_line(tmp_path, sim_cfg, capsys, command):
+    tags, out = tmp_path / "ok.csv", tmp_path / "o"
+    tags.write_text("channel,timestamp_ns\nA,10\n")
+    argv = {
+        "classify-timetags": ["classify", "--input", str(tags)],
+        "simulate": ["simulate", "--config", str(sim_cfg), "--output", str(out)],
+        "sweep-critical": ["sweep", "critical", "--start", "0.01", "--stop", "0.5",
+                           "--points", "5", "--output", str(out)],
+    }[command]
+    # pulse indices are int64: 2**63 and up would overflow a float or an index
+    assert main([*argv, "--cycles", str(10**400)]) == 2
+    assert capsys.readouterr() == ("", "error: --cycles must be below 2**63, got 1e+400\n")
+    assert main([*argv, "--cycles", str(2**63)]) == 2
+    assert capsys.readouterr().err == f"error: --cycles must be below 2**63, got {2**63}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags,message", [
     ("classify-counts", ["--eta", "2"], "--eta must be in [0, 1], got 2.0"),
     ("classify-timetags", ["--eta", "2"], "--eta must be in [0, 1], got 2.0"),

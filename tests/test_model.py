@@ -119,6 +119,13 @@ class TestIntegerFields:
         s = IdealEmitters(s=2.0).s
         assert type(s) is int and s == 2
 
+    def test_cycles_stay_below_2_63(self):
+        # pulse indices are int64
+        assert DetectionParams(eta=0.1, cycles=2**63 - 1).cycles == 2**63 - 1
+        for cycles in (2**63, 10**400):
+            with pytest.raises(RangeError, match="^cycles must be a positive integer, got "):
+                DetectionParams(eta=0.1, cycles=cycles)
+
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, "3", None])
     def test_non_integers_refused(self, value):
         with pytest.raises(RangeError, match="cycles must be a positive integer"):

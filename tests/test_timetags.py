@@ -540,6 +540,15 @@ class TestIngest:
                   (np.array([False, True]), np.array([10, 60], dtype=np.uint64))]
         assert fold_timetags(chunks, GATE, 2) == ClickCounts.from_totals(2, 1, 1, 1)
 
+    @pytest.mark.parametrize("n_pulses,echo", [(2**63, "9223372036854775808"),
+                                               (10**400, "1e+400")], ids=("2-63", "10-400"))
+    def test_pulse_count_from_2_63_is_refused(self, n_pulses, echo):
+        ch, ts = np.array([0], dtype=np.uint8), np.array([10])
+        with pytest.raises(RangeError, match=re.escape(
+                f"n_pulses must be below 2**63, got {echo}")) as exc:
+            fold_timetags([(ch, ts)], GATE, n_pulses)
+        assert exc.value.field == "n_pulses"
+
     @pytest.mark.parametrize("n_pulses", [2.5, math.nan, math.inf])
     def test_non_integral_pulse_count_is_named(self, n_pulses):
         ch, ts = np.array([0], dtype=np.uint8), np.array([10])
@@ -661,7 +670,14 @@ class TestIngest:
         with pytest.raises(FormatError, match="channel"):
             fold_timetags([(np.array([0.5, 1.0]), np.array([10, 20]))], GATE, 1)
 
-    def test_round_trip_through_time_tags(self):
+    @pytest.mark.parametrize("gate", [
+        GATE,
+        # a 1 ns gate on an odd period: each tag is its gate's first ns, not one past it
+        GateConfig(501, 0, 1),
+        GateConfig(Fraction(250, 19), Fraction(3, 7), 1),
+        GateConfig(12.3, 2.5, 4.1),
+    ], ids=("reference", "odd-period-1ns", "ratio", "float"))
+    def test_round_trip_through_time_tags(self, gate):
         config = SimConfig(
             source=EmitterWithBackground(),
             params=DetectionParams(eta=0.3, delta=0.2, gamma=0.4, cycles=20_000),
@@ -669,9 +685,21 @@ class TestIngest:
         )
         click_a, click_b = simulate_click_arrays(config)
         direct = counts_from_click_arrays(click_a, click_b)
-        channels, timestamps = records_from_click_arrays(click_a, click_b, GATE)
-        via_tags = fold_timetags([(channels, timestamps)], GATE, 20_000)
+        channels, timestamps = records_from_click_arrays(click_a, click_b, gate)
+        via_tags = fold_timetags([(channels, timestamps)], gate, 20_000)
         assert via_tags == direct
+
+    def test_tags_land_at_the_gate_centre_and_need_1_ns(self):
+        click = np.array([True, False, True, True])
+        # centres 50, 1050 and 1550 ns; 501 + 0.5 ns is a tie and goes down
+        assert records_from_click_arrays(click, click, GATE)[1].tolist() == [
+            50, 50, 1050, 1050, 1550, 1550]
+        assert records_from_click_arrays(click, ~click, GateConfig(501, 0, 1))[1].tolist() == [
+            0, 501, 1002, 1503]
+        with pytest.raises(RangeError, match=re.escape(
+                "gate_width_ns must be >= 1 ns, got 9/10")) as exc:
+            records_from_click_arrays(click, click, GateConfig(500, 0, 0.9))
+        assert exc.value.field == "gate_width_ns"
 
     def test_round_trip_through_files(self, tmp_path):
         config = SimConfig(
