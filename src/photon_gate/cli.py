@@ -14,7 +14,11 @@ for every outcome, usage errors included, and the console script passes
 it to ``sys.exit``.  Exit codes: 0 single (or command succeeded, or
 --help), 1 not single, 3 indeterminate, 2 usage, configuration or file
 errors.  The parser is built on the first call and reused by every later
-one; parse_args leaves it unchanged.  The environment variable
+one; parsing leaves it unchanged.  A call led by a command name is parsed
+by that command's own parser alone, which then takes about a seventh of
+a counts-block classify; any other call, or one with arguments that
+parser leaves over, goes through the full parser, which words its usage
+errors.  The environment variable
 PHOTON_GATE_LOG (error | info | debug) sets log verbosity; it is read on
 each call, whose log lines go to the sys.stderr of that call.
 """
@@ -39,19 +43,19 @@ from .model import (
     Decision,
     DetectionParams,
     FormatError,
+    PhotonStats,
     RangeError,
     Verdict,
+    _echo,
     stats_from_counts,
 )
-from .simulate import simulate_pulses
+from .simulate import SimConfig, simulate_pulses
 from .timetags import (
     GateConfig,
-    _echo,
+    _read_if_counts_block,
     fold_timetags,
-    is_counts_block,
     iter_timetags_binary,
     iter_timetags_csv,
-    read_counts_block,
     read_sim_config,
     write_counts_block,
 )
@@ -78,9 +82,11 @@ def _fmt(x: float | None) -> str:
     return f"{x:.6g}"
 
 
-def format_report(counts: ClickCounts, verdict: Verdict, duration_s: float) -> str:
-    """The run report both simulate and classify print."""
-    c, v, s = counts, verdict, stats_from_counts(counts)
+def format_report(counts: ClickCounts, stats: PhotonStats, verdict: Verdict,
+                  duration_s: float) -> str:
+    """The run report both simulate and classify print, of the tallies and
+    the stats_from_counts of them that the verdict was reached on."""
+    c, s, v = counts, stats, verdict
     k = v.critical  # None when the decision stopped before computing it
     critical = f"{_fmt(k.p1_corrected)} / {_fmt(k.p2_corrected)}" if k else "n/a / n/a"
     systematic = f"{_fmt(k.delta_p1)} / {_fmt(k.delta_p2)}" if k else "n/a / n/a"
@@ -118,13 +124,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     counts = simulate_pulses(config)
     duration = time.perf_counter() - start
     write_counts_block(args.output, counts, config)
-    verdict = classify(stats_from_counts(counts), config.params)
-    print(format_report(counts, verdict, duration))
+    stats = stats_from_counts(counts)
+    print(format_report(counts, stats, classify(stats, config.params), duration))
     log.info("counts written to %s", args.output)
     return 0
 
 
-def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
+def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, PhotonStats, Verdict]:
     gate = GateConfig(
         pulse_period_ns=args.pulse_period_ns,
         gate_offset_ns=args.gate_offset_ns,
@@ -139,18 +145,19 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
         raise FormatError(f"{args.input}: {exc}", exc.record) from None
     if counts.n_all == 0:
         raise FormatError(f"{args.input}: no records and no --cycles; pulse count unknown")
-    return counts, classify_counts(counts, **_calibration_flags(args))
+    verdict = classify_counts(counts, **_calibration_flags(args))
+    return counts, stats_from_counts(counts), verdict
 
 
-def _classify_counts_block(args: argparse.Namespace) -> tuple[ClickCounts, Verdict]:
-    counts, config = read_counts_block(args.input)
+def _classify_counts_block(args: argparse.Namespace, counts: ClickCounts,
+                           config: SimConfig) -> tuple[ClickCounts, PhotonStats, Verdict]:
     # the sampling term is over the pulses the block tallies
     if args.cycles not in (None, counts.n_all):
         raise RangeError(f"must equal the block's pulse count {counts.n_all}, "
                          f"got {args.cycles}", "cycles")
+    stats = stats_from_counts(counts)
     flags = _calibration_flags(args)
-    return counts, classify(stats_from_counts(counts),
-                            replace(config.params, cycles=counts.n_all, **flags))
+    return counts, stats, classify(stats, replace(config.params, cycles=counts.n_all, **flags))
 
 
 def _calibration_flags(args: argparse.Namespace) -> dict[str, float]:
@@ -162,9 +169,10 @@ def _calibration_flags(args: argparse.Namespace) -> dict[str, float]:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    classify_input = _classify_counts_block if is_counts_block(args.input) else _classify_timetags
-    counts, verdict = classify_input(args)
-    print(format_report(counts, verdict, time.perf_counter() - start))
+    block = _read_if_counts_block(args.input)
+    counts, stats, verdict = (_classify_counts_block(args, *block) if block
+                              else _classify_timetags(args))
+    print(format_report(counts, stats, verdict, time.perf_counter() - start))
     return _EXIT_BY_DECISION[verdict.decision]
 
 
@@ -226,8 +234,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache  # 26 add_argument calls cost most of a counts-block classify
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache  # its 26 add_argument calls cost about six counts-block classifies
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The photon-gate parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="photon-gate",
         description="Photon click statistics and the single-emitter test "
@@ -265,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--gamma", type=float, default=0.0)
     swp.add_argument("--cycles", type=int, default=1_000_000)
     swp.set_defaults(func=_cmd_sweep)
-    return parser
+    return parser, {"simulate": sim, "classify": cla, "sweep": swp}
 
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -277,8 +286,10 @@ def _setup_logging() -> None:
     """Point photon_gate's one log handler at this call's stderr, at this
     call's PHOTON_GATE_LOG level."""
     level = os.environ.get("PHOTON_GATE_LOG", "error").strip().lower()
+    level = _LOG_LEVELS.get(level, logging.ERROR)
     package_log = logging.getLogger("photon_gate")
-    package_log.setLevel(_LOG_LEVELS.get(level, logging.ERROR))
+    if package_log.level != level:  # setLevel clears every logger's cache
+        package_log.setLevel(level)
     # assigned, not setStream: that flushes the last call's stream, which
     # may be closed by now
     _log_handler.stream = sys.stderr
@@ -288,8 +299,16 @@ def _setup_logging() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        # a call led by a command goes to that command's parser, as the full
+        # parser would hand it on; any other call, or arguments left over, goes
+        # to the full parser, which words the usage error
+        command = commands.get(argv[0]) if argv else None
+        args, rest = command.parse_known_args(argv[1:]) if command else (None, argv)
+        if args is None or rest:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # usage error (2) or --help (0), message printed
         return exc.code
     try:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -58,15 +59,27 @@ def _check_prob(name: str, value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _echo(v) -> str:
+    """A value as messages give it: str(v), as 250/19 for a Fraction, or to
+    6 significant digits, as 1e+400, for a rational of over 20 digits."""
+    if not isinstance(v, numbers.Rational) or max(abs(v.numerator), v.denominator) < 10**20:
+        return str(v)
+    from decimal import Context
+    return f"{Context(prec=6).divide(int(v.numerator), int(v.denominator)).normalize():e}"
+
+
 def _store_int(obj: object, name: str, kind: str, low: int, high: float = math.inf) -> None:
     """Store field `name` of a frozen dataclass as an int, after checking
-    that it is integral and in [low, high); `kind` words the error."""
+    that it is integral and in [low, high); `kind` words the error, but an
+    integral value at or above high, a power of two, is refused as such."""
     v = getattr(obj, name)
     try:
-        ok = low <= v < high and v == int(v)
+        whole = v == int(v)
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+        whole = False
+    if not (whole and low <= v < high):
+        if whole and v >= high:
+            raise RangeError(f"must be below 2**{high.bit_length() - 1}, got {_echo(v)}", name)
         raise RangeError(f"must be {kind}, got {v!r}", name)
     object.__setattr__(obj, name, int(v))
 
@@ -149,7 +162,8 @@ class PhotonStats:
 
 @dataclass(frozen=True)
 class ClickCounts:
-    """Tallies of the four per-pulse click patterns over n_all pulses."""
+    """Tallies of the four per-pulse click patterns over n_all pulses,
+    each below 2**63."""
 
     n_all: int
     n_00: int
@@ -159,7 +173,7 @@ class ClickCounts:
 
     def __post_init__(self) -> None:
         for name in ("n_all", "n_00", "n_10", "n_01", "n_11"):
-            _store_int(self, name, "a nonnegative integer", 0)
+            _store_int(self, name, "a nonnegative integer", 0, 2**63)  # as pulse indices
         total = self.n_00 + self.n_10 + self.n_01 + self.n_11
         if total != self.n_all:
             raise RangeError(

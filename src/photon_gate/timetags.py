@@ -65,6 +65,7 @@ from .model import (
     FormatError,
     IdealEmitters,
     RangeError,
+    _echo,
 )
 from .simulate import SimConfig
 
@@ -72,6 +73,7 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "channel,timestamp_ns"
 COUNTS_MAGIC = "photon-gate-counts v1"
+_COUNTS_MAGIC_BYTES = COUNTS_MAGIC.encode("ascii")
 _CHANNEL_CODE = {"A": 0, "B": 1}
 _CHANNEL_NAME = ("A", "B")
 
@@ -131,15 +133,6 @@ class GateConfig:
             extra, position = np.divmod(position * scale, period)  # below P * scale
             pulse = pulse * scale + extra
         return pulse, (position >= offset) & (position < offset + width)
-
-
-def _echo(v) -> str:
-    """A timing as messages give it: str(v), as 250/19 for a Fraction, or to
-    6 significant digits, as 1e+400, for a rational of over 20 digits."""
-    if not isinstance(v, numbers.Rational) or max(abs(v.numerator), v.denominator) < 10**20:
-        return str(v)
-    from decimal import Context
-    return f"{Context(prec=6).divide(int(v.numerator), int(v.denominator)).normalize():e}"
 
 
 # ---------------------------------------------------------------- CSV --
@@ -484,12 +477,12 @@ def _kv_lines(path: str | Path, lines: Iterable[str], start: int = 1) -> dict:
     for lineno, raw in enumerate(lines, start=start):
         if not raw.isascii():
             raise FormatError(f"{path}:{lineno}: line is not ASCII")
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+        key, eq, value = raw.partition("#")[0].partition("=")
+        key, value = key.strip(), value.strip()
+        if not eq:
+            if key:
+                raise FormatError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            continue  # a blank or comment line
         if not key or not value:
             raise FormatError(f"{path}:{lineno}: empty key or value")
         if key in kv:
@@ -557,21 +550,46 @@ def write_counts_block(path: str | Path, counts: ClickCounts, config: SimConfig)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _counts_block_bytes(path: str | Path, whole: bool) -> bytes | None:
+    """The bytes of the file at path, or only its first line unless whole,
+    when that line, compared as bytes, is the counts-block magic; else None,
+    also when the file cannot be opened or that line read."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        try:
+            # 1 KiB holds the magic line; a binary file is not read to its first LF
+            head = fh.readline(1 << 10)
+        except OSError:
+            return None
+        first = head.splitlines()
+        if not first or first[0].strip() != _COUNTS_MAGIC_BYTES:
+            return None
+        return head + fh.read() if whole else head
+
+
 def is_counts_block(path: str | Path) -> bool:
     """Whether the first line, compared as bytes, is the counts-block
     magic; nothing after that line can change the answer."""
-    try:
-        with open(path, "rb") as fh:
-            # 1 KiB holds the magic line; a binary file is not read to its first LF
-            first = fh.readline(1 << 10).splitlines()
-    except OSError:
-        return False
-    return bool(first) and first[0].strip() == COUNTS_MAGIC.encode("ascii")
+    return _counts_block_bytes(path, whole=False) is not None
 
 
 def read_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig]:
-    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    lines = text.splitlines()
+    with open(path, "rb") as fh:
+        return _counts_block_from(path, fh.read())
+
+
+def _read_if_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig] | None:
+    """read_counts_block(path) if is_counts_block(path), else None, with one open."""
+    data = _counts_block_bytes(path, whole=True)
+    return None if data is None else _counts_block_from(path, data)
+
+
+def _counts_block_from(path: str | Path, data: bytes) -> tuple[ClickCounts, SimConfig]:
+    """The block of a file's bytes, read as ASCII with errors="surrogateescape"."""
+    lines = data.decode("ascii", "surrogateescape").splitlines()
     if not lines or lines[0].strip() != COUNTS_MAGIC:
         raise FormatError(f"{path}:1: expected {COUNTS_MAGIC!r} header")
     kv = _kv_lines(path, lines[1:], start=2)

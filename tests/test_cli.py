@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import re
 import tracemalloc
 import types
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 
 from photon_gate import (
     ClickCounts,
+    Coherent,
     Decision,
     DetectionParams,
     EmitterWithBackground,
@@ -54,6 +56,124 @@ SIM_CFG_TEXT = (
     "params.gamma = 0.2\n"
     "params.cycles = 150000\n"
 )
+
+
+# whole counts-block reports, byte for byte but the measured duration line:
+# name -> (tallies, source, calibration, exit code, report)
+_README = (299613, 285696, 6951, 6951, 15)
+PINNED_REPORTS = {
+    "single": (_README, EmitterWithBackground(), dict(eta=0.1, gamma=0.2), 0, """\
+pulses             299613
+pattern counts     n00=285696 n10=6951 n01=6951 n11=15
+p0 / p1 / p2       0.95355 / 0.0463999 / 5.00646e-05
+mean clicks        0.0465
+mandel q           -0.0443467
+g2(0) estimate     0.0926158
+measured SBR       21.5017
+setup SBR          5.02504
+SBR threshold      2.38259
+critical p1 / p2   0.0459532 / 0.000273469
+systematic d1/d2   0 / 0
+margin (p1)        0.000446664
+decision           single
+"""),
+    "not-single": ((100000, 90400, 4700, 4700, 200), IdealEmitters(2),
+                   dict(eta=0.1, delta=0.3, gamma=0.2), 1, """\
+pulses             100000
+pattern counts     n00=90400 n10=4700 n01=4700 n11=200
+p0 / p1 / p2       0.904 / 0.094 / 0.002
+mean clicks        0.098
+mandel q           -0.0571837
+g2(0) estimate     0.832986
+measured SBR       2.209
+setup SBR          5.02504
+SBR threshold      2.34722
+critical p1 / p2   0.0956367 / 0.00113326
+systematic d1/d2   -9.75696e-05 / 9.75696e-05
+margin (p1)        -0.00163674
+decision           not-single
+"""),
+    "no-clicks": ((1000, 1000, 0, 0, 0), EmitterWithBackground(), dict(eta=0.1, gamma=0.2), 3, """\
+pulses             1000
+pattern counts     n00=1000 n10=0 n01=0 n11=0
+p0 / p1 / p2       1 / 0 / 0
+mean clicks        0
+mandel q           0
+g2(0) estimate     n/a
+measured SBR       n/a
+setup SBR          n/a
+SBR threshold      n/a
+critical p1 / p2   n/a / n/a
+systematic d1/d2   n/a / n/a
+margin (p1)        n/a
+decision           indeterminate
+reason             no clicks observed; statistics carry no information
+"""),
+    "mean-above-1": ((1000, 100, 50, 50, 800), IdealEmitters(3), dict(eta=0.9), 3, """\
+pulses             1000
+pattern counts     n00=100 n10=50 n01=50 n11=800
+p0 / p1 / p2       0.1 / 0.1 / 0.8
+mean clicks        1.7
+mandel q           -0.758824
+g2(0) estimate     1.10727
+measured SBR       n/a
+setup SBR          n/a
+SBR threshold      n/a
+critical p1 / p2   n/a / n/a
+systematic d1/d2   n/a / n/a
+margin (p1)        n/a
+decision           indeterminate
+reason             mean click number 1.7000000000000002 exceeds 1; outside the test's domain
+"""),
+    "sbr-undefined": ((1000, 700, 0, 0, 300), Coherent(0.5), dict(eta=0.1), 3, """\
+pulses             1000
+pattern counts     n00=700 n10=0 n01=0 n11=300
+p0 / p1 / p2       0.7 / 0 / 0.3
+mean clicks        0.6
+mandel q           0.4
+g2(0) estimate     3.33333
+measured SBR       n/a
+setup SBR          inf
+SBR threshold      1.97757
+critical p1 / p2   0.49353 / 0.0533094
+systematic d1/d2   0 / 0
+margin (p1)        -0.49353
+decision           indeterminate
+reason             two-click rate too high for the signal+background model; measured SBR undefined
+"""),
+    "setup-sbr-below": (_README, EmitterWithBackground(), dict(eta=0.1, gamma=5.0), 3, """\
+pulses             299613
+pattern counts     n00=285696 n10=6951 n01=6951 n11=15
+p0 / p1 / p2       0.95355 / 0.0463999 / 5.00646e-05
+mean clicks        0.0465
+mandel q           -0.0443467
+g2(0) estimate     0.0926158
+measured SBR       21.5017
+setup SBR          0.226041
+SBR threshold      2.38259
+critical p1 / p2   0.0459532 / 0.000273469
+systematic d1/d2   0 / 0
+margin (p1)        0.000446664
+decision           indeterminate
+reason             setup SBR 0.226 below threshold 2.383; background too strong for a verdict
+"""),
+    "eta-0": (_README, EmitterWithBackground(), dict(eta=0.0, gamma=0.1), 3, """\
+pulses             299613
+pattern counts     n00=285696 n10=6951 n01=6951 n11=15
+p0 / p1 / p2       0.95355 / 0.0463999 / 5.00646e-05
+mean clicks        0.0465
+mandel q           -0.0443467
+g2(0) estimate     0.0926158
+measured SBR       21.5017
+setup SBR          10
+SBR threshold      2.38259
+critical p1 / p2   0.0459532 / 0.000273469
+systematic d1/d2   0 / 0
+margin (p1)        0.000446664
+decision           indeterminate
+reason             calibration eta = 0 detects no photon, yet clicks were observed
+"""),
+}
 
 
 def assert_report_shows(out, counts, verdict):
@@ -256,6 +376,18 @@ class TestClassifyCountsBlock:
         assert "exceeds 1" in verdict.reason
         assert main(["classify", "--input", str(path)]) == 3
         assert_report_shows(capsys.readouterr().out, counts, verdict)
+
+    @pytest.mark.parametrize("name", PINNED_REPORTS)
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, name):
+        tallies, source, calibration, rc, report = PINNED_REPORTS[name]
+        counts = ClickCounts(*tallies)
+        params = DetectionParams(cycles=counts.n_all, **calibration)
+        path = tmp_path / "run.counts"
+        write_counts_block(path, counts, SimConfig(source=source, params=params, seed=1))
+        assert main(["classify", "--input", str(path)]) == rc
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert re.fullmatch(r"(?s)(.*\n)duration           \d+\.\d{3} s\n", out)[1] == report
 
 
 class TestClassifyTimetags:
@@ -660,6 +792,15 @@ def test_huge_cycles_exit_2_with_one_short_line(tmp_path, sim_cfg, capsys, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--cycles", "5"]], ids=("plain", "cycles"))
+def test_huge_block_tally_exits_2_with_one_short_line(tmp_path, sim_cfg, capsys, flags):
+    block = tmp_path / "run.counts"
+    write_counts_block(block, ClickCounts(1000, 950, 25, 24, 1), read_sim_config(sim_cfg))
+    text = block.read_text().replace("n_all = 1000", f"n_all = {10**400}")
+    block.write_text(text.replace("n_00 = 950", f"n_00 = {10**400 - 50}"))
+    assert main(["classify", "--input", str(block), *flags]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {block}:2: n_all must be below 2**63, got 1e+400\n")
 @pytest.mark.parametrize("command,flags,message", [
     ("classify-counts", ["--eta", "2"], "--eta must be in [0, 1], got 2.0"),
     ("classify-timetags", ["--eta", "2"], "--eta must be in [0, 1], got 2.0"),
@@ -766,3 +907,57 @@ class TestRepeatedCalls:
         for argv, want in zip(calls, alone):
             assert run(argv) == want, argv
         assert built.count("photon-gate") <= 1, built
+
+
+class TestDispatch:
+    """main parses a call led by a command with that command's own parser;
+    every call gives what the full parser alone would give."""
+
+    CASES = {
+        "simulate": ["simulate", "--config", "{cfg}", "--output", "{out}", "--cycles", "2000"],
+        "classify-block": ["classify", "--input", "{block}", "--eta", "0.1"],
+        "classify-tags": ["classify", "--input", "{tags}", "--gate-width-ns=50", "--cycles", "4"],
+        "sweep": ["sweep", "sbr0", "--start", "0.1", "--stop", "1", "--points", "3",
+                  "--output", "{out}"],
+        "help": ["--help"],
+        "h": ["-h"],
+        "h-then-command": ["-h", "classify"],
+        "simulate-h": ["simulate", "-h"],
+        "classify-h": ["classify", "-h"],
+        "sweep-help": ["sweep", "--help"],
+        "missing-input": ["classify"],
+        "missing-stop": ["sweep", "sbr0", "--start", "0.1"],
+        "bad-eta": ["classify", "--input", "{block}", "--eta", "high"],
+        "bad-choice": ["classify", "--input", "{tags}", "--format", "xml"],
+        "negative-ratio": ["classify", "--input", "{tags}", "--gate-width-ns", "-5/2"],
+        "abbreviated": ["classify", "--inp", "{block}"],
+        "unrecognized-flag": ["classify", "--input", "{block}", "--bogus"],
+        "extra-argument": ["classify", "--input", "{block}", "extra"],
+        "double-dash": ["classify", "--", "--input", "{block}"],
+        "bad-value-in-file": ["classify", "--input", "{block}", "--cycles", "5"],
+        "unknown-command": ["fold"],
+        "unknown-flag": ["--bogus"],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_full_parser(self, tmp_path, sim_cfg, capsys, monkeypatch, case):
+        block, tags, out = tmp_path / "run.counts", tmp_path / "t.csv", tmp_path / "out"
+        write_counts_block(block, ClickCounts(1000, 950, 25, 24, 1), read_sim_config(sim_cfg))
+        tags.write_text("channel,timestamp_ns\nA,10\nB,520\nA,1030\nB,1040\n")
+        argv = [arg.format(cfg=sim_cfg, out=out, block=block, tags=tags)
+                for arg in self.CASES[case]]
+
+        def run():
+            rc = main(list(argv))
+            stdout, stderr = capsys.readouterr()
+            # the duration line is a measured time, not a result
+            stdout = [line for line in stdout.splitlines() if not line.startswith("duration")]
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return rc, stdout, stderr, written
+
+        dispatched = run()
+        parser, _ = cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))  # no command parser
+        assert run() == dispatched

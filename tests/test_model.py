@@ -120,11 +120,29 @@ class TestIntegerFields:
         assert type(s) is int and s == 2
 
     def test_cycles_stay_below_2_63(self):
-        # pulse indices are int64
+        # pulse indices are int64; a value past the bound is refused as such
         assert DetectionParams(eta=0.1, cycles=2**63 - 1).cycles == 2**63 - 1
-        for cycles in (2**63, 10**400):
-            with pytest.raises(RangeError, match="^cycles must be a positive integer, got "):
+        for cycles, echo in ((2**63, str(2**63)), (10**400, "1e+400"), (1e19, "1e+19")):
+            with pytest.raises(RangeError) as exc:
                 DetectionParams(eta=0.1, cycles=cycles)
+            assert str(exc.value) == f"cycles must be below 2**63, got {echo}"
+        with pytest.raises(RangeError) as exc:
+            DetectionParams(eta=0.1, cycles=0)
+        assert str(exc.value) == "cycles must be a positive integer, got 0"
+
+    @pytest.mark.parametrize("name", ["n_all", "n_00", "n_10", "n_01", "n_11"])
+    def test_click_counts_stay_below_2_63(self, name):
+        top, pattern = 2**63 - 1, "n_00" if name == "n_all" else name
+        fields = {key: top if key in ("n_all", pattern) else 0
+                  for key in ("n_all", "n_00", "n_10", "n_01", "n_11")}
+        assert getattr(ClickCounts(**fields), name) == top  # the largest tallies pass
+        for value, echo in ((2**63, str(2**63)), (10**400, "1e+400")):
+            with pytest.raises(RangeError) as exc:
+                ClickCounts(**{**fields, name: value})
+            assert str(exc.value) == f"{name} must be below 2**63, got {echo}"
+        with pytest.raises(RangeError) as exc:
+            ClickCounts(**{**fields, name: -1})
+        assert str(exc.value) == f"{name} must be a nonnegative integer, got -1"
 
     @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, "3", None])
     def test_non_integers_refused(self, value):

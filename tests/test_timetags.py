@@ -781,6 +781,41 @@ class TestCountsBlock:
         assert not is_counts_block(other)
         assert not is_counts_block(tmp_path / "missing")
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b, lambda b: b.replace(b"\n", b"\r\n"), lambda b: b.replace(b"\n", b"\r"),
+        lambda b: b"\x0b" + b,  # a magic line the bytes check strips, but not splitlines
+        lambda b: b.replace(b"v1\n", b"v1" + b" " * 2000 + b"\n", 1),  # past the 1 KiB head
+        lambda b: b.replace(b"n_10 = 60", b"n_10 = \xe9"),
+        lambda b: b"channel,timestamp_ns\nA,10\n", lambda b: b"\x02" + bytes(17), lambda b: b"",
+    ], ids=("lf", "crlf", "cr", "vt-first", "long-magic", "non-ascii", "csv", "binary", "empty"))
+    def test_read_if_counts_block_reads_as_both(self, tmp_path, edit):
+        path = tmp_path / "run.counts"
+        write_counts_block(path, COUNTS, CONFIGS[1])
+        path.write_bytes(edit(path.read_bytes()))
+
+        def outcome(read):
+            try:
+                return read(path)
+            except FormatError as exc:
+                return str(exc)
+
+        want = outcome(read_counts_block) if is_counts_block(path) else None
+        assert outcome(timetags._read_if_counts_block) == want
+
+    def test_read_if_counts_block_opens_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.counts"
+        write_counts_block(path, COUNTS, CONFIGS[1])
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(timetags, "open", counting_open, raising=False)
+        assert timetags._read_if_counts_block(path) == (COUNTS, CONFIGS[1])
+        assert timetags._read_if_counts_block(tmp_path / "missing") is None
+        assert opened == [path, tmp_path / "missing"]
+
     def test_missing_magic(self, tmp_path):
         path = tmp_path / "run.counts"
         path.write_text("n_all = 5\n")
@@ -824,7 +859,12 @@ class TestCountsBlock:
         ("params.eta = 0.1", "params.eta = 1.0",
          ": channel efficiency (1 + delta) * eta = 1.3 exceeds 1"),
         ("seed = 7", "seed = -7", ":7: seed must be an unsigned 64-bit integer, got -7"),
-    ], ids=("tally", "tally-sum", "channel-efficiency", "seed"))
+        # tallies are below 2**63, as pulse indices are: a huge one is echoed short
+        ("n_all = 1000", f"n_all = {10**400}", ":2: n_all must be below 2**63, got 1e+400"),
+        ("n_11 = 2", f"n_11 = {2**63}", f":6: n_11 must be below 2**63, got {2**63}"),
+        ("seed = 7", f"seed = {2**64}", f":7: seed must be below 2**64, got {2**64}"),
+    ], ids=("tally", "tally-sum", "channel-efficiency", "seed", "huge-pulses", "huge-tally",
+            "huge-seed"))
     def test_out_of_range_value_names_the_file(self, tmp_path, old, new, message):
         path = tmp_path / "run.counts"
         write_counts_block(path, COUNTS, CONFIGS[1])
@@ -959,7 +999,9 @@ class TestSimConfigFile:
         # the shorthand is named as the file gives it
         ({"cycles": "0"}, ":6: cycles must be a positive integer, got 0"),
         ({"cycles": "x"}, ":6: cycles must be int, got 'x'"),
-    ], ids=("source", "params", "cycles-shorthand", "cycles-shorthand-not-int"))
+        ({"cycles": str(2**63)}, f":6: cycles must be below 2**63, got {2**63}"),
+    ], ids=("source", "params", "cycles-shorthand", "cycles-shorthand-not-int",
+            "cycles-shorthand-huge"))
     def test_out_of_range_value_names_its_line(self, tmp_path, values, message):
         path = tmp_path / "sim.cfg"
         values = {"mu": "0.5", "gamma": "0.1", "cycles": "10", **values}
