@@ -54,21 +54,24 @@ pulses adds the variance p(1-p)/M of an estimated probability; one
 standard deviation is also reported for error bars.
 
 The closed forms live in private functions that take a float or a numpy
-array, whose type selects math or numpy, so ``photon-gate sweep``
-evaluates a whole curve in one pass through the text the public
-functions run.  They take the _bounds at the mean as arguments, so each
-verdict or curve evaluates every closed form once.  classify and
-classify_counts share one core, which classify_counts feeds from the
-tallies directly: p1 and p2 (no PhotonStats), the bounds (whose eta* is
-the default eta) and the measured SBR (whence the default gamma).
+array, so ``photon-gate sweep`` evaluates a whole curve in one pass
+through the text the public functions run.  Each evaluates with numpy
+for an ndarray and with math for anything else, ints and numpy scalars
+included: a Python float is told by its type alone, and only another
+value looks for numpy in sys.modules, as no ndarray exists until numpy
+is imported.  So this module imports no numpy, and a verdict on floats
+costs no numpy lookup.  The functions take the _bounds at the mean as
+arguments, so each verdict or curve evaluates every closed form once.
+classify and classify_counts share one core, which classify_counts feeds
+from the tallies directly: p1 and p2 (no PhotonStats), the bounds (whose
+eta* is the default eta) and the measured SBR (whence the default gamma).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
-
-import numpy as np
 
 # called by this name, so a wrapper set on criterion.sbr_from_stats sees each classify call
 from .analytic import _measured_sbr, expected_stats, sbr_from_stats
@@ -97,10 +100,16 @@ def boundary_eta(mean_n: float) -> float:
     return _bounds(_checked_mean(mean_n))[0]
 
 
+def _xp(x):
+    """numpy for an ndarray x, else math; until numpy is loaded, nothing is an ndarray."""
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(x, np.ndarray) else math
+
+
 def _bounds(mean_n):
     """(eta*, p1_bound, p2_bound) at a float or an array of means in
     [0, 1], unchecked."""
-    xp = np if isinstance(mean_n, np.ndarray) else math
+    xp = math if type(mean_n) is float else _xp(mean_n)
     eta = mean_n / (1.0 + xp.sqrt(1.0 - mean_n / 2.0))
     eta_sq = eta * eta  # not eta ** 2: libm's pow and numpy's square differ in the last bit
     return eta, mean_n - eta_sq, 0.5 * eta_sq
@@ -122,7 +131,7 @@ def sbr_threshold(mean_n: float) -> float:
 
 def _sbr_threshold(mean_n, p2_bound):
     """sbr_threshold at a float or an array of means in (0, 1], unchecked."""
-    xp = np if isinstance(mean_n, np.ndarray) else math
+    xp = math if type(mean_n) is float else _xp(mean_n)
     b = 4.0 * p2_bound / (mean_n + xp.sqrt(mean_n * mean_n - 4.0 * p2_bound))
     return ((mean_n - b) / (1.0 - b / 2.0)) / b
 
@@ -150,7 +159,7 @@ def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
 def _deviation(eta, delta: float, gamma: float):
     """systematic_deviation at eta, a float or an array."""
     x = delta * eta * gamma / 2.0
-    xp = np if isinstance(x, np.ndarray) else math
+    xp = math if type(x) is float else _xp(x)
     sh = xp.sinh(x / 2.0)
     bracket = (2.0 - eta) * 2.0 * sh * sh + delta * eta * xp.sinh(x)
     d2 = bracket * xp.exp(-eta * gamma / 2.0)
@@ -178,7 +187,7 @@ def _fluctuation(p, cycles: int):
     probability p estimated over cycles pulses; p a float or an array,
     unchecked."""
     var = p * (1.0 - p) / cycles
-    xp = np if isinstance(var, np.ndarray) else math
+    xp = math if type(var) is float else _xp(var)
     return var, xp.sqrt(var)
 
 

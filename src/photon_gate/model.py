@@ -16,6 +16,8 @@ defined here:
 * Source models: :class:`IdealEmitters`, :class:`EmitterWithBackground`,
   :class:`Coherent`, each reduced by :func:`photon_plan` to the photons
   every pulse carries plus a Poisson mean.
+* :class:`SimConfig` — one reproducible simulation run: a source, its
+  detection and the seed of its random streams.
 
 All types validate on construction.  A bad value raises
 :class:`RangeError`, naming its field when one alone is at fault; a bad
@@ -303,3 +305,21 @@ def photon_plan(source: SourceModel, params: DetectionParams) -> tuple[int, floa
     if isinstance(source, Coherent):
         return 0, source.mu + params.gamma
     raise TypeError(f"unknown source model: {source!r}")
+
+
+_DEFAULT_BLOCK = 1 << 17
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """One reproducible simulation run: what emits, how it is
+    detected, and the stream identity (seed, block size)."""
+
+    source: SourceModel
+    params: DetectionParams
+    seed: int
+    block_size: int = _DEFAULT_BLOCK
+
+    def __post_init__(self) -> None:
+        _store_int(self, "seed", "an unsigned 64-bit integer", 0, 1 << 64)
+        _store_int(self, "block_size", "a positive integer", 1)

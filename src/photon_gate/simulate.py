@@ -45,28 +45,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ClickCounts, DetectionParams, SourceModel, _store_int, photon_plan
-
-_DEFAULT_BLOCK = 1 << 17
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """One reproducible simulation run: what emits, how it is
-    detected, and the stream identity (seed, block size)."""
-
-    source: SourceModel
-    params: DetectionParams
-    seed: int
-    block_size: int = _DEFAULT_BLOCK
-
-    def __post_init__(self) -> None:
-        _store_int(self, "seed", "an unsigned 64-bit integer", 0, 1 << 64)
-        _store_int(self, "block_size", "a positive integer", 1)
+# SimConfig is defined in model, which loads no numpy; imported here, it
+# is also photon_gate.simulate.SimConfig
+from .model import ClickCounts, SimConfig, photon_plan
 
 
 def _batch(p: float, n: int) -> int:

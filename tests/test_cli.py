@@ -1,8 +1,12 @@
-"""Command-line interface, exercised in-process through main(argv)."""
+"""Command-line interface, exercised through main(argv): in process, and each
+command once more in a fresh interpreter."""
 
 import argparse
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 from dataclasses import replace
@@ -961,3 +965,72 @@ class TestDispatch:
         parser, _ = cli._build_parser()
         monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))  # no command parser
         assert run() == dispatched
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+# main(argv) in a fresh interpreter, which then reports whether numpy is loaded
+_FRESH_MAIN = """\
+import sys
+from photon_gate.cli import main
+rc = main(sys.argv[1:])
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}")
+sys.exit(rc)
+"""
+
+
+def run_fresh(code: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    """python -c code argv, in a new process with the package's src on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+class TestFreshProcess:
+    """Each command in an interpreter of its own.  In-process tests share
+    sys.modules, so a command that lacks an import of its own still passes
+    there once another test has imported what it needs."""
+
+    # name -> (argv, whether numpy stays unloaded)
+    CASES = {
+        "classify-block": (["classify", "--input", "{block}"], True),
+        "classify-block-flags": (["classify", "--input", "{block}", "--eta", "0.2"], True),
+        "classify-block-error": (["classify", "--input", "{block}", "--cycles", "5"], True),
+        "help": (["--help"], True),
+        "classify-help": (["classify", "--help"], True),
+        "usage-error": (["classify"], True),
+        "bad-flag-value": (["classify", "--input", "{block}", "--eta", "high"], True),
+        "simulate": (["simulate", "--config", "{cfg}", "--output", "{out}", "--cycles", "2000"],
+                     False),
+        "classify-csv": (["classify", "--input", "{csv}", "--cycles", "4"], False),
+        "classify-binary": (["classify", "--input", "{bin}", "--format", "binary"], False),
+        "sweep-sbr0": (["sweep", "sbr0", "--start", "0.1", "--stop", "1", "--points", "3",
+                        "--output", "{out}"], False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_call_in_process(self, tmp_path, sim_cfg, capsys, case):
+        block, out = tmp_path / "run.counts", tmp_path / "out"
+        write_counts_block(block, ClickCounts(*_README), read_sim_config(sim_cfg))
+        channels, timestamps = np.array([0, 1, 1, 0, 1]), np.array([10, 20, 520, 1030, 1040])
+        write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
+        write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
+        template, numpy_free = self.CASES[case]
+        argv = [arg.format(cfg=sim_cfg, out=out, block=block, csv=tmp_path / "t.csv",
+                           bin=tmp_path / "t.bin") for arg in template]
+
+        def result(rc, stdout, stderr):
+            # the duration line is a measured time, not a result
+            stdout = [line for line in stdout.splitlines() if not line.startswith("duration")]
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return rc, stdout, stderr, written
+
+        in_process = result(main(list(argv)), *capsys.readouterr())
+        done = run_fresh(_FRESH_MAIN, *argv, cwd=tmp_path)
+        stderr, _, loaded = done.stderr.rpartition("numpy loaded: ")
+        assert result(done.returncode, done.stdout, stderr) == in_process
+        if numpy_free:
+            assert loaded == "False"
+        else:  # the commands that use numpy succeed without it imported beforehand
+            assert done.returncode != 2, stderr  # 0, or a verdict's 1 or 3

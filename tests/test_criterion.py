@@ -29,6 +29,7 @@ from photon_gate import (
     simulate_pulses,
     stats_from_counts,
 )
+from photon_gate import criterion
 from photon_gate.criterion import _bounds
 
 from _oracles import (
@@ -256,6 +257,23 @@ def test_scalar_closed_forms_return_floats(row):
     assert all(type(v) is float for v in [*got, *vars(crit).values()])
     for value, want in zip(got, frozen):
         assert abs(value - want) <= math.ulp(want)
+
+
+@pytest.mark.parametrize("x,module", [
+    (1, math), (np.int64(1), math), (np.float64(0.5), math),
+    (np.array(0.5), np), (np.array([0.5, 0.6]), np),
+], ids=("int", "int64", "float64", "0-d-array", "array"))
+def test_numpy_only_for_an_ndarray(x, module):
+    assert criterion._xp(x) is module
+
+
+def test_a_verdict_on_floats_never_looks_for_numpy(monkeypatch):
+    """A Python float takes math by its type alone, before any look for numpy."""
+    monkeypatch.setattr(criterion, "_xp", None)  # a call would raise TypeError
+    classify_counts(ClickCounts(299613, 285696, 6951, 6951, 15))
+    classify_counts(ClickCounts(299613, 285696, 6951, 6951, 15), eta=0.1, delta=0.3, gamma=0.2)
+    corrected_critical_values(0.2, SCALAR_PARAMS)
+    sbr_threshold(0.2)
 
 
 class TestClassify:

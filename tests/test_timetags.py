@@ -31,7 +31,7 @@ from photon_gate import (
     write_timetags_binary,
     write_timetags_csv,
 )
-from photon_gate import timetags
+from photon_gate import kvfile, timetags
 from photon_gate.timetags import _parse_csv_line
 
 GATE = GateConfig(pulse_period_ns=500, gate_offset_ns=0, gate_width_ns=100)
@@ -800,7 +800,7 @@ class TestCountsBlock:
                 return str(exc)
 
         want = outcome(read_counts_block) if is_counts_block(path) else None
-        assert outcome(timetags._read_if_counts_block) == want
+        assert outcome(kvfile._read_if_counts_block) == want
 
     def test_read_if_counts_block_opens_once(self, tmp_path, monkeypatch):
         path = tmp_path / "run.counts"
@@ -811,9 +811,9 @@ class TestCountsBlock:
             opened.append(args[0])
             return open(*args, **kwargs)
 
-        monkeypatch.setattr(timetags, "open", counting_open, raising=False)
-        assert timetags._read_if_counts_block(path) == (COUNTS, CONFIGS[1])
-        assert timetags._read_if_counts_block(tmp_path / "missing") is None
+        monkeypatch.setattr(kvfile, "open", counting_open, raising=False)
+        assert kvfile._read_if_counts_block(path) == (COUNTS, CONFIGS[1])
+        assert kvfile._read_if_counts_block(tmp_path / "missing") is None
         assert opened == [path, tmp_path / "missing"]
 
     def test_missing_magic(self, tmp_path):
