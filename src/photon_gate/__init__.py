@@ -20,7 +20,7 @@ from .criterion import (
     setup_sbr,
     systematic_deviation,
 )
-from .kvfile import is_counts_block, read_counts_block, read_sim_config, write_counts_block
+from .kvfile import read_counts_block, read_sim_config, write_counts_block
 from .model import (
     ClickCounts,
     Coherent,

@@ -55,7 +55,7 @@ from .model import (
     RangeError,
     SimConfig,
     Verdict,
-    _echo,
+    _checked_int,
     stats_from_counts,
 )
 
@@ -264,9 +264,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     cla.add_argument("--input", required=True, help="counts block or time-tag file")
     cla.add_argument("--format", choices=("csv", "binary"), default="csv",
                      help="time-tag file layout (counts blocks are auto-detected)")
-    cla.add_argument("--pulse-period-ns", type=_ns, default=500.0, help="float or ratio n/d")
-    cla.add_argument("--gate-offset-ns", type=_ns, default=0.0, help="float or ratio n/d")
-    cla.add_argument("--gate-width-ns", type=_ns, default=100.0, help="float or ratio n/d")
+    cla.add_argument("--pulse-period-ns", type=_ns, default=500.0,
+                     help="float or ratio n/d; -5/2 as --pulse-period-ns=-5/2")
+    cla.add_argument("--gate-offset-ns", type=_ns, default=0.0,
+                     help="float or ratio n/d; -5/2 as --gate-offset-ns=-5/2")
+    cla.add_argument("--gate-width-ns", type=_ns, default=100.0,
+                     help="float or ratio n/d; -5/2 as --gate-width-ns=-5/2")
     cla.add_argument("--eta", type=float, help="detection efficiency calibration")
     cla.add_argument("--delta", type=float, help="channel imbalance")
     cla.add_argument("--gamma", type=float, help="background photons per pulse")
@@ -322,10 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         # checked here, or a time-tag classify names fold_timetags' n_pulses
-        cycles = getattr(args, "cycles", None)
-        if cycles is not None and not 1 <= cycles < 2**63:  # pulse indices are int64
-            limit = "a positive integer" if cycles < 1 else "below 2**63"
-            raise RangeError(f"--cycles must be {limit}, got {_echo(cycles)}")
+        if getattr(args, "cycles", None) is not None:  # pulse indices are int64
+            _checked_int("cycles", args.cycles, "a positive integer", 1, 2**63)
         return args.func(args)
     except _USER_ERRORS as exc:
         # a RangeError starts with its field; one the user gave is named as the flag

@@ -4,8 +4,14 @@ Aggregated tallies travel as a flat ``key = value`` text block that
 echoes the producing configuration, so a classification re-run needs no
 side channel.  A simulation config is the same lines without the
 tallies and the ``photon-gate-counts v1`` magic line that leads a
-block.  A line is read as ASCII and ``#`` starts a comment.  A bad
-line or value fails as FormatError naming ``file:line``, a missing or
+block.  Both are read as bytes and split into lines at LF, CRLF or a
+lone CR (bytes.splitlines), so a vertical tab, form feed or 0x1c-0x1e
+separator stays within its line and no later line number moves.  A
+line is decoded as ASCII and ``#`` starts a comment.  A file is a
+counts block when its first line, up to its first KiB and stripped of
+ASCII whitespace, equals the magic line, compared once, as bytes; the
+rest of a longer first line is read as a line of its own.  A bad line
+or value fails as FormatError naming ``file:line``, a missing or
 inconsistent one naming the file.
 
 This module works on plain ints, floats and strings, and imports no
@@ -60,14 +66,15 @@ def _config_lines(config: SimConfig) -> list[str]:
             + _field_lines(config.params, _PARAM_FIELDS, "params."))
 
 
-def _kv_lines(path: str | Path, lines: Iterable[str], start: int = 1) -> dict:
+def _kv_lines(path: str | Path, lines: Iterable[bytes]) -> dict:
     """key -> (line number, value, key as written) of the ``key = value``
-    lines of a file, read as ASCII with errors="surrogateescape", so a
-    non-ASCII byte fails here, with its file:line."""
+    lines of a file, each decoded as ASCII, so a non-ASCII byte fails
+    here, with its file:line."""
     kv = {}
-    for lineno, raw in enumerate(lines, start=start):
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.isascii():
             raise FormatError(f"{path}:{lineno}: line is not ASCII")
+        raw = raw.decode("ascii")
         key, eq, value = raw.partition("#")[0].partition("=")
         key, value = key.strip(), value.strip()
         if not eq:
@@ -126,8 +133,7 @@ def _sim_config_from(path: str | Path, kv: dict) -> SimConfig:
 def read_sim_config(path: str | Path) -> SimConfig:
     """Parse a simulation config file (flat ``key = value`` lines,
     ``#`` comments allowed)."""
-    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    kv = _kv_lines(path, text.splitlines())
+    kv = _kv_lines(path, Path(path).read_bytes().splitlines())
     # accept 'cycles' as shorthand for params.cycles; its errors name cycles
     if "cycles" in kv and "params.cycles" not in kv:
         kv["params.cycles"] = kv.pop("cycles")
@@ -141,47 +147,25 @@ def write_counts_block(path: str | Path, counts: ClickCounts, config: SimConfig)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _counts_block_bytes(path: str | Path, whole: bool) -> bytes | None:
-    """The bytes of the file at path, or only its first line unless whole,
-    when that line, compared as bytes, is the counts-block magic; else None,
-    also when the file cannot be opened or that line read."""
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return None
-    with fh:
-        try:
-            # 1 KiB holds the magic line; a binary file is not read to its first LF
-            head = fh.readline(1 << 10)
-        except OSError:
-            return None
-        first = head.splitlines()
-        if not first or first[0].strip() != _COUNTS_MAGIC_BYTES:
-            return None
-        return head + fh.read() if whole else head
-
-
-def is_counts_block(path: str | Path) -> bool:
-    """Whether the first line, compared as bytes, is the counts-block
-    magic; nothing after that line can change the answer."""
-    return _counts_block_bytes(path, whole=False) is not None
-
-
 def read_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig]:
-    with open(path, "rb") as fh:
-        return _counts_block_from(path, fh.read())
+    """The tallies and producing configuration of a counts block; a file
+    whose first line is not the magic line fails as FormatError naming
+    ``file:1``."""
+    block = _read_if_counts_block(path)
+    if block is None:
+        raise FormatError(f"{path}:1: expected {COUNTS_MAGIC!r} header")
+    return block
 
 
 def _read_if_counts_block(path: str | Path) -> tuple[ClickCounts, SimConfig] | None:
-    """read_counts_block(path) if is_counts_block(path), else None, with one open."""
-    data = _counts_block_bytes(path, whole=True)
-    return None if data is None else _counts_block_from(path, data)
-
-
-def _counts_block_from(path: str | Path, data: bytes) -> tuple[ClickCounts, SimConfig]:
-    """The block of a file's bytes, read as ASCII with errors="surrogateescape"."""
-    lines = data.decode("ascii", "surrogateescape").splitlines()
-    if not lines or lines[0].strip() != COUNTS_MAGIC:
-        raise FormatError(f"{path}:1: expected {COUNTS_MAGIC!r} header")
-    kv = _kv_lines(path, lines[1:], start=2)
+    """read_counts_block(path), or None when the file is not a counts block,
+    with one open; of a file that is none, at most its first KiB is read."""
+    with open(path, "rb") as fh:
+        head = fh.readline(1 << 10)  # a binary file is not read to its first LF
+        first = (head.splitlines() or [b""])[0]
+        if first.strip() != _COUNTS_MAGIC_BYTES:
+            return None
+        lines = (head + fh.read()).splitlines()
+    # a first line longer than the head goes on past the magic: read that rest as line 1
+    kv = _kv_lines(path, [lines[0][len(first):], *lines[1:]])
     return _build(path, kv, ClickCounts, _COUNT_FIELDS), _sim_config_from(path, kv)

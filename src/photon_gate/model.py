@@ -70,11 +70,10 @@ def _echo(v) -> str:
     return f"{Context(prec=6).divide(int(v.numerator), int(v.denominator)).normalize():e}"
 
 
-def _store_int(obj: object, name: str, kind: str, low: int, high: float = math.inf) -> None:
-    """Store field `name` of a frozen dataclass as an int, after checking
-    that it is integral and in [low, high); `kind` words the error, but an
-    integral value at or above high, a power of two, is refused as such."""
-    v = getattr(obj, name)
+def _checked_int(name: str, v, kind: str, low: int, high: float = math.inf) -> int:
+    """v as an int, after checking that it is integral and in [low, high);
+    else a RangeError naming name, worded by `kind`, but an integral value
+    at or above high, a power of two, is refused as such."""
     try:
         whole = v == int(v)
     except (TypeError, ValueError, OverflowError):
@@ -83,7 +82,12 @@ def _store_int(obj: object, name: str, kind: str, low: int, high: float = math.i
         if whole and v >= high:
             raise RangeError(f"must be below 2**{high.bit_length() - 1}, got {_echo(v)}", name)
         raise RangeError(f"must be {kind}, got {v!r}", name)
-    object.__setattr__(obj, name, int(v))
+    return int(v)
+
+
+def _store_int(obj: object, name: str, kind: str, low: int, high: float = math.inf) -> None:
+    """Store field `name` of a frozen dataclass as _checked_int of it."""
+    object.__setattr__(obj, name, _checked_int(name, getattr(obj, name), kind, low, high))
 
 
 @dataclass(frozen=True)

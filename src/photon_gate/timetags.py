@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import ClickCounts, FormatError, RangeError, _echo
+from .model import ClickCounts, FormatError, RangeError, _checked_int, _echo
 
 log = logging.getLogger(__name__)
 
@@ -342,14 +342,8 @@ def fold_timetags(
     out of the gate never count; in-gate records at pulse n_pulses or
     beyond are dropped (with a debug log).  Without n_pulses, the pulse
     count is one past the last record's pulse (0 for no records)."""
-    if n_pulses is not None:
-        try:  # _store_int's rule, with no float() to overflow
-            whole = n_pulses == int(n_pulses)
-        except (ValueError, OverflowError):
-            whole = False
-        if n_pulses < 1 or not whole or n_pulses >= 2**63:  # pulse indices are int64
-            bound = ">= 1" if n_pulses < 1 else "below 2**63" if whole else "an integer"
-            raise RangeError(f"must be {bound}, got {_echo(n_pulses)}", "n_pulses")
+    if n_pulses is not None:  # pulse indices are int64
+        n_pulses = _checked_int("n_pulses", n_pulses, "a positive integer", 1, 2**63)
     # per channel: last timestamp, last kept pulse, kept count, and kept
     # pulses that a later pulse of the other channel may still match, as
     # sorted nonempty pieces joined only once the other channel reaches them

@@ -23,6 +23,7 @@ from photon_gate import (
     DetectionParams,
     EmitterWithBackground,
     IdealEmitters,
+    RangeError,
     SimConfig,
     classify,
     classify_counts,
@@ -794,6 +795,27 @@ def test_huge_cycles_exit_2_with_one_short_line(tmp_path, sim_cfg, capsys, comma
     assert main([*argv, "--cycles", str(2**63)]) == 2
     assert capsys.readouterr().err == f"error: --cycles must be below 2**63, got {2**63}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cycles", [0, 2**63, 10**400], ids=("zero", "2-63", "10-400"))
+def test_one_pulse_count_rule(tmp_path, capsys, cycles):
+    # the calibration, the fold and the flag refuse a pulse count in the same words
+    ch, ts = np.array([0], dtype=np.uint8), np.array([10])
+    refusals = []
+    for name, refuse in [("cycles", lambda: DetectionParams(eta=0.1, cycles=cycles)),
+                         ("n_pulses", lambda: fold_timetags([(ch, ts)], GateConfig(500, 0, 100),
+                                                            cycles))]:
+        with pytest.raises(RangeError) as exc:
+            refuse()
+        assert exc.value.field == name and str(exc.value).startswith(f"{name} must be ")
+        refusals.append(str(exc.value)[len(name):])
+    tags = tmp_path / "ok.csv"
+    tags.write_text("channel,timestamp_ns\nA,10\n")
+    assert main(["classify", "--input", str(tags), "--cycles", str(cycles)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --cycles must be ")
+    refusals.append(err[len("error: --cycles"):-1])
+    assert refusals[0] == refusals[1] == refusals[2]
 
 
 @pytest.mark.parametrize("flags", [[], ["--cycles", "5"]], ids=("plain", "cycles"))

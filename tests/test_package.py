@@ -17,11 +17,11 @@ PUBLIC = [
     "EmitterWithBackground", "FormatError", "GateConfig", "IdealEmitters", "PhotonStats",
     "RangeError", "SimConfig", "SourceModel", "Verdict", "boundary_eta", "classify",
     "classify_counts", "corrected_critical_values", "counts_from_click_arrays", "expected_stats",
-    "fold_timetags", "g2_zero_estimate", "is_counts_block", "iter_timetags_binary",
-    "iter_timetags_csv", "read_counts_block", "read_sim_config", "records_from_click_arrays",
-    "relative_deviations", "sbr_from_stats", "sbr_threshold", "setup_sbr",
-    "simulate_click_arrays", "simulate_pulses", "stats_from_counts", "systematic_deviation",
-    "write_counts_block", "write_timetags_binary", "write_timetags_csv",
+    "fold_timetags", "g2_zero_estimate", "iter_timetags_binary", "iter_timetags_csv",
+    "read_counts_block", "read_sim_config", "records_from_click_arrays", "relative_deviations",
+    "sbr_from_stats", "sbr_threshold", "setup_sbr", "simulate_click_arrays", "simulate_pulses",
+    "stats_from_counts", "systematic_deviation", "write_counts_block", "write_timetags_binary",
+    "write_timetags_csv",
 ]
 
 

@@ -20,7 +20,6 @@ from photon_gate import (
     SimConfig,
     counts_from_click_arrays,
     fold_timetags,
-    is_counts_block,
     iter_timetags_binary,
     iter_timetags_csv,
     read_counts_block,
@@ -502,7 +501,7 @@ class TestIngest:
     def test_validation_errors(self):
         ch = np.array([0], dtype=np.uint8)
         ts = np.array([10], dtype=np.int64)
-        with pytest.raises(RangeError, match="^n_pulses must be >= 1, got 0$"):
+        with pytest.raises(RangeError, match="^n_pulses must be a positive integer, got 0$"):
             fold_timetags([(ch, ts)], GATE, 0)
         with pytest.raises(FormatError):
             fold_timetags([(ch, np.array([10, 20]))], GATE, 1)
@@ -553,7 +552,7 @@ class TestIngest:
     def test_non_integral_pulse_count_is_named(self, n_pulses):
         ch, ts = np.array([0], dtype=np.uint8), np.array([10])
         with pytest.raises(RangeError, match=re.escape(
-                f"n_pulses must be an integer, got {n_pulses!r}")) as exc:
+                f"n_pulses must be a positive integer, got {n_pulses!r}")) as exc:
             fold_timetags([(ch, ts)], GATE, n_pulses)
         assert exc.value.field == "n_pulses"
 
@@ -772,35 +771,46 @@ class TestCountsBlock:
         write_counts_block(tmp_path / "b", COUNTS, CONFIGS[1])
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
-    def test_is_counts_block(self, tmp_path):
-        path = tmp_path / "run.counts"
-        write_counts_block(path, COUNTS, CONFIGS[0])
-        assert is_counts_block(path)
-        other = tmp_path / "tags.csv"
-        write_timetags_csv(other, np.array([0]), np.array([10]))
-        assert not is_counts_block(other)
-        assert not is_counts_block(tmp_path / "missing")
-
-    @pytest.mark.parametrize("edit", [
-        lambda b: b, lambda b: b.replace(b"\n", b"\r\n"), lambda b: b.replace(b"\n", b"\r"),
-        lambda b: b"\x0b" + b,  # a magic line the bytes check strips, but not splitlines
-        lambda b: b.replace(b"v1\n", b"v1" + b" " * 2000 + b"\n", 1),  # past the 1 KiB head
-        lambda b: b.replace(b"n_10 = 60", b"n_10 = \xe9"),
-        lambda b: b"channel,timestamp_ns\nA,10\n", lambda b: b"\x02" + bytes(17), lambda b: b"",
-    ], ids=("lf", "crlf", "cr", "vt-first", "long-magic", "non-ascii", "csv", "binary", "empty"))
-    def test_read_if_counts_block_reads_as_both(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit,kind", [
+        (lambda b: b, "block"), (lambda b: b.replace(b"\n", b"\r\n"), "block"),
+        (lambda b: b.replace(b"\n", b"\r"), "block"),
+        # whitespace the magic line is stripped of, and no line end
+        (lambda b: b"\x0b" + b, "block"),
+        (lambda b: b.replace(b"v1\n", b"v1\x0c\n", 1), "block"),
+        # not ASCII whitespace: no magic line
+        (lambda b: b.replace(b"v1\n", b"v1\x1f\n", 1), None),
+        # a magic line past the 1 KiB head: its blank rest is read as line 1
+        (lambda b: b.replace(b"v1\n", b"v1" + b" " * 2000 + b"\n", 1), "block"),
+        (lambda b: b.replace(b"v1\n", b"v1" + b" " * 2000 + b"x\n", 1), FormatError),
+        (lambda b: b.replace(b"n_10 = 60", b"n_10 = \xe9"), FormatError),
+        (lambda b: b"channel,timestamp_ns\nA,10\n", None), (lambda b: b"\x02" + bytes(17), None),
+        (lambda b: b"", None), (lambda b: None, FileNotFoundError),
+    ], ids=("lf", "crlf", "cr", "vt-first", "ff-after-magic", "us-after-magic", "long-magic",
+            "long-magic-then-text", "non-ascii", "csv", "binary", "empty", "missing"))
+    def test_read_if_counts_block_reads_as_both(self, tmp_path, edit, kind):
         path = tmp_path / "run.counts"
         write_counts_block(path, COUNTS, CONFIGS[1])
-        path.write_bytes(edit(path.read_bytes()))
+        data = edit(path.read_bytes())
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
 
         def outcome(read):
             try:
                 return read(path)
-            except FormatError as exc:
-                return str(exc)
+            except (FormatError, OSError) as exc:
+                return type(exc), str(exc)
 
-        want = outcome(read_counts_block) if is_counts_block(path) else None
+        # None exactly where the public reader refuses the header, else the same outcome
+        want = outcome(read_counts_block)
+        if want == (FormatError, f"{path}:1: expected 'photon-gate-counts v1' header"):
+            want = None
         assert outcome(kvfile._read_if_counts_block) == want
+        if kind == "block":
+            assert want == (COUNTS, CONFIGS[1])
+        else:
+            assert want is None if kind is None else want[0] is kind
 
     def test_read_if_counts_block_opens_once(self, tmp_path, monkeypatch):
         path = tmp_path / "run.counts"
@@ -813,7 +823,8 @@ class TestCountsBlock:
 
         monkeypatch.setattr(kvfile, "open", counting_open, raising=False)
         assert kvfile._read_if_counts_block(path) == (COUNTS, CONFIGS[1])
-        assert kvfile._read_if_counts_block(tmp_path / "missing") is None
+        with pytest.raises(FileNotFoundError):
+            kvfile._read_if_counts_block(tmp_path / "missing")
         assert opened == [path, tmp_path / "missing"]
 
     def test_missing_magic(self, tmp_path):
@@ -863,8 +874,10 @@ class TestCountsBlock:
         ("n_all = 1000", f"n_all = {10**400}", ":2: n_all must be below 2**63, got 1e+400"),
         ("n_11 = 2", f"n_11 = {2**63}", f":6: n_11 must be below 2**63, got {2**63}"),
         ("seed = 7", f"seed = {2**64}", f":7: seed must be below 2**64, got {2**64}"),
+        # a vertical tab ends no line, so the value holds it
+        ("n_00 = 900", "n_00 = 9\x0b00", ":3: n_00 must be int, got '9\\x0b00'"),
     ], ids=("tally", "tally-sum", "channel-efficiency", "seed", "huge-pulses", "huge-tally",
-            "huge-seed"))
+            "huge-seed", "vt-in-value"))
     def test_out_of_range_value_names_the_file(self, tmp_path, old, new, message):
         path = tmp_path / "run.counts"
         write_counts_block(path, COUNTS, CONFIGS[1])
@@ -1000,12 +1013,14 @@ class TestSimConfigFile:
         ({"cycles": "0"}, ":6: cycles must be a positive integer, got 0"),
         ({"cycles": "x"}, ":6: cycles must be int, got 'x'"),
         ({"cycles": str(2**63)}, f":6: cycles must be below 2**63, got {2**63}"),
+        # a form feed ends no line, so the next line is still line 3
+        ({"kind": "coherent\f", "mu": "-1"}, ":3: source.mu must be finite and >= 0, got -1.0"),
     ], ids=("source", "params", "cycles-shorthand", "cycles-shorthand-not-int",
-            "cycles-shorthand-huge"))
+            "cycles-shorthand-huge", "form-feed-ended-kind"))
     def test_out_of_range_value_names_its_line(self, tmp_path, values, message):
         path = tmp_path / "sim.cfg"
-        values = {"mu": "0.5", "gamma": "0.1", "cycles": "10", **values}
-        path.write_text("seed = 1\nsource.kind = coherent\nsource.mu = {mu}\nparams.eta = 0.5\n"
+        values = {"kind": "coherent", "mu": "0.5", "gamma": "0.1", "cycles": "10", **values}
+        path.write_text("seed = 1\nsource.kind = {kind}\nsource.mu = {mu}\nparams.eta = 0.5\n"
                         "params.gamma = {gamma}\ncycles = {cycles}\n".format(**values))
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}{message}')}$"):
             read_sim_config(path)
