@@ -73,7 +73,8 @@ def _echo(v) -> str:
 def _checked_int(name: str, v, kind: str, low: int, high: float = math.inf) -> int:
     """v as an int, after checking that it is integral and in [low, high);
     else a RangeError naming name, worded by `kind`, but an integral value
-    at or above high, a power of two, is refused as such."""
+    at or above high, a power of two, is refused as such.  A real number is
+    echoed as _echo gives it, np.float64(2.5) as 2.5; anything else by repr."""
     try:
         whole = v == int(v)
     except (TypeError, ValueError, OverflowError):
@@ -81,7 +82,8 @@ def _checked_int(name: str, v, kind: str, low: int, high: float = math.inf) -> i
     if not (whole and low <= v < high):
         if whole and v >= high:
             raise RangeError(f"must be below 2**{high.bit_length() - 1}, got {_echo(v)}", name)
-        raise RangeError(f"must be {kind}, got {v!r}", name)
+        echo = _echo(v) if isinstance(v, numbers.Real) else repr(v)
+        raise RangeError(f"must be {kind}, got {echo}", name)
     return int(v)
 
 

@@ -19,7 +19,7 @@ period below 1 ns, or too long for int64 on the timings' common grid, is
 refused.  A bad gate timing or pulse count raises RangeError, a bad
 record or file FormatError.
 
-Files are read in chunks (65536 records, or about 1 MiB of CSV) that
+Files are read in chunks (65536 records, or about 256 KiB of CSV) that
 fold_timetags folds in turn, carrying per channel the last timestamp,
 the last kept pulse and the kept pulses awaiting a coincidence: memory
 is O(chunk) plus those, which grow only while a channel runs ahead.
@@ -176,9 +176,10 @@ def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.nd
 
 # 10**19 - 1 < 2**64, so a 19-digit timestamp cannot overflow uint64
 _CSV_FAST_DIGITS = 19
-# records per binary read; bytes per CSV read
+# records per binary read; bytes per CSV read, small enough that a
+# block's per-line temporaries stay in cache
 _CHUNK_TAGS = 1 << 16
-_CSV_CHUNK_BYTES = 1 << 20
+_CSV_CHUNK_BYTES = 1 << 18
 
 
 def iter_timetags_csv(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -218,27 +219,48 @@ def _parse_csv_block(
     """Records of the LF-ended lines in data, the first being line lineno,
     and the number of LFs in data, which the next block's lineno adds.
     Lines in the canonical form ``[AB],[0-9]{1,19}`` below 2**63 (what
-    write_timetags_csv emits) are parsed in bulk; every other line goes
-    through _parse_csv_line, so both give the same records and errors."""
+    write_timetags_csv emits) are parsed in bulk, one uint8 gather per digit
+    column and Horner's rule in uint32 over groups of 9 digits; every other
+    line goes through _parse_csv_line, so both give the same records and errors."""
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     lines = ends.size
     if not data.endswith(b"\n"):
         ends = np.append(ends, buf.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
-    digits = ends - starts - 2
+    # data behind 19 pad bytes and before one, so that shifted views gather
+    # every column at ends and each comma at starts without index arithmetic
+    pad = _CSV_FAST_DIGITS
+    padded = np.empty(pad + buf.size + 1, dtype=np.uint8)
+    padded[:pad], padded[pad:-1], padded[-1] = ord("0"), buf, ord("\n")
     first = buf[starts]
-    comma = np.take(buf, starts + 1, mode="clip")
-    canonical = ((first == ord("A")) | (first == ord("B"))) & (comma == ord(",")) & (
-        digits >= 1) & (digits <= _CSV_FAST_DIGITS)
+    digits = ends - starts - 2
+    canonical = ((first == ord("A")) | (first == ord("B"))) & (
+        np.take(padded[pad + 1:], starts) == ord(",")) & (digits >= 1) & (
+        digits <= _CSV_FAST_DIGITS)
+    width = np.clip(digits, 0, _CSV_FAST_DIGITS).astype(np.uint8)
+    shortest, columns = int(width.min()), int(width.max())
+    # one gather per digit column, most significant first, Horner's rule in
+    # uint32 over groups of 9 columns (10**9 - 1 < 2**32); a non-canonical
+    # line may wrap its group, as _parse_csv_line parses it anyway
+    top = np.zeros_like(width)  # the largest digit of each line, >= 10 for a non-digit
+    groups = []
+    for k in range(columns - 1, -1, -1):
+        d = np.take(padded[pad - 1 - k:], ends)
+        d -= np.uint8(ord("0"))  # wraps below "0"
+        if k >= shortest:  # a column some line lacks
+            d *= width > k
+        np.maximum(top, d, out=top)
+        if k == columns - 1 or k % 9 == 8:
+            groups.append(d.astype(np.uint32))
+        else:
+            groups[-1] *= 10
+            groups[-1] += d
+    canonical &= top < 10
     timestamps = np.zeros(starts.size, dtype=np.uint64)
-    columns = min(int(digits.max(initial=0)), _CSV_FAST_DIGITS)
-    # one gather per digit column, least significant first
-    for k in range(columns):
-        d = np.take(buf, ends - 1 - k, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
-        live = digits > k
-        canonical &= (d < 10) | ~live
-        timestamps += (d * live).astype(np.uint64) * np.uint64(10**k)
+    for group in groups:
+        timestamps *= np.uint64(10**9)
+        timestamps += group
     if columns == _CSV_FAST_DIGITS:  # the line grammar names the line of a value >= 2**63
         canonical &= timestamps < 2**63
     timestamps = timestamps.view(np.int64)

@@ -2,6 +2,7 @@ import math
 import re
 import types
 
+import numpy as np
 import pytest
 
 from photon_gate import (
@@ -140,16 +141,23 @@ class TestIntegerFields:
             with pytest.raises(RangeError) as exc:
                 ClickCounts(**{**fields, name: value})
             assert str(exc.value) == f"{name} must be below 2**63, got {echo}"
-        with pytest.raises(RangeError) as exc:
-            ClickCounts(**{**fields, name: -1})
-        assert str(exc.value) == f"{name} must be a nonnegative integer, got -1"
+        for value in (-1, np.int64(-1)):  # a numpy integer is echoed as a number
+            with pytest.raises(RangeError) as exc:
+                ClickCounts(**{**fields, name: value})
+            assert str(exc.value) == f"{name} must be a nonnegative integer, got -1"
 
-    @pytest.mark.parametrize("value", [1.5, math.nan, math.inf, "3", None])
-    def test_non_integers_refused(self, value):
-        with pytest.raises(RangeError, match="cycles must be a positive integer"):
+    # a real number is echoed as it prints, numpy's too; anything else by repr
+    @pytest.mark.parametrize("value,echo", [(1.5, "1.5"), (math.nan, "nan"), (math.inf, "inf"),
+                                            ("3", "'3'"), (None, "None"),
+                                            (np.float64(2.5), "2.5")],
+                             ids=("1.5", "nan", "inf", "3", "None", "np-float64-2.5"))
+    def test_non_integers_refused(self, value, echo):
+        with pytest.raises(RangeError) as exc:
             DetectionParams(eta=0.1, cycles=value)
-        with pytest.raises(RangeError, match="s must be a positive integer"):
+        assert str(exc.value) == f"cycles must be a positive integer, got {echo}"
+        with pytest.raises(RangeError) as exc:
             IdealEmitters(s=value)
+        assert str(exc.value) == f"s must be a positive integer, got {echo}"
 
 
 class TestSourceModels:

@@ -218,6 +218,8 @@ def _csv_line(rng) -> str:
 
 BAD_CSV_LINES = ["C,5\n", "A,5,6\n", "A,-3\n", "B,1.5\n", f"A,{2**63 + 7}\n", "B\n",
                  f"A,{2**63}\n", f"B,{10**19 - 1}\n"]
+# bytes that may stand for one digit of a canonical line
+NON_DIGITS = [",", ":", " ", "/", "\xff"]
 
 
 class TestCsvReaderEquivalence:
@@ -227,25 +229,18 @@ class TestCsvReaderEquivalence:
 
     @staticmethod
     def line_by_line(path):
-        with open(path, encoding="ascii") as fh:
+        # latin-1 hands every byte to _parse_csv_line as it is, so a non-ASCII
+        # line fails there, not in the decode
+        with open(path, encoding="latin-1") as fh:
             next(fh)
-            records = [_parse_csv_line(path, lineno, raw.encode("ascii"))
+            records = [_parse_csv_line(path, lineno, raw.encode("latin-1"))
                        for lineno, raw in enumerate(fh, start=2)]
         records = [r for r in records if r is not None]
         return (np.array([c for c, _ in records], dtype=np.uint8),
                 np.array([t for _, t in records], dtype=np.int64))
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_mixed_forms(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        lines = [_csv_line(rng) for _ in range(rng.integers(0, 300))]
-        if lines and rng.random() < 0.25:
-            lines.insert(rng.integers(len(lines)), BAD_CSV_LINES[rng.integers(len(BAD_CSV_LINES))])
-        text = "channel,timestamp_ns\n" + "".join(lines)
-        if rng.random() < 0.3:
-            text = text.rstrip("\r\n")
-        path = tmp_path / "tags.csv"
-        path.write_bytes(text.encode("ascii"))
+    def assert_reads_line_by_line(self, path, text):
+        path.write_bytes(("channel,timestamp_ns\n" + text).encode("latin-1"))
         try:
             want_ch, want_ts = self.line_by_line(path)
         except FormatError as exc:
@@ -258,12 +253,81 @@ class TestCsvReaderEquivalence:
         assert np.array_equal(got_ch, want_ch)
         assert np.array_equal(got_ts, want_ts)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mixed_forms(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        lines = [_csv_line(rng) for _ in range(rng.integers(0, 300))]
+        if lines and rng.random() < 0.25:
+            lines.insert(rng.integers(len(lines)), BAD_CSV_LINES[rng.integers(len(BAD_CSV_LINES))])
+        text = "".join(lines)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", text)
+
     @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 17, 64])
     @pytest.mark.parametrize("seed", range(0, 40, 3))
     def test_mixed_forms_in_small_reads(self, tmp_path, monkeypatch, read_bytes, seed):
         # chunk edges at every position: the same records and errors as one read
         monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
         self.test_mixed_forms(tmp_path, seed)
+
+    @staticmethod
+    def same_width_lines(width, n=7):
+        """n canonical lines, each with width digits and no leading zero."""
+        rng = np.random.default_rng(width)
+        stamps = rng.integers(10**(width - 1), min(10**width, 2**63), n, endpoint=False)
+        return [f"{'AB'[i % 2]},{t}\n" for i, t in enumerate(stamps.tolist())]
+
+    @pytest.mark.parametrize("byte", NON_DIGITS)
+    @pytest.mark.parametrize("width", range(1, 20))
+    def test_one_width_with_a_byte_replaced(self, tmp_path, width, byte):
+        # every line as wide, so no column is masked: a non-digit must still be seen
+        lines = self.same_width_lines(width)
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(lines))
+        for column in range(len(lines[3]) - 1):
+            edited = lines[:3] + [lines[3][:column] + byte + lines[3][column + 1:]] + lines[4:]
+            self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(edited))
+
+    @pytest.mark.parametrize("width", range(1, 20))
+    def test_one_width_with_leading_zeros(self, tmp_path, width):
+        rng = np.random.default_rng(width)
+        stamps = rng.integers(0, 10**(width // 2 + 1), 7).tolist()
+        text = "".join(f"{'AB'[i % 2]},{t:0{width}d}\n" for i, t in enumerate(stamps))
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", text)
+
+    @pytest.mark.parametrize("top", [2**63 - 1, 2**63], ids=("2-63-less-1", "2-63"))
+    def test_nineteen_digits_at_the_bound(self, tmp_path, top):
+        lines = self.same_width_lines(19)
+        lines.insert(4, f"B,{top}\n")
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(lines))
+
+    @pytest.mark.parametrize("shortest", range(1, 20))
+    def test_mixed_widths_stay_in_bulk(self, tmp_path, monkeypatch, shortest):
+        # each width from shortest up, with and without leading zeros: the masks
+        # must keep every line canonical, so none falls back to the line parser
+        lines = [line for width in range(shortest, 20) for line in self.same_width_lines(width, 2)]
+        lines += [f"A,{width:0{width}d}\n" for width in range(shortest, 20)]
+        path = tmp_path / "tags.csv"
+        path.write_text("channel,timestamp_ns\n" + "".join(lines[::-1] + lines))
+        want_ch, want_ts = self.line_by_line(path)
+
+        def per_line(*args):
+            raise AssertionError("a canonical line left the bulk parser")
+
+        monkeypatch.setattr(timetags, "_parse_csv_line", per_line)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
+        assert np.array_equal(got_ch, want_ch) and np.array_equal(got_ts, want_ts)
+
+    @pytest.mark.parametrize("byte", NON_DIGITS)
+    @pytest.mark.parametrize("shortest", range(1, 19))
+    def test_non_digit_in_a_line_longer_than_the_shortest(self, tmp_path, shortest, byte):
+        # columns below shortest go unmasked, the others are masked line by line
+        longer = "1234567890123456789"
+        for column in range(len(longer)):
+            edited = longer[:column] + byte + longer[column + 1:]
+            lines = self.same_width_lines(shortest)
+            lines[3:3] = [f"A,{longer}\n", f"B,{edited}\n"]
+            self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(lines))
 
 
 class TestCsvChunkEdges:
