@@ -44,7 +44,8 @@ import time
 from dataclasses import replace
 
 from .analytic import g2_zero_estimate
-from .criterion import _bounds, _critical_values, _sbr_threshold, classify, classify_counts
+from .criterion import (_ETA_MAX, _boundary_mean, _bounds, _critical_values, _sbr_threshold,
+                        classify, classify_counts)
 from .kvfile import _read_if_counts_block, read_sim_config, write_counts_block
 from .model import (
     ClickCounts,
@@ -61,9 +62,6 @@ from .model import (
 
 # by name: run as python -m photon_gate.cli, __name__ is "__main__"
 log = logging.getLogger("photon_gate.cli")
-
-# largest eta of the critical sweep: its mean click number must stay <= 1
-_ETA_MAX = 2.0 - math.sqrt(2.0)
 
 _EXIT_BY_DECISION = {
     Decision.SINGLE: 0,
@@ -194,9 +192,8 @@ def _ns(text: str):
         raise argparse.ArgumentTypeError(f"invalid float or ratio value: {text!r}") from None
 
 
-def _linspace(args: argparse.Namespace):
-    """The sweep's grid, a numpy array."""
-    import numpy as np
+def _linspace(args: argparse.Namespace, np):
+    """The sweep's grid, an array of the numpy module np."""
     if args.points < 0:
         raise RangeError(f"--points must be >= 0, got {args.points}")
     if args.points == 0:
@@ -207,14 +204,15 @@ def _linspace(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid = _linspace(args)
+    import numpy as np
+    grid = _linspace(args, np)
     if args.curve == "sbr0":
         if grid.size and args.start <= 0.0:
             raise RangeError(f"--start must be > 0 (a mean click number), got {args.start}")
         if grid.size and args.stop > 1.0:
             raise RangeError(f"--stop {args.stop} exceeds 1, the largest mean click number")
         header = "mean_n,sbr0"
-        columns = (grid, _sbr_threshold(grid, _bounds(grid)[2]))
+        columns = (grid, _sbr_threshold(grid, _bounds(grid, np)[2], np))
     else:
         if grid.size and args.start < 0.0:
             raise RangeError(f"--start must be >= 0 (a detection efficiency), got {args.start}")
@@ -231,8 +229,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     raise
                 raise RangeError(f"--delta {args.delta} at --stop {args.stop}: {exc}") from None
         header = "eta,mean_n,p1_bound,p2_bound,p1_critical,p2_critical"
-        mean_n = 2.0 * grid - 0.5 * grid * grid
-        crit = _critical_values(_bounds(mean_n), grid, args.delta, args.gamma, args.cycles)
+        mean_n = _boundary_mean(grid)
+        crit = _critical_values(_bounds(mean_n, np), grid, args.delta, args.gamma,
+                                args.cycles, np)
         columns = (grid, mean_n, crit.p1_bound, crit.p2_bound,
                    crit.p1_corrected, crit.p2_corrected)
     # repr, not a numpy format: the shortest text that reads back as the same float

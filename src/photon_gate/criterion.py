@@ -53,15 +53,11 @@ so delta_p1 <= 0 and the one-click threshold moves up.  Sampling over M
 pulses adds the variance p(1-p)/M of an estimated probability; one
 standard deviation is also reported for error bars.
 
-The closed forms live in private functions that take a float or a numpy
-array, so ``photon-gate sweep`` evaluates a whole curve in one pass
-through the text the public functions run.  Each evaluates with numpy
-for an ndarray and with math for anything else, ints and numpy scalars
-included: a Python float is told by its type alone, and only another
-value looks for numpy in sys.modules, as no ndarray exists until numpy
-is imported.  So this module imports no numpy, and a verdict on floats
-costs no numpy lookup.  The functions take the _bounds at the mean as
-arguments, so each verdict or curve evaluates every closed form once.
+The closed forms take math, or numpy from ``photon-gate sweep``, as
+their last argument xp, so a curve runs through the text a verdict runs
+and this module imports no numpy.  Only this module states the boundary,
+as _bounds at a mean and _boundary_mean at an efficiency, and each
+verdict or curve evaluates every closed form once, from the _bounds.
 classify and classify_counts share one core, which classify_counts feeds
 from the tallies directly: p1 and p2 (no PhotonStats), the bounds (whose
 eta* is the default eta) and the measured SBR (whence the default gamma).
@@ -70,7 +66,6 @@ eta* is the default eta) and the measured SBR (whence the default gamma).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import replace
 
 # called by this name, so a wrapper set on criterion.sbr_from_stats sees each classify call
@@ -100,16 +95,18 @@ def boundary_eta(mean_n: float) -> float:
     return _bounds(_checked_mean(mean_n))[0]
 
 
-def _xp(x):
-    """numpy for an ndarray x, else math; until numpy is loaded, nothing is an ndarray."""
-    np = sys.modules.get("numpy")
-    return np if np is not None and isinstance(x, np.ndarray) else math
+_ETA_MAX = 2.0 - math.sqrt(2.0)  # the largest eta*, where _boundary_mean reaches 1
 
 
-def _bounds(mean_n):
-    """(eta*, p1_bound, p2_bound) at a float or an array of means in
-    [0, 1], unchecked."""
-    xp = math if type(mean_n) is float else _xp(mean_n)
+def _boundary_mean(eta):
+    """Mean click number 2 eta - eta^2/2 of two ideal emitters, each
+    detected with efficiency eta; _bounds inverts it."""
+    return 2.0 * eta - 0.5 * eta * eta
+
+
+def _bounds(mean_n, xp=math):
+    """(eta*, p1_bound, p2_bound) at a float or, with xp numpy, an array
+    of means in [0, 1], unchecked."""
     eta = mean_n / (1.0 + xp.sqrt(1.0 - mean_n / 2.0))
     eta_sq = eta * eta  # not eta ** 2: libm's pow and numpy's square differ in the last bit
     return eta, mean_n - eta_sq, 0.5 * eta_sq
@@ -129,9 +126,8 @@ def sbr_threshold(mean_n: float) -> float:
     return _sbr_threshold(mean_n, _bounds(mean_n)[2])
 
 
-def _sbr_threshold(mean_n, p2_bound):
+def _sbr_threshold(mean_n, p2_bound, xp=math):
     """sbr_threshold at a float or an array of means in (0, 1], unchecked."""
-    xp = math if type(mean_n) is float else _xp(mean_n)
     b = 4.0 * p2_bound / (mean_n + xp.sqrt(mean_n * mean_n - 4.0 * p2_bound))
     return ((mean_n - b) / (1.0 - b / 2.0)) / b
 
@@ -156,10 +152,9 @@ def systematic_deviation(params: DetectionParams) -> tuple[float, float]:
     return _deviation(params.eta, params.delta, params.gamma)
 
 
-def _deviation(eta, delta: float, gamma: float):
+def _deviation(eta, delta: float, gamma: float, xp=math):
     """systematic_deviation at eta, a float or an array."""
     x = delta * eta * gamma / 2.0
-    xp = math if type(x) is float else _xp(x)
     sh = xp.sinh(x / 2.0)
     bracket = (2.0 - eta) * 2.0 * sh * sh + delta * eta * xp.sinh(x)
     d2 = bracket * xp.exp(-eta * gamma / 2.0)
@@ -182,12 +177,11 @@ def relative_deviations(params: DetectionParams) -> tuple[float, float]:
     return d1 / balanced.p1, d2 / balanced.p2
 
 
-def _fluctuation(p, cycles: int):
+def _fluctuation(p, cycles: int, xp=math):
     """(variance p (1 - p) / cycles, one standard deviation) of a
     probability p estimated over cycles pulses; p a float or an array,
     unchecked."""
     var = p * (1.0 - p) / cycles
-    xp = math if type(var) is float else _xp(var)
     return var, xp.sqrt(var)
 
 
@@ -198,13 +192,14 @@ def corrected_critical_values(mean_n: float, params: DetectionParams) -> Critica
                             params.gamma, params.cycles)
 
 
-def _critical_values(bounds, eta, delta: float, gamma: float, cycles: int) -> CriticalValues:
+def _critical_values(bounds, eta, delta: float, gamma: float, cycles: int,
+                     xp=math) -> CriticalValues:
     """corrected_critical_values from the _bounds at the mean, unchecked;
     with arrays of bounds and of eta, each field is an array over them."""
     _, p1_bound, p2_bound = bounds
-    d1, d2 = _deviation(eta, delta, gamma)
-    var1, sig1 = _fluctuation(p1_bound, cycles)
-    var2, sig2 = _fluctuation(p2_bound, cycles)
+    d1, d2 = _deviation(eta, delta, gamma, xp)
+    var1, sig1 = _fluctuation(p1_bound, cycles, xp)
+    var2, sig2 = _fluctuation(p2_bound, cycles, xp)
     return CriticalValues(p1_bound, p2_bound, p1_bound - d1 + var1, p2_bound - d2 - var2,
                           d1, d2, var1, var2, sig1, sig2)  # in field order
 

@@ -21,8 +21,10 @@ record or file FormatError.
 
 Files are read in chunks (65536 records, or about 256 KiB of CSV) that
 fold_timetags folds in turn, carrying per channel the last timestamp,
-the last kept pulse and the kept pulses awaiting a coincidence: memory
-is O(chunk) plus those, which grow only while a channel runs ahead.
+the last record's pulse, the last kept pulse and the kept pulses that
+the other channel may still match: memory is O(chunk) plus those, which
+are held up to the other channel's last record, so a stream with no
+record of one channel holds every kept pulse of the other.
 
 Every record keeps one contract: an integer (or bool) channel code 0
 (A) or 1 (B), and an integer timestamp in [0, 2**63) ns, nondecreasing
@@ -366,19 +368,19 @@ def fold_timetags(
     count is one past the last record's pulse (0 for no records)."""
     if n_pulses is not None:  # pulse indices are int64
         n_pulses = _checked_int("n_pulses", n_pulses, "a positive integer", 1, 2**63)
-    # per channel: last timestamp, last kept pulse, kept count, and kept
-    # pulses that a later pulse of the other channel may still match, as
-    # sorted nonempty pieces joined only once the other channel reaches them
-    last_t, last_kept, kept = [0, 0], [-1, -1], [0, 0]
+    # per channel: last timestamp, pulse of the last record, last kept
+    # pulse, kept count, and kept pulses that a later pulse of the other
+    # channel may still match, as sorted nonempty pieces
+    last_t, last_pulse, last_kept, kept = [0, 0], [-1, -1], [-1, -1], [0, 0]
     pending = [deque(), deque()]
-    n_11, top, dropped, records = 0, -1, 0, 0
+    n_11, dropped, records = 0, 0, 0
     for channels, timestamps in chunks:
         for code, t in enumerate(_checked_records("", channels, timestamps, last_t, records)):
             if t.size == 0:
                 continue
             last_t[code] = t[-1]
             pulse, in_gate = gate.fold(t)
-            top = max(top, int(pulse[-1]))
+            last_pulse[code] = int(pulse[-1])
             if n_pulses is not None and pulse[-1] >= n_pulses:
                 beyond = pulse >= n_pulses
                 dropped += int(np.count_nonzero(in_gate & beyond))
@@ -390,10 +392,12 @@ def fold_timetags(
                 last_kept[code] = int(new[-1])
                 kept[code] += new.size
                 pending[code].append(new)
-        if pending[0] and pending[1]:
-            # a pulse at or below the other channel's last kept pulse has met
-            # every pulse it can match; the rest waits for the next chunk
-            done = _pop_through(pending[0], last_kept[1]) + _pop_through(pending[1], last_kept[0])
+        if pending[0] or pending[1]:
+            # a pulse has met every twin it can have once the other channel
+            # kept it or a later pulse, or has a record in a later pulse; so
+            # twins pop together, each at or below the other's last kept pulse
+            cut = [max(k, p - 1) for k, p in zip(last_kept, last_pulse)]
+            done = _pop_through(pending[0], cut[1]) + _pop_through(pending[1], cut[0])
             # sorted runs of distinct pulses: one merge puts each shared one by its twin
             merged = np.concatenate(done)
             merged.sort(kind="stable")
@@ -401,7 +405,7 @@ def fold_timetags(
         records += len(timestamps)
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
-    n_all = top + 1 if n_pulses is None else n_pulses
+    n_all = max(last_pulse) + 1 if n_pulses is None else n_pulses
     return ClickCounts.from_totals(n_all, kept[0], kept[1], n_11)
 
 

@@ -4,6 +4,7 @@ classify decision logic."""
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from photon_gate import (
     setup_sbr,
     simulate_pulses,
     stats_from_counts,
+    systematic_deviation,
 )
 from photon_gate import criterion
 from photon_gate.criterion import _bounds
@@ -259,21 +261,29 @@ def test_scalar_closed_forms_return_floats(row):
         assert abs(value - want) <= math.ulp(want)
 
 
-@pytest.mark.parametrize("x,module", [
-    (1, math), (np.int64(1), math), (np.float64(0.5), math),
-    (np.array(0.5), np), (np.array([0.5, 0.6]), np),
-], ids=("int", "int64", "float64", "0-d-array", "array"))
-def test_numpy_only_for_an_ndarray(x, module):
-    assert criterion._xp(x) is module
-
-
 def test_a_verdict_on_floats_never_looks_for_numpy(monkeypatch):
-    """A Python float takes math by its type alone, before any look for numpy."""
-    monkeypatch.setattr(criterion, "_xp", None)  # a call would raise TypeError
-    classify_counts(ClickCounts(299613, 285696, 6951, 6951, 15))
-    classify_counts(ClickCounts(299613, 285696, 6951, 6951, 15), eta=0.1, delta=0.3, gamma=0.2)
-    corrected_critical_values(0.2, SCALAR_PARAMS)
-    sbr_threshold(0.2)
+    """The closed forms take math unless numpy is passed: with numpy made
+    unimportable, every public entry point still returns floats."""
+    monkeypatch.setitem(sys.modules, "numpy", None)  # an import of numpy would raise
+    verdicts = [classify_counts(SAMPLE1_COUNTS),
+                classify_counts(SAMPLE1_COUNTS, eta=0.1, delta=0.3, gamma=0.2)]
+    values = [sbr_threshold(0.2), *systematic_deviation(SCALAR_PARAMS),
+              *vars(corrected_critical_values(0.2, SCALAR_PARAMS)).values()]
+    for v in verdicts:
+        assert v.decision is not Decision.INDETERMINATE
+        values += [v.sbr0, v.measured_sbr, v.setup_sbr, v.margin_p1, *vars(v.critical).values()]
+    assert all(type(x) is float for x in values)
+
+
+def test_boundary_mean_is_inverted_by_the_bounds():
+    """_boundary_mean is the map _bounds inverts: back to eta within 1 ulp
+    up to _ETA_MAX, where the mean reaches 1 up to its last bit."""
+    eta = np.linspace(0.0, criterion._ETA_MAX, 200_001)
+    back = _bounds(criterion._boundary_mean(eta), np)[0]
+    assert np.all(np.abs(back - eta) <= np.spacing(eta))
+    for e in eta[::1000].tolist():  # the float path, as a verdict runs it
+        assert abs(_bounds(criterion._boundary_mean(e))[0] - e) <= math.ulp(e)
+    assert 1.0 - 2.0**-52 <= criterion._boundary_mean(criterion._ETA_MAX) <= 1.0
 
 
 class TestClassify:

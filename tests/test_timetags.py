@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -643,9 +644,10 @@ class TestIngest:
         assert np.array_equal(pulse, 10 * m)
 
     @staticmethod
-    def oracle_case(seed):
+    def oracle_case(seed, dark=None):
         """A seeded random stream, its gate and pulse count, and the
-        per-tag oracle's (n_00, n_10, n_01, n_11)."""
+        per-tag oracle's (n_00, n_10, n_01, n_11).  A dark channel, 0 or
+        1, has records but all of them after its gate."""
         rng = np.random.default_rng(seed)
         # int and float integral periods, dyadic and decimal fractional
         # ones, and a 76 MHz period given as a Fraction
@@ -659,11 +661,14 @@ class TestIngest:
         if seed % 2:  # a pulse that starts at a whole ns near the Unix epoch in ns
             base = 1_760_000_000_000_000_000 // exact.numerator * exact.denominator
         streams = []
-        for _ in range(2):
-            n = 0 if rng.random() < 0.15 else int(rng.integers(1, 120))
+        for code in range(2):
+            n = 0 if rng.random() < 0.15 and code != dark else int(rng.integers(1, 120))
             # few distinct pulses, so several tags share one; some beyond n_pulses
             pulse = rng.integers(0, n_pulses + 3, n)
-            position = rng.integers(0, math.ceil(period), n)
+            # a dark channel's tags lie whole ns past its gate and before the next
+            low, high = ((math.ceil(offset + width) + 1, math.floor(period) - 1)
+                         if code == dark else (0, math.ceil(period)))
+            position = rng.integers(low, high, n)
             streams.append(np.sort(int(base * exact) + position
                                    + np.floor(pulse * float(period)).astype(np.int64)))
         # interleave the channels in a random order that keeps each sorted
@@ -690,6 +695,20 @@ class TestIngest:
         assert (counts.n_all, counts.n_00, counts.n_10, counts.n_01, counts.n_11) == (
             n_all, *expected)
 
+    @pytest.mark.parametrize("size", [1, 7, 4096, None], ids=("1", "7", "4096", "whole"))
+    @pytest.mark.parametrize("seed", range(60))
+    def test_fold_matches_per_tag_oracle_with_a_dark_channel(self, seed, size):
+        dark = seed // 2 % 2  # each channel, with and without the epoch base of odd seeds
+        channels, timestamps, gate, n_all, expected = self.oracle_case(seed, dark)
+        # the dark channel has records, yet neither its clicks nor a coincidence
+        assert np.any(channels == dark) and expected[1 + dark] == expected[3] == 0
+        counts = fold_timetags(chunked(channels, timestamps, size), gate, n_all)
+        assert (counts.n_all, counts.n_00, counts.n_10, counts.n_01, counts.n_11) == (
+            n_all, *expected)
+        inferred = int(gate.fold(timestamps.max())[0]) + 1
+        assert fold_timetags(chunked(channels, timestamps, size), gate) == fold_timetags(
+            [(channels, timestamps)], gate, inferred)
+
     @pytest.mark.parametrize("seed", range(0, 60, 7))
     def test_pulse_count_inferred_from_last_tag(self, seed):
         channels, timestamps, gate, _, _ = self.oracle_case(seed)
@@ -714,6 +733,27 @@ class TestIngest:
             timestamps = np.concatenate([a, b])
             counts = fold_timetags(chunked(channels, timestamps, 7), GATE, n_all)
             assert counts == ClickCounts(n_all, *expected)
+
+    def test_fold_memory_stays_flat_while_a_channel_keeps_nothing(self):
+        # B's tags all miss the gate: A's kept pulses must not pile up waiting for one
+        size = 65536
+        channels = np.repeat(np.array([0, 1], dtype=np.uint8), size)
+
+        def stream(n_chunks):
+            for i in range(n_chunks):
+                start = np.arange(i * size, (i + 1) * size) * 500
+                yield channels, np.concatenate([start + 10, start + 200])
+
+        peaks = []
+        for n_chunks in (16, 64):
+            tracemalloc.start()
+            try:
+                counts = fold_timetags(stream(n_chunks), GATE)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert counts == ClickCounts.from_totals(n_chunks * size, n_chunks * size, 0, 0)
+        assert peaks[1] - peaks[0] <= 2**20, peaks
 
     def test_unsorted_across_a_chunk_edge_rejected(self):
         channels = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
