@@ -21,10 +21,14 @@ record or file FormatError.
 
 Files are read in chunks (65536 records, or about 256 KiB of CSV) that
 fold_timetags folds in turn, carrying per channel the last timestamp,
-the last record's pulse, the last kept pulse and the kept pulses that
-the other channel may still match: memory is O(chunk) plus those, which
-are held up to the other channel's last record, so a stream with no
-record of one channel holds every kept pulse of the other.
+the last record's pulse, the last kept pulse and ``pending``: the
+in-gate pulses not yet tallied, one per in-gate record.  Each chunk's
+merge pops the pending pulses that can meet no later twin and tallies
+them, by marking a bool table over their span when it is under 8 times
+their count, else by a sort.  Memory is O(chunk) plus the pending
+pulses, which are held up to the other channel's last record, so a
+stream with no record of one channel holds the pulse of every in-gate
+record of the other.
 
 Every record keeps one contract: an integer (or bool) channel code 0
 (A) or 1 (B), and an integer timestamp in [0, 2**63) ns, nondecreasing
@@ -114,11 +118,15 @@ class GateConfig:
         t = np.asarray(timestamps, dtype=np.int64)
         scale, period, offset, width = self._grid()
         pulse = t // period
-        position = t - pulse * period
+        position = pulse * -period  # in place from here on; a 0-d t gives scalars
+        position += t
         if scale > 1:
-            extra, position = np.divmod(position * scale, period)  # below P * scale
-            pulse = pulse * scale + extra
-        return pulse, (position >= offset) & (position < offset + width)
+            position *= scale
+            extra, position = np.divmod(position, period)  # below P * scale
+            pulse *= scale
+            pulse += extra
+        position -= offset  # below the gate wraps to 2**64 - x, past every width
+        return pulse, position.view(np.uint64) < width
 
 
 # ---------------------------------------------------------------- CSV --
@@ -337,7 +345,12 @@ def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndar
                 f"({count * _BIN_DTYPE.itemsize} bytes), found {body} bytes"
             )
         for start in range(0, count, _CHUNK_TAGS):
-            records = np.fromfile(fh, dtype=_BIN_DTYPE, count=min(_CHUNK_TAGS, count - start))
+            want = min(_CHUNK_TAGS, count - start) * _BIN_DTYPE.itemsize
+            data = fh.read(want)
+            if len(data) < want:  # the file shrank after the size check
+                first = start + len(data) // _BIN_DTYPE.itemsize
+                raise FormatError(f"{path}: record {first}: missing; the file shrank while read")
+            records = np.frombuffer(data, dtype=_BIN_DTYPE)
             # A -> 0, B -> 1; every other byte lands above 1 (below "A" it wraps)
             channels = records["channel"] - np.uint8(ord("A"))
             if channels.max() > 1:
@@ -369,11 +382,11 @@ def fold_timetags(
     if n_pulses is not None:  # pulse indices are int64
         n_pulses = _checked_int("n_pulses", n_pulses, "a positive integer", 1, 2**63)
     # per channel: last timestamp, pulse of the last record, last kept
-    # pulse, kept count, and kept pulses that a later pulse of the other
-    # channel may still match, as sorted nonempty pieces
-    last_t, last_pulse, last_kept, kept = [0, 0], [-1, -1], [-1, -1], [0, 0]
+    # pulse, and in-gate pulses not yet tallied, as sorted nonempty pieces
+    # that may repeat a pulse; then the pulses tallied in A, in B, in both
+    last_t, last_pulse, last_kept = [0, 0], [-1, -1], [-1, -1]
     pending = [deque(), deque()]
-    n_11, dropped, records = 0, 0, 0
+    tallied, dropped, records = (0, 0, 0), 0, 0
     for channels, timestamps in chunks:
         for code, t in enumerate(_checked_records("", channels, timestamps, last_t, records)):
             if t.size == 0:
@@ -386,35 +399,70 @@ def fold_timetags(
                 dropped += int(np.count_nonzero(in_gate & beyond))
                 in_gate &= ~beyond
             new = np.compress(in_gate, pulse)
-            # sorted, so one pass keeps the first record of each pulse (saturation)
-            new = new[np.diff(new, prepend=last_kept[code]) != 0]
+            # sorted: a pulse up to the last kept one is pending or tallied already
+            new = new[np.searchsorted(new, last_kept[code], "right"):]
             if new.size:
                 last_kept[code] = int(new[-1])
-                kept[code] += new.size
                 pending[code].append(new)
         if pending[0] or pending[1]:
             # a pulse has met every twin it can have once the other channel
             # kept it or a later pulse, or has a record in a later pulse; so
             # twins pop together, each at or below the other's last kept pulse
             cut = [max(k, p - 1) for k, p in zip(last_kept, last_pulse)]
-            done = _pop_through(pending[0], cut[1]) + _pop_through(pending[1], cut[0])
-            # sorted runs of distinct pulses: one merge puts each shared one by its twin
-            merged = np.concatenate(done)
-            merged.sort(kind="stable")
-            n_11 += int(np.count_nonzero(merged[1:] == merged[:-1]))
+            done = _tally(_pop_through(pending[0], cut[1]), _pop_through(pending[1], cut[0]))
+            tallied = tuple(map(sum, zip(tallied, done)))
         records += len(timestamps)
+    tallied = tuple(map(sum, zip(tallied, _tally(list(pending[0]), list(pending[1])))))
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
     n_all = max(last_pulse) + 1 if n_pulses is None else n_pulses
-    return ClickCounts.from_totals(n_all, kept[0], kept[1], n_11)
+    return ClickCounts.from_totals(n_all, *tallied)
+
+
+# a merge whose pulses span fewer than this many times the pulses it pops
+# (repeats counted) marks them in a bool table of two bytes per spanned
+# pulse, at most twice the pieces' own bytes; a sparser one, such as
+# Unix-epoch tags, sorts them
+_TABLE_SPAN = 8
+
+
+def _tally(a: list[np.ndarray], b: list[np.ndarray]) -> tuple[int, int, int]:
+    """The distinct pulses of channel A's sorted pieces a, of B's pieces b,
+    and of both."""
+    pieces = a + b
+    if not pieces:
+        return 0, 0, 0
+    low = min(int(p[0]) for p in pieces)
+    span = max(int(p[-1]) for p in pieces) - low + 1
+    if span < _TABLE_SPAN * sum(p.size for p in pieces):
+        table = np.zeros(2 * span, dtype=bool)  # A's pulses, then B's
+        for i, p in enumerate(pieces):
+            table[p - (low if i < len(a) else low - span)] = True
+        in_a, in_b = table[:span], table[span:]
+        return (int(np.count_nonzero(in_a)), int(np.count_nonzero(in_b)),
+                int(np.count_nonzero(in_a & in_b)))
+    runs = [_distinct(x) for x in (a, b)]
+    # sorted runs of distinct pulses: one merge puts each shared one by its twin
+    merged = np.concatenate(runs)
+    merged.sort(kind="stable")
+    return runs[0].size, runs[1].size, int(np.count_nonzero(merged[1:] == merged[:-1]))
+
+
+def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
+    """The distinct pulses of sorted pieces that go on from one another."""
+    run = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+    first = np.ones(run.size, dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=first[1:])
+    return run[first]
 
 
 def _pop_through(pieces: deque, cutoff: int) -> list[np.ndarray]:
-    """Remove and return the pulses <= cutoff from the front of pieces."""
+    """Remove and return the pulses <= cutoff from the front of pieces,
+    as nonempty pieces."""
     done = []
     while pieces and pieces[0][-1] <= cutoff:
         done.append(pieces.popleft())
-    if pieces:
+    if pieces and pieces[0][0] <= cutoff:
         i = np.searchsorted(pieces[0], cutoff, "right")
         done.append(pieces[0][:i])
         pieces[0] = pieces[0][i:]

@@ -1,6 +1,8 @@
 """Time-tag formats, pulse-grid gating, and key-value persistence."""
 
+import functools
 import math
+import os
 import re
 import tracemalloc
 from fractions import Fraction
@@ -43,12 +45,29 @@ def read_all(chunks):
     return np.concatenate([c for c, _ in parts]), np.concatenate([t for _, t in parts])
 
 
+def interleave(rng, streams):
+    """Channel codes and timestamps of the sorted streams of A and B,
+    interleaved in a random order that keeps each sorted."""
+    channels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.uint8),
+                                         [streams[0].size, streams[1].size]))
+    timestamps = np.empty(channels.size, dtype=np.int64)
+    for code in (0, 1):
+        timestamps[channels == code] = streams[code]
+    return channels, timestamps
+
+
 def chunked(channels, timestamps, size):
     """(channels, timestamps) in slices of size records; None is one slice."""
     size = size or max(len(timestamps), 1)
     return [(channels[i:i + size], timestamps[i:i + size])
             for i in range(0, len(timestamps), size)]
 
+
+# (period, offset, width) of the seeded ingest streams: int and float
+# integral periods, dyadic and decimal fractional ones, and a 76 MHz period
+# given as a Fraction
+ORACLE_TIMINGS = [(500, 0, 100), (500.0, 20.0, 100.0), (80, 10, 20), (12.5, 2.5, 4.25),
+                  (333.75, 100.5, 60.0), (12.3, 2.5, 4.1), (Fraction(250, 19), Fraction(3, 7), 5)]
 
 # GateConfig keywords, and the field at fault (None: the gate does not fit)
 BAD_TIMINGS = [
@@ -485,6 +504,19 @@ class TestBinaryFormat:
                 f"{path}: record 9: timestamp {2**64 - 1} is not below 2**63")):
             read_all(iter_timetags_binary(path))
 
+    def test_a_file_that_shrinks_while_read_is_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "tags.bin"
+        write_timetags_binary(path, np.zeros(12, dtype=np.uint8), np.arange(12))
+        monkeypatch.setattr(timetags, "_CHUNK_TAGS", 4)
+        # unbuffered, so that no read-ahead holds the bytes the truncation takes
+        monkeypatch.setattr(timetags, "open", functools.partial(open, buffering=0), raising=False)
+        chunks = iter_timetags_binary(path)
+        next(chunks)
+        os.truncate(path, 8 + 9 * 6 + 5)  # records 0-5 and part of record 6 remain
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: record 6: missing; the file shrank while read")):
+            next(chunks)
+
     def test_chunks_concatenate_to_the_whole_file(self, tmp_path, monkeypatch):
         path = tmp_path / "tags.bin"
         rng = np.random.default_rng(3)
@@ -649,11 +681,7 @@ class TestIngest:
         per-tag oracle's (n_00, n_10, n_01, n_11).  A dark channel, 0 or
         1, has records but all of them after its gate."""
         rng = np.random.default_rng(seed)
-        # int and float integral periods, dyadic and decimal fractional
-        # ones, and a 76 MHz period given as a Fraction
-        period, offset, width = [(500, 0, 100), (500.0, 20.0, 100.0), (80, 10, 20),
-                                 (12.5, 2.5, 4.25), (333.75, 100.5, 60.0), (12.3, 2.5, 4.1),
-                                 (Fraction(250, 19), Fraction(3, 7), 5)][seed % 7]
+        period, offset, width = ORACLE_TIMINGS[seed % 7]
         gate = GateConfig(period, offset, width)
         n_pulses = int(rng.integers(1, 40))
         exact = Fraction(str(period))
@@ -671,12 +699,7 @@ class TestIngest:
             position = rng.integers(low, high, n)
             streams.append(np.sort(int(base * exact) + position
                                    + np.floor(pulse * float(period)).astype(np.int64)))
-        # interleave the channels in a random order that keeps each sorted
-        channels = rng.permutation(np.repeat(np.array([0, 1], dtype=np.uint8),
-                                             [streams[0].size, streams[1].size]))
-        timestamps = np.empty(channels.size, dtype=np.int64)
-        for code in (0, 1):
-            timestamps[channels == code] = streams[code]
+        channels, timestamps = interleave(rng, streams)
         n_all = base + n_pulses
         expected = ingest_oracle(channels, timestamps, period, offset, width, n_all)
         return channels, timestamps, gate, n_all, expected
@@ -708,6 +731,67 @@ class TestIngest:
         inferred = int(gate.fold(timestamps.max())[0]) + 1
         assert fold_timetags(chunked(channels, timestamps, size), gate) == fold_timetags(
             [(channels, timestamps)], gate, inferred)
+
+    @staticmethod
+    def regime_case(seed, kind):
+        """A seeded stream on the timings of oracle_case, its gate and pulse
+        count, and the per-tag oracle's (n_00, n_10, n_01, n_11).  Each
+        channel has 1 to 6 tags in each of its pulses: in "sparse" about one
+        pulse in 1000 (near the Unix epoch for odd seeds); in "switch"
+        stretches of such pulses alternate with stretches of every pulse;
+        in "dense" every pulse, so that one pulse's tags straddle chunk edges."""
+        rng = np.random.default_rng(seed)
+        period, offset, width = ORACLE_TIMINGS[seed % 7]
+        exact = Fraction(str(period))
+        base = 0
+        if kind == "sparse" and seed % 2:
+            base = 1_760_000_000_000_000_000 // exact.numerator * exact.denominator
+        # (first pulse, pulses, tagged pulses) of each stretch
+        stretches = {"sparse": [(0, 100_000, 100)], "dense": [(0, 800, 800)],
+                     "switch": [(0, 1_200, 1_200), (1_200, 64_000, 64), (65_200, 16, 16),
+                                (65_216, 16_000, 16), (81_216, 16, 16), (81_232, 128_000, 128)]}
+        streams = []
+        for _ in range(2):
+            pulse = np.concatenate([start + np.sort(rng.choice(n, size, replace=False))
+                                    for start, n, size in stretches[kind]])
+            pulse = np.repeat(pulse, rng.integers(1, 7, pulse.size))
+            position = rng.integers(0, math.ceil(period), pulse.size)
+            streams.append(np.sort(int(base * exact) + position
+                                   + np.floor(pulse * float(period)).astype(np.int64)))
+        channels, timestamps = interleave(rng, streams)
+        # the last 3 pulses of the last stretch lie beyond the pulse count
+        n_all = base + sum(stretches[kind][-1][:2]) - 3
+        expected = ingest_oracle(channels, timestamps, period, offset, width, n_all)
+        return channels, timestamps, GateConfig(period, offset, width), n_all, expected
+
+    @pytest.mark.parametrize("size", [1, 7, 4096, None], ids=("1", "7", "4096", "whole"))
+    @pytest.mark.parametrize("kind,seeds", [("sparse", range(14)), ("switch", range(2)),
+                                            ("dense", range(0, 7, 3))])
+    def test_fold_matches_per_tag_oracle_in_either_tally_regime(self, kind, seeds, size,
+                                                                monkeypatch):
+        # a merge sorts when its pulses span 8 or more times their count, else
+        # marks them in a table: name each merge's regime
+        regimes = []
+        tally, distinct = timetags._tally, timetags._distinct
+
+        def spy_tally(a, b):
+            regimes.append("table" if a or b else None)
+            return tally(a, b)
+
+        def spy_distinct(pieces):
+            regimes[-1] = "sort"
+            return distinct(pieces)
+
+        monkeypatch.setattr(timetags, "_tally", spy_tally)
+        monkeypatch.setattr(timetags, "_distinct", spy_distinct)
+        for seed in seeds:
+            channels, timestamps, gate, n_all, expected = self.regime_case(seed, kind)
+            counts = fold_timetags(chunked(channels, timestamps, size), gate, n_all)
+            assert (counts.n_all, counts.n_00, counts.n_10, counts.n_01, counts.n_11) == (
+                n_all, *expected), seed
+        # a merge of one pulse is dense, so a sparse stream also reaches the table
+        want = {"sparse": {"sort", "table"}, "switch": {"sort", "table"}, "dense": {"table"}}
+        assert set(regimes) - {None} == want[kind]
 
     @pytest.mark.parametrize("seed", range(0, 60, 7))
     def test_pulse_count_inferred_from_last_tag(self, seed):
