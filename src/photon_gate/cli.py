@@ -212,13 +212,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if grid.size and args.stop > 1.0:
             raise RangeError(f"--stop {args.stop} exceeds 1, the largest mean click number")
         header = "mean_n,sbr0"
-        columns = (grid, _sbr_threshold(grid, _bounds(grid, np)[2], np))
+        columns = (grid, _sbr_threshold(grid, np))
     else:
         if grid.size and args.start < 0.0:
             raise RangeError(f"--start must be >= 0 (a detection efficiency), got {args.start}")
         if grid.size and args.stop > _ETA_MAX:
-            raise RangeError(f"--stop {args.stop} exceeds 2 - sqrt(2) = {_ETA_MAX:.6g}, "
-                             "where the mean click number 2 eta - eta^2/2 reaches 1")
+            raise RangeError(f"--stop {args.stop} exceeds {_ETA_MAX:.6g}, the largest boundary "
+                             "efficiency (its mean click number reaches 1)")
         # (1 + delta) eta grows with eta, so the calibration at --stop holds for every row
         if grid.size:
             try:

@@ -57,7 +57,10 @@ The closed forms take math, or numpy from ``photon-gate sweep``, as
 their last argument xp, so a curve runs through the text a verdict runs
 and this module imports no numpy.  Only this module states the boundary,
 as _bounds at a mean and _boundary_mean at an efficiency, and each
-verdict or curve evaluates every closed form once, from the _bounds.
+verdict or curve evaluates every closed form once, from the _bounds; only
+SBR0 forms eta* afresh, in units of 2**k (mean_n = m 2**k), so that eta*^2
+never goes subnormal and SBR0 keeps its limit 1 + sqrt(2) down to the
+least positive mean.
 classify and classify_counts share one core, which classify_counts feeds
 from the tallies directly: p1 and p2 (no PhotonStats), the bounds (whose
 eta* is the default eta) and the measured SBR (whence the default gamma).
@@ -123,13 +126,21 @@ def sbr_threshold(mean_n: float) -> float:
     """
     if not 0.0 < mean_n <= 1.0:
         raise RangeError(f"mean_n must be in (0, 1], got {mean_n!r}")
-    return _sbr_threshold(mean_n, _bounds(mean_n)[2])
+    return _sbr_threshold(mean_n)
 
 
-def _sbr_threshold(mean_n, p2_bound, xp=math):
-    """sbr_threshold at a float or an array of means in (0, 1], unchecked."""
-    b = 4.0 * p2_bound / (mean_n + xp.sqrt(mean_n * mean_n - 4.0 * p2_bound))
-    return ((mean_n - b) / (1.0 - b / 2.0)) / b
+def _sbr_threshold(mean_n, xp=math):
+    """sbr_threshold at a float or an array of means in (0, 1], unchecked.
+
+    With mean_n = m 2**k and m in [1/2, 1), eta*, p2_bound and b scale as
+    2**k, 2**2k and 2**k, so each is formed at m, where none underflows.
+    Above about 1e-154, where p2_bound is normal anyway, a scaling by 2**k
+    is exact, so the result is the float the unscaled formula gives."""
+    m, k = xp.frexp(mean_n)
+    eta = m / (1.0 + xp.sqrt(1.0 - mean_n / 2.0))
+    p2 = 0.5 * (eta * eta)
+    b = 4.0 * p2 / (m + xp.sqrt(m * m - 4.0 * p2))
+    return ((m - b) / (1.0 - xp.ldexp(b, k) / 2.0)) / b
 
 
 def setup_sbr(params: DetectionParams) -> float:
@@ -216,7 +227,7 @@ def _verdict(p1: float, p2: float, measured: float | None, bounds,
         return Verdict(Decision.INDETERMINATE, params,
                        f"mean click number {mean_n!r} exceeds 1; outside the test's domain")
     crit = _critical_values(bounds, params.eta, params.delta, params.gamma, params.cycles)
-    sbr0 = _sbr_threshold(mean_n, bounds[2])
+    sbr0 = _sbr_threshold(mean_n)
     setup = setup_sbr(params)
     margin = p1 - crit.p1_corrected
     decision = Decision.INDETERMINATE

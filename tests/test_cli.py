@@ -215,15 +215,20 @@ def sim_cfg(tmp_path):
 class TestSimulate:
     def test_writes_matching_counts_block(self, tmp_path, sim_cfg, capsys):
         out = tmp_path / "run.counts"
-        assert main(["simulate", "--config", str(sim_cfg), "--output", str(out)]) == 0
-        report = capsys.readouterr().out
-        counts, config = read_counts_block(out)
-        assert counts == simulate_pulses(config)
-        assert config.seed == 20260825
-        assert f"pulses             {counts.n_all}" in report
-        assert_report_shows(
-            report, counts, classify(stats_from_counts(counts), config.params)
-        )
+        # eta = 0 detects nothing: no clicks, and a report with no critical values
+        dark = tmp_path / "dark.cfg"
+        dark.write_text(SIM_CFG_TEXT.replace("params.eta = 0.1", "params.eta = 0"))
+        for cfg in (sim_cfg, dark):
+            assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+            report = capsys.readouterr().out
+            counts, config = read_counts_block(out)
+            assert counts == simulate_pulses(config)
+            assert config.seed == 20260825
+            assert f"pulses             {counts.n_all}" in report
+            assert_report_shows(
+                report, counts, classify(stats_from_counts(counts), config.params)
+            )
+        assert counts.n_00 == counts.n_all and "\nsystematic d1/d2   n/a / n/a\n" in report
 
     def test_reruns_are_byte_identical(self, tmp_path, sim_cfg):
         a, b = tmp_path / "a.counts", tmp_path / "b.counts"
@@ -257,10 +262,14 @@ class TestSimulate:
 
     def test_out_of_range_value_names_its_line(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(SIM_CFG_TEXT.replace("params.eta = 0.1", "params.eta = 1.5"))
-        rc = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {cfg}:3: params.eta must be in [0, 1], got 1.5\n"
+        text = SIM_CFG_TEXT.replace("params.eta = 0.1", "params.eta = 1.5")
+        # a form feed ends no line, so params.eta stays line 3
+        for text in (text, text.replace("background\n", "background\f\n")):
+            cfg.write_text(text)
+            rc = main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "o")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"error: {cfg}:3: params.eta must be in [0, 1], got 1.5\n")
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         rc = main(["simulate", "--config", str(tmp_path / "nope"),
@@ -308,12 +317,19 @@ class TestClassifyCountsBlock:
         block = tmp_path / "run.counts"
         counts = ClickCounts(1000, 950, 25, 24, 1)
         config = read_sim_config(sim_cfg)
-        write_counts_block(block, counts, config)
-        verdict = classify(stats_from_counts(counts), replace(config.params, cycles=1000))
-        for flags in ([], ["--cycles", "1000"]):
-            assert main(["classify", "--input", str(block), *flags]) == (
-                EXIT_BY_DECISION[verdict.decision])
-            assert_report_shows(capsys.readouterr().out, counts, verdict)
+        p = config.params
+        # a config of numpy scalars is written, and classified, as plain numbers
+        numpy_typed = SimConfig(source=config.source, seed=np.int64(config.seed), params=(
+            DetectionParams(eta=np.float64(p.eta), delta=np.float32(p.delta),
+                            gamma=np.float64(p.gamma), cycles=np.int64(p.cycles))))
+        for written in (config, numpy_typed):
+            write_counts_block(block, counts, written)
+            params = read_counts_block(block)[1].params
+            verdict = classify(stats_from_counts(counts), replace(params, cycles=1000))
+            for flags in ([], ["--cycles", "1000"]):
+                assert main(["classify", "--input", str(block), *flags]) == (
+                    EXIT_BY_DECISION[verdict.decision])
+                assert_report_shows(capsys.readouterr().out, counts, verdict)
 
     def test_non_ascii_line_is_numbered(self, tmp_path, sim_cfg, capsys):
         # a non-ASCII byte after the magic line must not route the block to
@@ -408,22 +424,47 @@ class TestClassifyTimetags:
         return records_from_click_arrays(click_a, click_b, gate)
 
     def test_csv_and_binary_agree(self, tmp_path, tag_arrays, capsys):
-        channels, timestamps = tag_arrays
-        write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
-        write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
-        rc_csv = main(["classify", "--input", str(tmp_path / "t.csv"),
-                       "--cycles", "50000"])
-        out_csv = capsys.readouterr().out
-        rc_bin = main(["classify", "--input", str(tmp_path / "t.bin"),
-                       "--format", "binary", "--cycles", "50000"])
-        out_bin = capsys.readouterr().out
-        assert rc_csv == rc_bin == 0  # lone emitter, ample counts
-
         def without_duration(out):
             # the duration line is a measured time, not a result
             return [line for line in out.splitlines() if not line.startswith("duration")]
 
-        assert without_duration(out_csv) == without_duration(out_bin)
+        def classify_both(channels, timestamps, *flags):
+            write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
+            write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
+            rc_csv = main(["classify", "--input", str(tmp_path / "t.csv"), *flags])
+            out_csv = capsys.readouterr().out
+            rc_bin = main(["classify", "--input", str(tmp_path / "t.bin"), "--format", "binary",
+                           *flags])
+            out_bin = capsys.readouterr().out
+            assert without_duration(out_csv) == without_duration(out_bin)
+            assert rc_csv == rc_bin != 2  # 0, 1 or 3 is a verdict
+            return rc_csv, out_csv
+
+        # a lone emitter with ample counts
+        assert classify_both(*tag_arrays, "--cycles", "50000")[0] == 0
+        rng = np.random.default_rng(5)
+        # 60 000 tags of up to 12 digits fill over two 256 KiB CSV reads, one in-gate tag
+        # per about 170 000 pulses: the fold tallies by sort
+        sparse = (rng.integers(0, 2, 60_000).astype(np.uint8),
+                  np.sort(rng.integers(0, 10**12, 60_000)))
+        classify_both(*sparse)
+        assert (tmp_path / "t.csv").stat().st_size > 2 * 256 * 1024
+        # 200 000 tags on 100 000 pulses, half in the 100 ns gate and often several of one
+        # channel in one gate: the fold tallies by table, as a count with sets does
+        timestamps = np.sort(rng.integers(0, 100_000, 200_000) * 500
+                             + rng.integers(0, 200, 200_000))
+        channels = rng.integers(0, 2, timestamps.size).astype(np.uint8)
+        a, b = ({t // 500 for c, t in zip(channels.tolist(), timestamps.tolist())
+                 if c == code and t % 500 < 100} for code in (0, 1))
+        n_all, n_11 = int(timestamps[-1]) // 500 + 1, len(a & b)
+        out = classify_both(channels, timestamps)[1]
+        assert (f"pattern counts     n00={n_all - len(a | b)} n10={len(a) - n_11} "
+                f"n01={len(b) - n_11} n11={n_11}\n") in out
+        # A 10 ns into each of 1000 pulses, inside the gate; every B tag 200 ns in, outside it
+        start = np.arange(1000) * 500
+        out = classify_both(np.repeat(np.array([0, 1], np.uint8), 1000),
+                            np.concatenate([start + 10, start + 200]), "--cycles", "1000")[1]
+        assert "pattern counts     n00=0 n10=1000 n01=0 n11=0\n" in out
 
     def test_report_shows_back_solved_calibration(self, tmp_path, capsys):
         # no --gamma: the decision uses a gamma back-solved from the
@@ -605,15 +646,18 @@ class TestClassifyTimetags:
 class TestSweep:
     def test_sbr0_matches_library(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "sbr0", "--start", "0.01", "--stop", "1.0",
-                   "--points", "1000", "--output", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "mean_n,sbr0"
-        assert len(lines) == 1001
-        for line in lines[1:]:
-            mean_n, sbr0 = (float(v) for v in line.split(","))
-            assert sbr0 == sbr_threshold(mean_n)
+        # the tiny means are where eta*^2 / 2 would go subnormal (an underflow warning
+        # is an error here)
+        for start, stop, points in [("0.01", "1.0", 1000), ("1e-300", "1e-160", 5)]:
+            rc = main(["sweep", "sbr0", "--start", start, "--stop", stop,
+                       "--points", str(points), "--output", str(out)])
+            assert rc == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == "mean_n,sbr0"
+            assert len(lines) == points + 1
+            for line in lines[1:]:
+                mean_n, sbr0 = (float(v) for v in line.split(","))
+                assert sbr0 == sbr_threshold(mean_n)
 
     @pytest.mark.parametrize("delta,gamma", [("0.3", "0.2"), ("0.3", "0")],
                              ids=("imbalance-and-background", "no-background"))
@@ -700,7 +744,9 @@ class TestSweep:
         rc = main(["sweep", "critical", "--start", "0.01", "--stop", "1.0",
                    "--points", "5", "--output", str(tmp_path / "c.csv")])
         assert rc == 2
-        assert "--stop 1.0 exceeds 2 - sqrt(2) = 0.585786" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: --stop 1.0 exceeds 0.585786, the largest boundary efficiency "
+            "(its mean click number reaches 1)\n")
 
     @pytest.mark.parametrize(
         "start,stop,message",
@@ -737,11 +783,15 @@ class TestSweep:
                    "--points", "-1", "--output", str(tmp_path / "s.csv")])
         assert rc == 2
 
-    def test_log_env_smoke(self, tmp_path, monkeypatch, capsys):
+    def test_log_env_smoke(self, tmp_path, sim_cfg, monkeypatch, capsys):
         # each call applies its own PHOTON_GATE_LOG and prints each line once
-        out = tmp_path / "s.csv"
+        out, block = tmp_path / "s.csv", tmp_path / "run.counts"
         sweep = ["sweep", "sbr0", "--start", "0.5", "--stop", "0.5",
                  "--points", "1", "--output", str(out)]
+        simulate = ["simulate", "--config", str(sim_cfg), "--output", str(block),
+                    "--cycles", "2000"]
+        simulated_lines = ("INFO photon_gate.cli: simulating 2000 pulses\n"
+                           f"INFO photon_gate.cli: counts written to {block}\n")
         tags = tmp_path / "t.csv"
         tags.write_text("channel,timestamp_ns\nA,10\nB,520\nA,1030\n")
         # two of the three tags lie beyond a one-pulse window
@@ -755,6 +805,8 @@ class TestSweep:
             ("info", classify_short, ""),
             ("debug", sweep, rows_line),
             ("error", classify_short, ""),
+            ("info", simulate, simulated_lines),
+            ("error", simulate, ""),
         ]:
             monkeypatch.setenv("PHOTON_GATE_LOG", level)
             assert main(argv) != 2
@@ -1028,6 +1080,9 @@ class TestFreshProcess:
         "classify-binary": (["classify", "--input", "{bin}", "--format", "binary"], False),
         "sweep-sbr0": (["sweep", "sbr0", "--start", "0.1", "--stop", "1", "--points", "3",
                         "--output", "{out}"], False),
+        "sweep-critical": (["sweep", "critical", "--start", "0.01", "--stop", "0.5",
+                            "--points", "3", "--delta", "0.3", "--gamma", "0.2",
+                            "--output", "{out}"], False),
     }
 
     @pytest.mark.parametrize("case", CASES)

@@ -20,6 +20,7 @@ from photon_gate import (
     PhotonStats,
     RangeError,
     SimConfig,
+    Verdict,
     boundary_eta,
     classify,
     classify_counts,
@@ -106,7 +107,11 @@ class TestBoundary:
 
 class TestSbrThreshold:
     def test_endpoints(self):
-        assert sbr_threshold(1e-9) == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-6)
+        limit = 1.0 + math.sqrt(2.0)
+        assert sbr_threshold(1e-9) == pytest.approx(limit, abs=1e-6)
+        # eta*^2 / 2 goes subnormal below about 1e-154; the threshold must not drift
+        for mean in (1e-160, 1e-200, 1e-300, 5e-324):
+            assert abs(sbr_threshold(mean) - limit) <= 4 * math.ulp(limit), mean
         assert sbr_threshold(1.0) == pytest.approx(1.6322418823119, abs=1e-9)
 
     def test_frozen_mid_values(self):
@@ -330,6 +335,12 @@ class TestClassify:
         empty = PhotonStats(p0=1.0, p1=0.0, p2=0.0)
         v = classify(empty, DetectionParams(eta=0.5))
         assert v.decision is Decision.INDETERMINATE
+
+    def test_tiny_mean_is_classified(self):
+        v = classify(PhotonStats(p0=1.0 - 1e-300, p1=1e-300, p2=0.0),
+                     DetectionParams(eta=0.1, gamma=0.2, cycles=1000))
+        assert isinstance(v, Verdict)
+        assert abs(v.sbr0 - (1.0 + math.sqrt(2.0))) <= 4 * math.ulp(v.sbr0)
 
     def test_estimator_breakdown_is_indeterminate(self):
         st = stats_from_probs(0.1, 0.01)  # fails the SBR precondition
