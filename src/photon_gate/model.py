@@ -313,7 +313,9 @@ def photon_plan(source: SourceModel, params: DetectionParams) -> tuple[int, floa
     raise TypeError(f"unknown source model: {source!r}")
 
 
-_DEFAULT_BLOCK = 1 << 17
+# pulses per simulator block: larger blocks seed fewer streams and make fewer
+# numpy calls per pulse, but hold larger arrays (measured in simulate's docstring)
+_DEFAULT_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)

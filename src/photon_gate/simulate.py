@@ -7,18 +7,23 @@ mean lam per pulse, and the simulator samples both parts.
 
 Every part is a row of independent Bernoulli trials, one per pulse, and
 _hits samples only a row's successes: the gap from one success to the
-next is geometric, 1 + floor(E / -log(1 - p)) with E a standard
-exponential.  The cost of a block therefore grows with its detections,
-not with its pulses or photons.  A Poissonian row with p > 1/2 is drawn
-as its misses instead, at the miss probability exp(-lam * eta_i / 2),
-and one with p = 1 draws nothing, so it costs min(hits, misses)
-exponentials.  A photon row is always drawn as its hits: it keeps one
-routing uniform per detection either way.
+next is geometric, 1 + floor(X) with X = E / -log(1 - p) and E a
+standard exponential.  The cost of a block therefore grows with its
+detections, not with its pulses or photons.  A Poissonian row with
+p > 1/2 is drawn as its misses instead, at the miss probability
+exp(-lam * eta_i / 2), and one with p = 1 draws nothing, so it costs
+min(hits, misses) exponentials.
 
-Each fixed photon is detected with probability eta (the row's p); each
-detected photon then draws one uniform u that routes it to channel B
-when u < (1 - delta) / 2 and to A otherwise, so A fires with eta1/2 and
-B with eta2/2 per photon.
+Each fixed photon is detected with probability eta (the row's p) and
+goes to channel B with probability to_b = (1 - delta) / 2, so A fires
+with eta1/2 and B with eta2/2 per photon.  The route needs no draw of
+its own: frac(X) is independent of floor(X), with P(frac(X) < c) =
+(1 - (1 - p)**c) / p, so a detected photon goes to B exactly when the
+fraction of its own gap is below c = log1p(-p * to_b) / log1p(-p).  A
+photon row therefore costs one exponential per detection and is always
+drawn as its hits, since only a hit's own gap can route it.  At eta = 1
+the gaps carry nothing: the row draws no exponential, every pulse
+detects the photon, and one uniform per pulse routes it.
 
 Poissonian light (coherent pulses and stray background alike) is not
 sampled photon by photon: a Poisson photon number split by independent
@@ -30,15 +35,26 @@ grow with lam.
 
 Determinism
 -----------
-Pulses are processed in fixed-size blocks, 131 072 (2**17) by default.
+Pulses are processed in fixed-size blocks, 262 144 (2**18) by default.
 Block k draws from its own stream, SFC64 seeded by child k of
 SeedSequence(seed), and results are assembled in block order — so they
 depend only on (config), never on scheduling or worker count: one
 config gives byte-identical counts at any worker count.  The block size
-weighs a fixed cost per block (seeding the stream and a dozen numpy
-calls per row) against the working set of the block's arrays: at 1e6
-pulses and eta 0.1, 2**17 ran fastest of 2**15 to 2**18 for each
-benchmark source.
+weighs a fixed cost per block (seeding the stream takes about 16 us,
+and each row makes about a dozen numpy calls) against the working set
+of the block's arrays.  perfbench's simulate workload at 1e6 pulses
+per op and eta 0.1, two runs per size (2 vCPUs, numpy 2.4.6; pulses
+per reference second, in millions, for IdealEmitters(3) with
+EmitterWithBackground and for Coherent(0.5)):
+
+    block   ideal, background    coherent           peak RSS (MiB)
+    2**16   227, 239             444, 462           36.4, 36.4
+    2**17   262, 268             545, 568           36.6, 36.5
+    2**18   293, 285             623, 624           37.2, 37.2
+    2**19   295, 295             621, 625           39.0, 39.0
+
+2**19 gains about 2 % on the fixed-photon sources and nothing on
+Coherent, for 1.8 MiB more peak memory.
 """
 
 from __future__ import annotations
@@ -60,42 +76,60 @@ def _batch(p: float, n: int) -> int:
     return min(n, int(n * p + 4.0 * math.sqrt(n * p)) + 16)
 
 
-def _hits(rng: np.random.Generator, p: float, n: int) -> np.ndarray:
+def _hits(rng: np.random.Generator, p: float, n: int,
+          to_b: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Sorted int64 indices of the successes among n independent
-    Bernoulli(p) trials, drawn as geometric gaps between successes in
-    batches of _batch(p, n_left) exponentials.  A batch that ends before
-    trial n is followed by another from the trial after its last success;
-    the unused end of the last batch is discarded."""
+    Bernoulli(p) trials and, given to_b, a bool mask that routes each
+    success to channel B with probability to_b (None without to_b).
+
+    The gaps between successes are floor(X) + 1 with X = E / lam,
+    lam = -log(1 - p) and E a standard exponential, drawn in batches of
+    _batch(p, n_left).  A batch that ends before trial n is followed by
+    another from the trial after its last success; the unused end of the
+    last batch is discarded.  A success goes to B when the fraction of
+    its own X is below log1p(-p * to_b) / log1p(-p) (the module docstring
+    shows why).  At p = 1 every trial succeeds, no exponential is drawn,
+    and each success routes by one uniform."""
     if p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    rate = -math.log1p(-p) if p < 1.0 else math.inf
-    parts, start = [], 0  # start: the first trial not yet decided
+        return np.empty(0, dtype=np.int64), None if to_b is None else np.empty(0, dtype=np.bool_)
+    if p >= 1.0:
+        return np.arange(n, dtype=np.int64), None if to_b is None else rng.random(n) < to_b
+    scale = -1.0 / math.log1p(-p)  # 1 / lam
+    cut = None if to_b is None else math.log1p(-p * to_b) / math.log1p(-p)
+    parts, routes, start = [], [], 0  # start: the first trial not yet decided
     while start < n:
-        gaps = rng.standard_exponential(_batch(p, n - start))
-        gaps /= rate
+        x = rng.standard_exponential(_batch(p, n - start))
+        x *= scale
         # clipped at n before the cast: a gap past n ends the row either way
-        hits = np.minimum(gaps, n, out=gaps).astype(np.int64)
+        hits = np.minimum(x, n, out=x).astype(np.int64)
+        if cut is not None:
+            x -= hits
+            routes.append(x < cut)
         hits += 1
         hits[0] += start - 1
         np.cumsum(hits, out=hits)
         parts.append(hits)
         start = int(hits[-1]) + 1
-    hits = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return hits[: np.searchsorted(hits, n)]
+
+    def joined(arrays: list[np.ndarray]) -> np.ndarray:
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    hits = joined(parts)
+    kept = int(np.searchsorted(hits, n))
+    return hits[:kept], None if cut is None else joined(routes)[:kept]
 
 
 def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Click indicators for one block of pulses.  Draw order is fixed:
     Poissonian light (channel A's row, then channel B's; skipped when
     lam = 0), then per fixed photon (photon 0 of every pulse, then
-    photon 1, ...) its detections' row and one routing uniform per
-    detection.  A Poissonian row with p > 1/2 draws its misses instead
-    of its hits."""
+    photon 1, ...) its detections' row, routed by _hits.  A Poissonian
+    row with p > 1/2 draws its misses instead of its hits."""
     p = config.params
     s, lam = photon_plan(config.source, p)
     child = np.random.SeedSequence(config.seed, spawn_key=(index,))
     rng = np.random.Generator(np.random.SFC64(child))
-    # A's clicks, then B's: a routing draw adds size to move a click to B
+    # A's clicks, then B's: a route to B adds size to a click's index
     clicks = np.zeros(2 * size, dtype=np.bool_)
     if lam > 0.0:
         # drawn before any photon row, so each half is still empty
@@ -104,13 +138,13 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
             hit = -math.expm1(-x)
             if hit > 0.5:  # a dense row: draw its misses
                 half[:] = True
-                half[_hits(rng, math.exp(-x), size)] = False
+                half[_hits(rng, math.exp(-x), size)[0]] = False
             else:
-                half[_hits(rng, hit, size)] = True
+                half[_hits(rng, hit, size)[0]] = True
     to_b = (1.0 - p.delta) / 2.0  # eta2 / (eta1 + eta2)
     for _ in range(s):
-        detected = _hits(rng, p.eta, size)
-        clicks[detected + size * (rng.random(detected.size) < to_b)] = True
+        detected, route = _hits(rng, p.eta, size, to_b)
+        clicks[detected + size * route] = True
     return clicks[:size], clicks[size:]
 
 

@@ -1065,24 +1065,28 @@ class TestFreshProcess:
     sys.modules, so a command that lacks an import of its own still passes
     there once another test has imported what it needs."""
 
-    # name -> (argv, whether numpy stays unloaded)
+    # name -> (argv, whether numpy stays unloaded, exit code: 0, a verdict's 1 or 3, or 2)
     CASES = {
-        "classify-block": (["classify", "--input", "{block}"], True),
-        "classify-block-flags": (["classify", "--input", "{block}", "--eta", "0.2"], True),
-        "classify-block-error": (["classify", "--input", "{block}", "--cycles", "5"], True),
-        "help": (["--help"], True),
-        "classify-help": (["classify", "--help"], True),
-        "usage-error": (["classify"], True),
-        "bad-flag-value": (["classify", "--input", "{block}", "--eta", "high"], True),
+        "classify-block": (["classify", "--input", "{block}"], True, 0),
+        "classify-block-flags": (["classify", "--input", "{block}", "--eta", "0.2"], True, 0),
+        "classify-block-error": (["classify", "--input", "{block}", "--cycles", "5"], True, 2),
+        "help": (["--help"], True, 0),
+        "classify-help": (["classify", "--help"], True, 0),
+        "usage-error": (["classify"], True, 2),
+        "bad-flag-value": (["classify", "--input", "{block}", "--eta", "high"], True, 2),
         "simulate": (["simulate", "--config", "{cfg}", "--output", "{out}", "--cycles", "2000"],
-                     False),
-        "classify-csv": (["classify", "--input", "{csv}", "--cycles", "4"], False),
-        "classify-binary": (["classify", "--input", "{bin}", "--format", "binary"], False),
+                     False, 0),
+        "classify-csv": (["classify", "--input", "{csv}", "--cycles", "4"], False, 3),
+        "classify-binary": (["classify", "--input", "{bin}", "--format", "binary"], False, 3),
+        "classify-csv-malformed": (["classify", "--input", "{bad_csv}"], False, 2),
         "sweep-sbr0": (["sweep", "sbr0", "--start", "0.1", "--stop", "1", "--points", "3",
-                        "--output", "{out}"], False),
+                        "--output", "{out}"], False, 0),
         "sweep-critical": (["sweep", "critical", "--start", "0.01", "--stop", "0.5",
                             "--points", "3", "--delta", "0.3", "--gamma", "0.2",
-                            "--output", "{out}"], False),
+                            "--output", "{out}"], False, 0),
+        "sweep-critical-refused": (["sweep", "critical", "--start", "0.01", "--stop", "0.55",
+                                    "--points", "3", "--delta", "0.9", "--output", "{out}"],
+                                   False, 2),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -1092,9 +1096,11 @@ class TestFreshProcess:
         channels, timestamps = np.array([0, 1, 1, 0, 1]), np.array([10, 20, 520, 1030, 1040])
         write_timetags_csv(tmp_path / "t.csv", channels, timestamps)
         write_timetags_binary(tmp_path / "t.bin", channels, timestamps)
-        template, numpy_free = self.CASES[case]
+        (tmp_path / "bad.csv").write_text("channel,timestamp_ns\nA,ten\n")
+        template, numpy_free, exit_code = self.CASES[case]
         argv = [arg.format(cfg=sim_cfg, out=out, block=block, csv=tmp_path / "t.csv",
-                           bin=tmp_path / "t.bin") for arg in template]
+                           bin=tmp_path / "t.bin", bad_csv=tmp_path / "bad.csv")
+                for arg in template]
 
         def result(rc, stdout, stderr):
             # the duration line is a measured time, not a result
@@ -1107,7 +1113,7 @@ class TestFreshProcess:
         done = run_fresh(_FRESH_MAIN, *argv, cwd=tmp_path)
         stderr, _, loaded = done.stderr.rpartition("numpy loaded: ")
         assert result(done.returncode, done.stdout, stderr) == in_process
-        if numpy_free:
-            assert loaded == "False"
-        else:  # the commands that use numpy succeed without it imported beforehand
-            assert done.returncode != 2, stderr  # 0, or a verdict's 1 or 3
+        assert done.returncode == exit_code, stderr
+        # refusals included: the numpy-free commands never load it, the others run without
+        # it imported beforehand
+        assert loaded == ("False" if numpy_free else "True")

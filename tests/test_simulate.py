@@ -19,19 +19,30 @@ from photon_gate import (
     simulate_pulses,
     stats_from_counts,
 )
+from photon_gate.model import photon_plan
 from photon_gate.simulate import _batch, _block_clicks, _hits
 
 from _oracles import coherent_clicks_per_photon
 
 
 def pulls(counts, source, params):
+    """|observed - expected| in sampling sigmas for p0, p1, p2 and each
+    channel's click probability: q_i = 1 - (1 - eta_i/2)**s * exp(-lam *
+    eta_i/2).  The channel rates catch a wrong routing share that p0, p1
+    and p2 miss, as for one photon, where p1 = eta whatever delta is."""
     est = stats_from_counts(counts)
     ref = expected_stats(source, params)
+    s, lam = photon_plan(source, params)
+    n = counts.n_all
+    observed = [est.p0, est.p1, est.p2,
+                (counts.n_10 + counts.n_11) / n, (counts.n_01 + counts.n_11) / n]
+    expected = [ref.p0, ref.p1, ref.p2,
+                *(1.0 - (1.0 - eta_i / 2.0) ** s * math.exp(-lam * eta_i / 2.0)
+                  for eta_i in (params.eta1, params.eta2))]
     out = []
-    for name in ("p0", "p1", "p2"):
-        p = getattr(ref, name)
-        sigma = math.sqrt(p * (1.0 - p) / counts.n_all)
-        diff = abs(getattr(est, name) - p)
+    for got, p in zip(observed, expected):
+        sigma = math.sqrt(p * (1.0 - p) / n)
+        diff = abs(got - p)
         out.append(diff / sigma if sigma > 0.0 else diff)
     return out
 
@@ -97,21 +108,40 @@ class TestHits:
         return np.random.Generator(np.random.SFC64(seed))
 
     def test_certain_outcomes(self):
-        assert _hits(self.rng(), 0.0, 1000).size == 0
-        assert np.array_equal(_hits(self.rng(), 1.0, 1000), np.arange(1000))
+        hits, route = _hits(self.rng(), 0.0, 1000, 0.5)
+        assert hits.size == 0 and route.dtype == np.bool_ and route.size == 0
+        hits, route = _hits(self.rng(), 1.0, 1000)
+        assert np.array_equal(hits, np.arange(1000)) and route is None
 
     def test_vanishing_p_gives_no_hits(self):
         # E / -log1p(-1e-300) is near 1e300: clipped before the int cast
-        hits = _hits(self.rng(), 1e-300, 1_000_000)
-        assert hits.dtype == np.int64 and hits.size == 0
+        hits, route = _hits(self.rng(), 1e-300, 1_000_000, 0.5)
+        assert hits.dtype == np.int64 and hits.size == 0 and route.size == 0
 
     @pytest.mark.parametrize("p", [1e-5, 0.01, 0.1, 0.5, 0.9])
     def test_counts_and_order(self, p):
         n = 1_000_000
-        hits = _hits(self.rng(), p, n)
-        assert hits.dtype == np.int64
+        hits, route = _hits(self.rng(), p, n)
+        assert hits.dtype == np.int64 and route is None
         assert np.all(np.diff(hits) > 0) and hits[0] >= 0 and hits[-1] < n
         assert abs(hits.size - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
+
+    @pytest.mark.parametrize("p", [1e-5, 0.01, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("to_b", [0.0, 0.05, 0.35, 0.5, 1.0])
+    def test_route_share(self, p, to_b):
+        # the fraction of each gap routes its success to B with probability to_b, whatever p
+        n = 1_000_000
+        hits, route = _hits(self.rng(), p, n, to_b)
+        assert route.dtype == np.bool_ and route.shape == hits.shape
+        m = hits.size
+        assert abs(int(route.sum()) - m * to_b) <= 5.0 * math.sqrt(m * to_b * (1.0 - to_b))
+        # the routes are independent of the gaps: routed and unrouted successes have one mean
+        # gap (its sd is sqrt(1 - p) / p per success); at p = 1e-5 too few succeed to tell
+        if 0.0 < to_b < 1.0 and 0.01 <= p < 1.0:
+            gaps = np.diff(hits, prepend=-1)
+            sd = math.sqrt(1.0 - p) / p
+            for mask in (route, ~route):
+                assert abs(gaps[mask].mean() - 1.0 / p) <= 5.0 * sd / math.sqrt(mask.sum())
 
     def test_short_batches_continue(self):
         class ZeroGaps:
@@ -122,8 +152,9 @@ class TestHits:
                 return np.zeros(size)
 
         rng = ZeroGaps()
-        assert np.array_equal(_hits(rng, 0.1, 1000), np.arange(1000))
-        assert rng.batches > 2
+        hits, route = _hits(rng, 0.1, 1000, 0.5)
+        assert np.array_equal(hits, np.arange(1000))
+        assert rng.batches > 2 and route.size == 1000 and route.all()  # each fraction is 0
 
 
 class TestClickRule:
@@ -157,15 +188,17 @@ class TestClickRule:
     def _written_out(rng, size, source, params):
         """The click rule over the block's own draws, one draw at a time:
         Poissonian light (row A, row B; none for a source without
-        Poissonian light), then per fixed photon its detection row and
-        one routing uniform per detection.  A row of Bernoulli(p) trials
-        is walked gap by gap: each exponential E moves 1 + floor(E /
-        -log(1 - p)) trials on (at most n + 1), in batches of
-        _batch(p, trials left) draws, a batch's unused end discarded.
-        A light row with p > 1/2 walks its misses at the miss
-        probability q and succeeds everywhere else.  Coherent pulses carry no fixed
-        photon and Poissonian light of mean mu + gamma; IdealEmitters
-        carry s photons and no light."""
+        Poissonian light), then per fixed photon its detection row.  A
+        row of Bernoulli(p) trials is walked gap by gap: each exponential
+        E gives X = E * (1 / -log(1 - p)) and moves 1 + floor(X) trials on
+        (at most n + 1), in batches of _batch(p, trials left) draws, a
+        batch's unused end discarded.  A detected photon goes to B when
+        frac(X) < log1p(-p * to_b) / log1p(-p), to_b = eta2 / (eta1 +
+        eta2); at eta = 1 every pulse detects it and one uniform per
+        detection routes it instead.  A light row with p > 1/2 walks its
+        misses at the miss probability q and succeeds everywhere else.
+        Coherent pulses carry no fixed photon and Poissonian light of
+        mean mu + gamma; IdealEmitters carry s photons and no light."""
         eta1, eta2 = params.eta1, params.eta2
         if isinstance(source, IdealEmitters):
             s, lam = source.s, 0.0
@@ -174,21 +207,26 @@ class TestClickRule:
         else:
             s, lam = 1, params.gamma
 
-        def walk(p):
+        def walk(p, to_b=0.0):
+            """(trial, goes to B) of each success."""
+            if p == 1.0:
+                return [(i, rng.random() < to_b) for i in range(size)]
+            cut = math.log1p(-p * to_b) / math.log1p(-p)
             hits, start = [], 0
             while start < size:
                 last = start - 1
                 for _ in range(_batch(p, size - start)):
-                    last += 1 + int(min(rng.standard_exponential() / -math.log1p(-p), size))
+                    x = min(rng.standard_exponential() * (1.0 / -math.log1p(-p)), size)
+                    last += 1 + int(x)
                     if last < size:
-                        hits.append(last)
+                        hits.append((last, x - int(x) < cut))
                 start = last + 1
             return hits
 
         def light(p, q):
             if p <= 0.5:
-                return walk(p)
-            misses = set(walk(q)) if q > 0.0 else set()
+                return [i for i, _ in walk(p)]
+            misses = {i for i, _ in walk(q)} if q > 0.0 else set()
             return [i for i in range(size) if i not in misses]
 
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
@@ -198,21 +236,20 @@ class TestClickRule:
             for i in light(-math.expm1(-lam * eta2 / 2.0), math.exp(-lam * eta2 / 2.0)):
                 click_b[i] = True
         for _ in range(s):
-            for i in walk(params.eta):
-                if rng.random() < eta2 / (eta1 + eta2):
-                    click_b[i] = True
-                else:
-                    click_a[i] = True
+            for i, to_b in walk(params.eta, eta2 / (eta1 + eta2)):
+                (click_b if to_b else click_a)[i] = True
         return click_a, click_b
 
     @pytest.mark.parametrize(
-        "source",
-        [IdealEmitters(3), EmitterWithBackground(), Coherent(0.7), Coherent(3.0)],
-        ids=("fixed-3", "fixed-background", "coherent", "coherent-dense"),
+        "source,eta,delta",
+        [(IdealEmitters(3), 0.6, 0.25), (EmitterWithBackground(), 0.6, 0.25),
+         (Coherent(0.7), 0.6, 0.25), (Coherent(3.0), 0.6, 0.25), (IdealEmitters(2), 1.0, 0.0)],
+        ids=("fixed-3", "fixed-background", "coherent", "coherent-dense", "fixed-eta-1"),
     )
-    def test_block_matches_written_out_rule(self, source):
-        # Coherent(3) makes both light rows dense
-        params = DetectionParams(eta=0.6, delta=0.25, gamma=0.4, cycles=2_500)
+    def test_block_matches_written_out_rule(self, source, eta, delta):
+        # Coherent(3) makes both light rows dense; at eta = 1 (delta 0 keeps eta1 <= 1) a
+        # photon row draws no exponential and routes by uniforms
+        params = DetectionParams(eta=eta, delta=delta, gamma=0.4, cycles=2_500)
         cfg = SimConfig(source=source, params=params, seed=31, block_size=1_000)
         for k, size in ((0, 1_000), (2, 500)):
             # block k's stream: SFC64 seeded by child k of SeedSequence(seed)
@@ -226,7 +263,8 @@ class TestClickRule:
 
 class TestDrawCost:
     """A light row costs min(hits, misses) exponentials and a photon row
-    its hits, counted through a recording stand-in for the block's
+    its hits, and a photon row draws uniforms only at eta = 1, one per
+    detection; counted through a recording stand-in for the block's
     Generator."""
 
     N = 100_000
@@ -253,9 +291,9 @@ class TestDrawCost:
 
     @pytest.mark.parametrize(
         "source,eta",
-        [(IdealEmitters(1), 0.25), (Coherent(5.0), 0.5), (Coherent(0.5), 0.1),
-         (Coherent(1e4), 0.5)],
-        ids=("photon", "light-dense", "light-sparse", "light-certain"),
+        [(IdealEmitters(1), 0.25), (IdealEmitters(1), 1.0), (Coherent(5.0), 0.5),
+         (Coherent(0.5), 0.1), (Coherent(1e4), 0.5)],
+        ids=("photon", "photon-certain", "light-dense", "light-sparse", "light-certain"),
     )
     def test_row_draws_its_lesser_outcome(self, drawn, source, eta):
         params = DetectionParams(eta=eta, cycles=self.N)
@@ -270,8 +308,9 @@ class TestDrawCost:
             # each row's batch overshoots its outcomes by at most its 4-sigma margin and 16
             slack = sum(8.0 * math.sqrt(m) + 32 for m in least)
             assert sum(least) < drawn["standard_exponential"] <= sum(least) + slack
-        if isinstance(source, IdealEmitters):  # one routing uniform per detection
-            assert drawn["random"] == int((a | b).sum())
+        # a photon is routed by the fraction of its gap, or by one uniform per detection at
+        # eta = 1, where the row draws no gap; light is never routed
+        assert drawn["random"] == (self.N if eta == 1.0 else 0)
 
 
 class TestAgainstClosedForms:
@@ -290,9 +329,16 @@ class TestAgainstClosedForms:
             (IdealEmitters(3), DetectionParams(eta=0.75, delta=0.3, cycles=M)),
             # eta <= 1 / 1.3 keeps eta1 = eta (1 + delta) at most 1
             (EmitterWithBackground(), DetectionParams(eta=0.75, delta=0.3, gamma=0.2, cycles=M)),
+            # one photon: p1 = eta whatever delta is, so only the channel rates see its routing;
+            # 1 / 1.3 is the largest eta at delta 0.3, and eta = 1 needs delta = 0
+            (IdealEmitters(1), DetectionParams(eta=0.001, delta=0.3, cycles=M)),
+            (IdealEmitters(1), DetectionParams(eta=0.5, delta=0.3, cycles=M)),
+            (IdealEmitters(1), DetectionParams(eta=1.0 / 1.3, delta=0.3, cycles=M)),
+            (IdealEmitters(1), DetectionParams(eta=1.0, delta=0.0, cycles=M)),
         ],
         ids=("two-emitters", "five-unbalanced", "emitter-bg", "coherent", "coherent-bright",
-             "coherent-dense", "three-dense", "emitter-bg-dense"),
+             "coherent-dense", "three-dense", "emitter-bg-dense", "one-sparse", "one-half",
+             "one-dense", "one-certain"),
     )
     def test_within_four_sigma(self, source, params):
         counts = simulate_pulses(SimConfig(source=source, params=params, seed=777))
