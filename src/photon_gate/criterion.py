@@ -21,7 +21,11 @@ true calibration, is SINGLE by a margin of +9.0e-4, and at mean 0.2 a
 balanced pair whose second emitter is at most half as bright as the
 first clears it by more than 3 sigma_p1 at 1e6 pulses.  A SINGLE verdict
 means "no identical partner behind balanced arms", not "no partner";
-unbalanced arms and unequal pairs are open work.
+unbalanced arms and unequal pairs are open work.  Nor does NOT_SINGLE
+exclude one blinking emitter: pulses that see background alone pool
+below the bound, so EmitterWithBackground at eta 0.2 and gamma 0.1, on
+in 20 % of pulses, reads NOT_SINGLE at 1e6 pulses by a margin of
+-8.8e-5, though it reads SINGLE by +8.4e-3 when always on.
 
 Background blurs the test.  A single emitter over background with
 signal-to-background ratio below a threshold SBR0(mean_n) lands on the

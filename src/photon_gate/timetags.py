@@ -40,7 +40,12 @@ fold_timetags refuses, and a fold error names ``record N``, counted from
   ``B,123`` record per line.  A line may also carry surrounding
   whitespace, a ``+`` sign, leading zeros or ``_`` digit separators;
   LF, CRLF and CR line ends are accepted and blank lines skipped.
-  Malformed lines fail with ``file:line``.
+  Malformed lines fail with ``file:line``.  A read block whose lines
+  all have one width and the canonical form ``[AB],[0-9]{1,19}`` (every
+  block that write_timetags_csv wrote, save those where timestamps gain
+  a digit) is parsed as a table of fixed-width rows, with no search for
+  line ends; any other block falls back, whole, to a search for each
+  line's end, which gives the same records and errors.
 * A binary variant: an 8-byte little-endian record count, then 9 bytes
   per record (1 byte channel, ASCII A/B, and an 8-byte little-endian
   unsigned timestamp in ns).
@@ -229,9 +234,29 @@ def _parse_csv_block(
     """Records of the LF-ended lines in data, the first being line lineno,
     and the number of LFs in data, which the next block's lineno adds.
     Lines in the canonical form ``[AB],[0-9]{1,19}`` below 2**63 (what
-    write_timetags_csv emits) are parsed in bulk, one uint8 gather per digit
-    column and Horner's rule in uint32 over groups of 9 digits; every other
-    line goes through _parse_csv_line, so both give the same records and errors."""
+    write_timetags_csv emits) are parsed in bulk by _bulk_records, every
+    other line by _parse_csv_line, so both give the same records and errors.
+    A block of one width, its length a multiple of its first line's width w
+    and every w-th byte an LF, is read as an (n, w) row view whose channel,
+    comma and digits are columns, with no search for line ends.  If a row is
+    not canonical (a row that hides an LF never is), the whole block goes
+    to _parse_csv_lines, which finds each line's end and gathers there."""
+    w = data.find(b"\n") + 1  # the first line's width, LF included; 0 if none
+    if 4 <= w <= _CSV_FAST_DIGITS + 3 and len(data) % w == 0 and (
+            data[w - 1::w] == b"\n" * (len(data) // w)):
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+        # a strided copy and a contiguous op beat one strided op per column
+        channels, timestamps, canonical = _bulk_records(
+            rows[:, 0].copy(), rows[:, 1].copy(), lambda k: rows[:, w - 2 - k].copy(), w - 3)
+        if canonical.all():
+            return channels, timestamps, rows.shape[0]
+    return _parse_csv_lines(path, data, lineno)
+
+
+def _parse_csv_lines(
+    path: str | Path, data: bytes, lineno: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """_parse_csv_block's general path, for lines of any width and form."""
     buf = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     lines = ends.size
@@ -243,38 +268,12 @@ def _parse_csv_block(
     pad = _CSV_FAST_DIGITS
     padded = np.empty(pad + buf.size + 1, dtype=np.uint8)
     padded[:pad], padded[pad:-1], padded[-1] = ord("0"), buf, ord("\n")
-    first = buf[starts]
     digits = ends - starts - 2
-    canonical = ((first == ord("A")) | (first == ord("B"))) & (
-        np.take(padded[pad + 1:], starts) == ord(",")) & (digits >= 1) & (
-        digits <= _CSV_FAST_DIGITS)
-    width = np.clip(digits, 0, _CSV_FAST_DIGITS).astype(np.uint8)
-    shortest, columns = int(width.min()), int(width.max())
-    # one gather per digit column, most significant first, Horner's rule in
-    # uint32 over groups of 9 columns (10**9 - 1 < 2**32); a non-canonical
-    # line may wrap its group, as _parse_csv_line parses it anyway
-    top = np.zeros_like(width)  # the largest digit of each line, >= 10 for a non-digit
-    groups = []
-    for k in range(columns - 1, -1, -1):
-        d = np.take(padded[pad - 1 - k:], ends)
-        d -= np.uint8(ord("0"))  # wraps below "0"
-        if k >= shortest:  # a column some line lacks
-            d *= width > k
-        np.maximum(top, d, out=top)
-        if k == columns - 1 or k % 9 == 8:
-            groups.append(d.astype(np.uint32))
-        else:
-            groups[-1] *= 10
-            groups[-1] += d
-    canonical &= top < 10
-    timestamps = np.zeros(starts.size, dtype=np.uint64)
-    for group in groups:
-        timestamps *= np.uint64(10**9)
-        timestamps += group
-    if columns == _CSV_FAST_DIGITS:  # the line grammar names the line of a value >= 2**63
-        canonical &= timestamps < 2**63
-    timestamps = timestamps.view(np.int64)
-    channels = (first == ord("B")).astype(np.uint8)
+    channels, timestamps, canonical = _bulk_records(
+        buf[starts], np.take(padded[pad + 1:], starts),
+        lambda k: np.take(padded[pad - 1 - k:], ends),
+        np.clip(digits, 0, _CSV_FAST_DIGITS).astype(np.uint8))
+    canonical &= (digits >= 1) & (digits <= _CSV_FAST_DIGITS)
     other = np.flatnonzero(~canonical)
     if other.size:
         keep = canonical
@@ -285,6 +284,41 @@ def _parse_csv_block(
                 keep[i] = True
         channels, timestamps = channels[keep], timestamps[keep]
     return channels, timestamps, lines
+
+
+def _bulk_records(first, comma, column, width) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel codes (uint8) and int64 timestamps of lines read as canonical,
+    and which lines are: first and comma hold each line's first two bytes,
+    column(k) its k-th digit byte from the right, and width its digit count
+    in [0, 19], one int for every line or one per line.  A digit column at
+    or beyond a line's width is masked to 0 for that line."""
+    is_b = first == ord("B")
+    canonical = (is_b | (first == ord("A"))) & (comma == ord(","))
+    shortest, columns = int(np.min(width)), int(np.max(width))
+    # one column at a time, most significant first, Horner's rule in uint32
+    # over groups of 9 columns (10**9 - 1 < 2**32); a non-canonical line may
+    # wrap its group, as _parse_csv_line parses it anyway
+    top = np.zeros(first.size, dtype=np.uint8)  # each line's largest digit, >= 10 for a non-digit
+    groups = []
+    for k in range(columns - 1, -1, -1):
+        d = column(k)
+        d -= np.uint8(ord("0"))  # wraps below "0"
+        if k >= shortest:  # a column some line lacks
+            d *= width > k
+        np.maximum(top, d, out=top)
+        if k == columns - 1 or k % 9 == 8:
+            groups.append(d.astype(np.uint32))
+        else:
+            groups[-1] *= 10
+            groups[-1] += d
+    canonical &= top < 10
+    timestamps = groups[0].astype(np.uint64) if groups else np.zeros(first.size, np.uint64)
+    for group in groups[1:]:
+        timestamps *= np.uint64(10**9)
+        timestamps += group
+    if columns == _CSV_FAST_DIGITS:  # the line grammar names the line of a value >= 2**63
+        canonical &= timestamps < 2**63
+    return is_b.view(np.uint8), timestamps.view(np.int64), canonical
 
 
 def _parse_csv_line(path: str | Path, lineno: int, raw: bytes) -> tuple[int, int] | None:

@@ -12,6 +12,7 @@ import pytest
 
 from photon_gate import (
     ClickCounts,
+    Coherent,
     CriticalValues,
     Decision,
     DetectionParams,
@@ -314,6 +315,21 @@ class TestClassify:
         assert v.decision is Decision.SINGLE
         assert v.margin_p1 > 0.0
         assert v.setup_sbr == pytest.approx(ratio, rel=1e-9)
+
+    def test_blinking_single_emitter_reads_not_single(self):
+        # the scope stated in the criterion docstring and the README: one
+        # emitter on in 20 % of pulses, background alone in the rest
+        params = DetectionParams(eta=0.2, gamma=0.1, cycles=10**6)
+        on = expected_stats(EmitterWithBackground(), params)
+        off = expected_stats(Coherent(0.0), params)
+        mixture = PhotonStats(*(0.2 * a + 0.8 * b for a, b in zip(
+            (on.p0, on.p1, on.p2), (off.p0, off.p1, off.p2))))
+        v = classify(mixture, params)
+        assert v.decision is Decision.NOT_SINGLE
+        assert v.margin_p1 == pytest.approx(-8.8e-5, abs=5e-7)
+        always_on = classify(on, params)
+        assert always_on.decision is Decision.SINGLE
+        assert always_on.margin_p1 == pytest.approx(8.4e-3, abs=5e-5)
 
     def test_low_setup_sbr_is_indeterminate(self):
         eta = 0.1

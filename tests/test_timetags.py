@@ -301,10 +301,11 @@ class TestCsvReaderEquivalence:
     @pytest.mark.parametrize("byte", NON_DIGITS)
     @pytest.mark.parametrize("width", range(1, 20))
     def test_one_width_with_a_byte_replaced(self, tmp_path, width, byte):
-        # every line as wide, so no column is masked: a non-digit must still be seen
+        # every line as wide, so no column is masked: a non-digit must still be
+        # seen, and a row whose LF is replaced must not be read as one line
         lines = self.same_width_lines(width)
         self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(lines))
-        for column in range(len(lines[3]) - 1):
+        for column in range(len(lines[3])):
             edited = lines[:3] + [lines[3][:column] + byte + lines[3][column + 1:]] + lines[4:]
             self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(edited))
 
@@ -337,6 +338,64 @@ class TestCsvReaderEquivalence:
         monkeypatch.setattr(timetags, "_parse_csv_line", per_line)
         got_ch, got_ts = read_all(iter_timetags_csv(path))
         assert np.array_equal(got_ch, want_ch) and np.array_equal(got_ts, want_ts)
+
+    @pytest.mark.parametrize("at", [0, 3, 7])
+    @pytest.mark.parametrize("hidden", [
+        ("A,5\n" "B\n", "A,123\n"),  # a bad line inside one row must be named
+        ("A,5\n" "\n\n", "A,123\n"),
+        ("\n" "A,1\n", "A,12\n"),
+    ], ids=("bad-line", "two-blank-lines", "blank-then-short"))
+    def test_rows_that_hide_lines(self, tmp_path, hidden, at):
+        # lines that together fill one row of the file's width: the LF inside
+        # the row must split them as the line parser does
+        row, line = hidden
+        assert len(row) == len(line)
+        lines = [line.replace("1", str(i % 10)) for i in range(7)]
+        lines.insert(at, row)
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(lines))
+
+    @pytest.mark.parametrize("text", [
+        "A,\n" * 5,
+        "B,99999999999999999999\n" * 3,
+        "A,00000000000000000000012\n" * 3,
+    ], ids=("no-digits", "twenty-digits", "twenty-three-digits"))
+    def test_one_width_outside_the_canonical_form(self, tmp_path, text):
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", text)
+
+    @pytest.mark.parametrize("read_bytes", [7, 1 << 18])
+    def test_one_width_without_a_last_lf(self, tmp_path, monkeypatch, read_bytes):
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        text = "".join(self.same_width_lines(3))
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", text[:-1])
+
+    @pytest.mark.parametrize("read_bytes", [40, 1 << 18])
+    @pytest.mark.parametrize("width", range(1, 20))
+    def test_one_width_files_take_the_row_view(self, tmp_path, monkeypatch, width, read_bytes):
+        # what write_timetags_csv emits at one digit count never needs the
+        # line-end search, in blocks of one line or of all of them
+        rng = np.random.default_rng(width)
+        stamps = np.sort(rng.integers(10**(width - 1) if width > 1 else 0,
+                                      min(10**width, 2**63), 500, endpoint=False))
+        channels = rng.integers(0, 2, stamps.size).astype(np.uint8)
+        path = tmp_path / "tags.csv"
+        write_timetags_csv(path, channels, stamps)
+
+        def general_path(*args):
+            raise AssertionError("a one-width block left the row view")
+
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        monkeypatch.setattr(timetags, "_parse_csv_lines", general_path)
+        got_ch, got_ts = read_all(iter_timetags_csv(path))
+        assert np.array_equal(got_ch, channels) and np.array_equal(got_ts, stamps)
+
+    @pytest.mark.parametrize("read_bytes", [17, 64, 1 << 18])
+    @pytest.mark.parametrize("power", range(1, 19))
+    def test_timestamps_crossing_a_power_of_ten(self, tmp_path, monkeypatch, power, read_bytes):
+        # blocks of one width, then of two, then of the next one
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        stamps = range(10**power - 12, 10**power + 12)
+        text = "".join(f"{'AB'[t % 2]},{t}\n" for t in stamps if t >= 0)
+        self.assert_reads_line_by_line(tmp_path / "tags.csv", text)
 
     @pytest.mark.parametrize("byte", NON_DIGITS)
     @pytest.mark.parametrize("shortest", range(1, 19))
