@@ -20,15 +20,16 @@ refused.  A bad gate timing or pulse count raises RangeError, a bad
 record or file FormatError.
 
 Files are read in chunks (65536 records, or about 256 KiB of CSV) that
-fold_timetags folds in turn, carrying per channel the last timestamp,
-the last record's pulse, the last kept pulse and ``pending``: the
-in-gate pulses not yet tallied, one per in-gate record.  Each chunk's
-merge pops the pending pulses that can meet no later twin and tallies
-them, by marking a bool table over their span when it is under 8 times
-their count, else by a sort.  Memory is O(chunk) plus the pending
-pulses, which are held up to the other channel's last record, so a
-stream with no record of one channel holds the pulse of every in-gate
-record of the other.
+fold_timetags folds in turn, carrying per channel only the last
+timestamp and ``pending``: the in-gate pulses not yet tallied, one per
+in-gate record.  After each chunk it pops both channels below the
+frontier, the pulse of the earlier of the two last timestamps: no later
+record lands there, so those pulses are complete.  It tallies them by
+marking a bool table over their span when it is under 8 times their
+count, else by a sort.  Memory is O(chunk) plus the pending pulses; a
+channel with no record yet keeps the frontier at pulse 0, so a stream
+with no record of one channel holds the pulse of every in-gate record
+of the other.
 
 Every record keeps one contract: an integer (or bool) channel code 0
 (A) or 1 (B), and an integer timestamp in [0, 2**63) ns, nondecreasing
@@ -415,11 +416,10 @@ def fold_timetags(
     count is one past the last record's pulse (0 for no records)."""
     if n_pulses is not None:  # pulse indices are int64
         n_pulses = _checked_int("n_pulses", n_pulses, "a positive integer", 1, 2**63)
-    # per channel: last timestamp, pulse of the last record, last kept
-    # pulse, and in-gate pulses not yet tallied, as sorted nonempty pieces
-    # that may repeat a pulse; then the pulses tallied in A, in B, in both
-    last_t, last_pulse, last_kept = [0, 0], [-1, -1], [-1, -1]
-    pending = [deque(), deque()]
+    # per channel: last timestamp, and in-gate pulses not yet tallied, as
+    # sorted nonempty pieces that may repeat a pulse; then the pulses
+    # tallied in A, in B, in both
+    last_t, pending = [0, 0], [deque(), deque()]
     tallied, dropped, records = (0, 0, 0), 0, 0
     for channels, timestamps in chunks:
         for code, t in enumerate(_checked_records("", channels, timestamps, last_t, records)):
@@ -427,30 +427,26 @@ def fold_timetags(
                 continue
             last_t[code] = t[-1]
             pulse, in_gate = gate.fold(t)
-            last_pulse[code] = int(pulse[-1])
             if n_pulses is not None and pulse[-1] >= n_pulses:
                 beyond = pulse >= n_pulses
                 dropped += int(np.count_nonzero(in_gate & beyond))
                 in_gate &= ~beyond
             new = np.compress(in_gate, pulse)
-            # sorted: a pulse up to the last kept one is pending or tallied already
-            new = new[np.searchsorted(new, last_kept[code], "right"):]
             if new.size:
-                last_kept[code] = int(new[-1])
                 pending[code].append(new)
         if pending[0] or pending[1]:
-            # a pulse has met every twin it can have once the other channel
-            # kept it or a later pulse, or has a record in a later pulse; so
-            # twins pop together, each at or below the other's last kept pulse
-            cut = [max(k, p - 1) for k, p in zip(last_kept, last_pulse)]
-            done = _tally(_pop_through(pending[0], cut[1]), _pop_through(pending[1], cut[0]))
+            # no later record of either channel lands below the frontier, the
+            # pulse of the earlier last timestamp: every pulse below it is whole
+            frontier = int(gate.fold(min(last_t))[0])
+            done = _tally(_pop_below(pending[0], frontier), _pop_below(pending[1], frontier))
             tallied = tuple(map(sum, zip(tallied, done)))
         records += len(timestamps)
     tallied = tuple(map(sum, zip(tallied, _tally(list(pending[0]), list(pending[1])))))
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
-    n_all = max(last_pulse) + 1 if n_pulses is None else n_pulses
-    return ClickCounts.from_totals(n_all, *tallied)
+    if n_pulses is None:
+        n_pulses = int(gate.fold(max(last_t))[0]) + 1 if records else 0
+    return ClickCounts.from_totals(n_pulses, *tallied)
 
 
 # a merge whose pulses span fewer than this many times the pulses it pops
@@ -490,14 +486,14 @@ def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
     return run[first]
 
 
-def _pop_through(pieces: deque, cutoff: int) -> list[np.ndarray]:
-    """Remove and return the pulses <= cutoff from the front of pieces,
-    as nonempty pieces."""
+def _pop_below(pieces: deque, frontier: int) -> list[np.ndarray]:
+    """Remove and return the pulses below frontier from the front of
+    pieces, as nonempty pieces."""
     done = []
-    while pieces and pieces[0][-1] <= cutoff:
+    while pieces and pieces[0][-1] < frontier:
         done.append(pieces.popleft())
-    if pieces and pieces[0][0] <= cutoff:
-        i = np.searchsorted(pieces[0], cutoff, "right")
+    if pieces and pieces[0][0] < frontier:
+        i = np.searchsorted(pieces[0], frontier)
         done.append(pieces[0][:i])
         pieces[0] = pieces[0][i:]
     return done

@@ -449,17 +449,28 @@ class TestClassifyTimetags:
                   np.sort(rng.integers(0, 10**12, 60_000)))
         classify_both(*sparse)
         assert (tmp_path / "t.csv").stat().st_size > 2 * 256 * 1024
+
+        def per_tag_counts(channels, timestamps):
+            # each tag's pulse and gate, as sets: the fold's counts without --cycles
+            a, b = ({t // 500 for c, t in zip(channels.tolist(), timestamps.tolist())
+                     if c == code and t % 500 < 100} for code in (0, 1))
+            n_all, n_11 = int(timestamps.max()) // 500 + 1, len(a & b)
+            return (f"pattern counts     n00={n_all - len(a | b)} n10={len(a) - n_11} "
+                    f"n01={len(b) - n_11} n11={n_11}\n")
+
         # 200 000 tags on 100 000 pulses, half in the 100 ns gate and often several of one
-        # channel in one gate: the fold tallies by table, as a count with sets does
+        # channel in one gate: the fold tallies by table
         timestamps = np.sort(rng.integers(0, 100_000, 200_000) * 500
                              + rng.integers(0, 200, 200_000))
         channels = rng.integers(0, 2, timestamps.size).astype(np.uint8)
-        a, b = ({t // 500 for c, t in zip(channels.tolist(), timestamps.tolist())
-                 if c == code and t % 500 < 100} for code in (0, 1))
-        n_all, n_11 = int(timestamps[-1]) // 500 + 1, len(a & b)
-        out = classify_both(channels, timestamps)[1]
-        assert (f"pattern counts     n00={n_all - len(a | b)} n10={len(a) - n_11} "
-                f"n01={len(b) - n_11} n11={n_11}\n") in out
+        assert per_tag_counts(channels, timestamps) in classify_both(channels, timestamps)[1]
+        # 70 000 A tags, then 70 000 B tags on pulses that overlap A's: each channel
+        # spans more than one read of either file, and B's first reads go back in time
+        a, b = (np.sort(rng.integers(low, low + 100_000, 70_000) * 500
+                        + rng.integers(0, 200, 70_000)) for low in (0, 30_000))
+        channels = np.repeat(np.array([0, 1], np.uint8), 70_000)
+        timestamps = np.concatenate([a, b])
+        assert per_tag_counts(channels, timestamps) in classify_both(channels, timestamps)[1]
         # A 10 ns into each of 1000 pulses, inside the gate; every B tag 200 ns in, outside it
         start = np.arange(1000) * 500
         out = classify_both(np.repeat(np.array([0, 1], np.uint8), 1000),

@@ -878,25 +878,28 @@ class TestIngest:
             assert counts == ClickCounts(n_all, *expected)
 
     def test_fold_memory_stays_flat_while_a_channel_keeps_nothing(self):
-        # B's tags all miss the gate: A's kept pulses must not pile up waiting for one
+        # A's tags 10 ns into every pulse, B's b_at ns in: when B's all miss the gate,
+        # A's kept pulses must not pile up waiting for one; nor when both keep each pulse
         size = 65536
         channels = np.repeat(np.array([0, 1], dtype=np.uint8), size)
 
-        def stream(n_chunks):
+        def stream(n_chunks, b_at):
             for i in range(n_chunks):
                 start = np.arange(i * size, (i + 1) * size) * 500
-                yield channels, np.concatenate([start + 10, start + 200])
+                yield channels, np.concatenate([start + 10, start + b_at])
 
-        peaks = []
-        for n_chunks in (16, 64):
-            tracemalloc.start()
-            try:
-                counts = fold_timetags(stream(n_chunks), GATE)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert counts == ClickCounts.from_totals(n_chunks * size, n_chunks * size, 0, 0)
-        assert peaks[1] - peaks[0] <= 2**20, peaks
+        for b_at, kept in ((200, (1, 0, 0)), (20, (1, 1, 1))):
+            peaks = []
+            for n_chunks in (16, 64):
+                tracemalloc.start()
+                try:
+                    counts = fold_timetags(stream(n_chunks, b_at), GATE)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                n = n_chunks * size
+                assert counts == ClickCounts.from_totals(n, *(n * k for k in kept)), b_at
+            assert peaks[1] - peaks[0] <= 2**20, (b_at, peaks)
 
     def test_unsorted_across_a_chunk_edge_rejected(self):
         channels = np.array([0, 1, 0, 1, 0, 0], dtype=np.uint8)
