@@ -13,11 +13,11 @@ click (the detector saturates).  The timing contract
 is an assumption of the model, not a checked parameter: a detector
 fires at most once per gate and has recovered by the next one, so
 per-pulse saturation is the complete description.  Gate timings are
-exact rationals (a float is the decimal it prints as: 12.3 is 123/10),
-and the fold is exact int64 arithmetic for every tag below 2**63 ns; a
-period below 1 ns, or too long for int64 on the timings' common grid, is
-refused.  A bad gate timing or pulse count raises RangeError, a bad
-record or file FormatError.
+exact rationals (a float is the decimal it prints as: 12.3 is 123/10)
+on one integer grid, fixed when the GateConfig is built; the fold is
+exact int64 arithmetic on it for every tag below 2**63 ns, and a period
+below 1 ns, or too long for int64 on that grid, is refused.  A bad gate
+timing or pulse count raises RangeError, a bad record or file FormatError.
 
 Files are read in chunks (65536 records, or about 256 KiB of CSV) that
 fold_timetags folds in turn, carrying per channel only the last
@@ -31,11 +31,11 @@ channel with no record yet keeps the frontier at pulse 0, so a stream
 with no record of one channel holds the pulse of every in-gate record
 of the other.
 
-Every record keeps one contract: an integer (or bool) channel code 0
-(A) or 1 (B), and an integer timestamp in [0, 2**63) ns, nondecreasing
-per channel.  _checked_records holds it, so the writers refuse what
-fold_timetags refuses, and a fold error names ``record N``, counted from
-0 at the start of the stream.  Two record formats are supported:
+Records come as two 1-d arrays of equal length; each keeps one contract:
+an integer (or bool) channel code 0 (A) or 1 (B), and an integer timestamp
+in [0, 2**63) ns, nondecreasing per channel.  _checked_records holds it, so
+the writers refuse what fold_timetags refuses; a fold error names ``record N``,
+counted from 0 at the start of the stream.  Two record formats are supported:
 
 * CSV with header ``channel,timestamp_ns`` and one ``A,123`` or
   ``B,123`` record per line.  A line may also carry surrounding
@@ -78,7 +78,8 @@ _CHANNEL_NAME = ("A", "B")
 class GateConfig:
     """Pulse-grid timing in ns, the gate inside the period.  Each timing is
     stored exactly, as an int when whole, else a Fraction: a float is the
-    decimal str prints for it, and Fraction(250, 19) is a 76 MHz period."""
+    decimal str prints for it, and Fraction(250, 19) is a 76 MHz period.
+    The fold's grid of 1/scale ns, scale the lcm of the denominators, is fixed when built."""
 
     pulse_period_ns: numbers.Rational
     gate_offset_ns: numbers.Rational
@@ -98,7 +99,8 @@ class GateConfig:
             if n % d:  # only a fractional timing pays for importing fractions
                 from fractions import Fraction
             object.__setattr__(self, name, Fraction(n, d) if n % d else n // d)
-        scale, p, o, w = self._grid()
+        scale = math.lcm(*(v.denominator for v in vars(self).values()))
+        p, o, w = (int(v * scale) for v in vars(self).values())
         if not scale <= p or p * scale >= 2**63:  # so fold's int64 products cannot overflow
             grid = f" / {_echo(scale**2)}" if scale > 1 else ""
             limit = "positive" if p <= 0 else f"in [1, 2**63{grid}) ns"
@@ -111,18 +113,14 @@ class GateConfig:
             end = self.gate_offset_ns + self.gate_width_ns
             raise RangeError(f"gate [{_echo(self.gate_offset_ns)}, {_echo(end)}) ns does not "
                              f"fit in {_echo(self.pulse_period_ns)} ns")
-
-    def _grid(self) -> tuple[int, int, int, int]:
-        """The lcm scale of the timings' denominators, then each in steps of 1/scale ns."""
-        scale = math.lcm(*(v.denominator for v in vars(self).values()))
-        return scale, *(int(v * scale) for v in vars(self).values())
+        object.__setattr__(self, "_grid", (scale, p, o, w))  # not a field: ==, hash, repr skip it
 
     def fold(self, timestamps) -> tuple[np.ndarray, np.ndarray]:
         """Pulse index floor(t / pulse_period) of each timestamp t, and whether
         t lies in its pulse's gate, exact in int64 for t in [0, 2**63): on a grid of
         1/scale ns, t = a*P + b is in pulse a*scale + b*scale // P, which is <= t."""
         t = np.asarray(timestamps, dtype=np.int64)
-        scale, period, offset, width = self._grid()
+        scale, period, offset, width = self._grid
         pulse = t // period
         position = pulse * -period  # in place from here on; a 0-d t gives scalars
         position += t
@@ -145,6 +143,8 @@ def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
     on from its last.  Else a FormatError, prefixed by where, names the
     first record bad in itself, or else out of order, counting from first."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
+    if channels.ndim != 1 or timestamps.ndim != 1:
+        raise FormatError(f"{where}channels and timestamps must be 1-d arrays")
     if channels.shape != timestamps.shape:
         raise FormatError(f"{where}channels and timestamps must have equal length")
     # a float would be truncated, written as 5.0 or used as a tuple index
@@ -507,7 +507,7 @@ def records_from_click_arrays(
     down: ceil(start + (width - 1 ns) / 2), inside every gate at least
     1 ns wide; a narrower gate is refused.  Exact for tags below 2**63 ns.
     Output is sorted by timestamp, hence per channel too."""
-    scale, period, offset, width = gate._grid()
+    scale, period, offset, width = gate._grid
     if width < scale:
         raise RangeError(f"must be >= 1 ns, got {_echo(gate.gate_width_ns)}", "gate_width_ns")
     pa, pb = np.flatnonzero(click_a), np.flatnonzero(click_b)

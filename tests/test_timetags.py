@@ -1,8 +1,11 @@
 """Time-tag formats, pulse-grid gating, and key-value persistence."""
 
+import copy
+import dataclasses
 import functools
 import math
 import os
+import pickle
 import re
 import tracemalloc
 from fractions import Fraction
@@ -118,7 +121,7 @@ class TestGateConfig:
 
     def test_integral_float_timings_are_stored_as_ints(self):
         gate = GateConfig(500.0, 0.0, 100.0)
-        assert [type(v) for v in vars(gate).values()] == [int, int, int]
+        assert [type(v) for v in dataclasses.asdict(gate).values()] == [int, int, int]
         assert gate == GATE
         timestamps = np.array([0, 99, 100, 499, 500, 1_760_000_000_000_000_099])
         for got, want in zip(gate.fold(timestamps), GATE.fold(timestamps)):
@@ -127,12 +130,14 @@ class TestGateConfig:
     def test_timings_are_exact_rationals(self):
         # a float is the decimal it prints as; an int or Fraction is taken as given
         gate = GateConfig(12.3, 2.5, 4.1)
-        assert vars(gate) == dict(pulse_period_ns=Fraction(123, 10), gate_offset_ns=Fraction(5, 2),
-                                  gate_width_ns=Fraction(41, 10))
+        assert dataclasses.asdict(gate) == dict(
+            pulse_period_ns=Fraction(123, 10), gate_offset_ns=Fraction(5, 2),
+            gate_width_ns=Fraction(41, 10))
         assert GateConfig(12.5, 0.0, 5.0) == GateConfig(Fraction(25, 2), 0, 5)
         assert GateConfig(1.76e18, 0, 5).pulse_period_ns == 1_760_000_000_000_000_000
         assert GateConfig(12.5, 1e-05, 5).gate_offset_ns == Fraction(1, 100_000)
-        assert vars(GateConfig(Fraction(250, 19), Fraction(4, 2), 5))["gate_offset_ns"] == 2
+        assert dataclasses.asdict(GateConfig(Fraction(250, 19), Fraction(4, 2), 5))[
+            "gate_offset_ns"] == 2
 
     def test_fold_is_exact_at_the_grid_limit(self):
         # 2**62 - 1 steps of 1/2 ns: the largest period the 1/2 ns grid takes
@@ -142,6 +147,23 @@ class TestGateConfig:
         period = gate.pulse_period_ns
         assert pulse.tolist() == [math.floor(t / period) for t in timestamps] == [0, 2, 2, 4, 4]
         assert in_gate.tolist() == [t - k * period < Fraction(1, 2)
+                                    for t, k in zip(timestamps, pulse.tolist())]
+
+    @pytest.mark.parametrize("timings", [ORACLE_TIMINGS[0], ORACLE_TIMINGS[-1]],
+                             ids=("int", "fraction"))
+    @pytest.mark.parametrize("remake,width", [
+        (lambda g: dataclasses.replace(g, gate_width_ns=Fraction(7, 2)), Fraction(7, 2)),
+        (copy.deepcopy, None), (lambda g: pickle.loads(pickle.dumps(g)), None),
+    ], ids=("replace-width", "deepcopy", "pickle"))
+    def test_a_copied_or_rebuilt_gate_folds_like_a_fresh_one(self, timings, remake, width):
+        # the grid is kept outside the fields, where a stale one would fold silently wrong
+        gate, fresh = remake(GateConfig(*timings)), GateConfig(*timings[:2], width or timings[2])
+        assert gate == fresh and hash(gate) == hash(fresh) and repr(gate) == repr(fresh)
+        timestamps = [0, 1, 3, 4, 99, 100, 499, 500, 12_345_678, 2**60 + 7, 2**63 - 1]
+        pulse, in_gate = gate.fold(np.array(timestamps))
+        p, o, w = dataclasses.astuple(fresh)  # exact, folded one tag at a time
+        assert pulse.tolist() == [math.floor(t / Fraction(p)) for t in timestamps]
+        assert in_gate.tolist() == [o <= t - k * p < o + w
                                     for t, k in zip(timestamps, pulse.tolist())]
 
 
@@ -468,10 +490,13 @@ class TestWriterChecks:
         # a float code is refused even where its value is 0 or 1
         ([0.0, 1.0], [5, 10], "record 0: channel code 0.0 is float64, not an integer type"),
         ([0, 1], [5], "channels and timestamps must have equal length"),
+        (0, 5, "channels and timestamps must be 1-d arrays"),
+        ([[0, 1]], [[5, 6]], "channels and timestamps must be 1-d arrays"),
         # the fold refuses it, so the writers do too
         ([0, 1, 0], [20, 5, 10], "record 2: channel A timestamps are not sorted (10 after 20)"),
     ], ids=("channel-minus-1", "channel-2", "negative-timestamp", "timestamp-2-63",
-            "float-timestamps", "float-channels", "unequal-length", "unsorted-channel"))
+            "float-timestamps", "float-channels", "unequal-length", "scalars", "2-d",
+            "unsorted-channel"))
     def test_bad_record_is_refused_before_writing(
             self, tmp_path, writer, channels, timestamps, message):
         path = tmp_path / "tags"
@@ -663,6 +688,8 @@ class TestIngest:
             fold_timetags([(ch, np.array([10, 20]))], GATE, 1)
         with pytest.raises(FormatError):
             fold_timetags([(ch, np.array([-1]))], GATE, 1)
+        with pytest.raises(FormatError, match="^channels and timestamps must be 1-d arrays$"):
+            fold_timetags([(0, 5)], GATE, 1)
 
     @pytest.mark.parametrize("channels,timestamps,message", [
         # -0.5 would be cast to 0 and counted in the gate of pulse 0
