@@ -66,7 +66,7 @@ import numpy as np
 
 # SimConfig is defined in model, which loads no numpy; imported here, it
 # is also photon_gate.simulate.SimConfig
-from .model import ClickCounts, SimConfig, photon_plan
+from .model import ClickCounts, FormatError, SimConfig, photon_plan
 
 
 def _batch(p: float, n: int) -> int:
@@ -180,9 +180,21 @@ def simulate_click_arrays(config: SimConfig, workers: int = 1) -> tuple[np.ndarr
     return np.concatenate([a for a, _ in parts]), np.concatenate([b for _, b in parts])
 
 
+def _click_indicators(click_a: np.ndarray, click_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pulse click indicators as bool arrays, each entry read by its
+    truth value, once they are two 1-d arrays of equal length."""
+    click_a, click_b = np.asarray(click_a), np.asarray(click_b)
+    if click_a.ndim != 1 or click_b.ndim != 1:
+        raise FormatError("click_a and click_b must be 1-d arrays")
+    if click_a.shape != click_b.shape:
+        raise FormatError("click_a and click_b must have equal length")
+    return click_a.astype(bool, copy=False), click_b.astype(bool, copy=False)
+
+
 def counts_from_click_arrays(click_a: np.ndarray, click_b: np.ndarray) -> ClickCounts:
-    """Tally the four per-pulse patterns from click indicators."""
-    return ClickCounts.from_totals(*_totals(click_a, click_b))
+    """Tally the four per-pulse patterns from click indicators, two 1-d
+    arrays of equal length read by truth value."""
+    return ClickCounts.from_totals(*_totals(*_click_indicators(click_a, click_b)))
 
 
 def simulate_pulses(config: SimConfig, workers: int = 1) -> ClickCounts:

@@ -427,11 +427,11 @@ def fold_timetags(
                 continue
             last_t[code] = t[-1]
             pulse, in_gate = gate.fold(t)
-            if n_pulses is not None and pulse[-1] >= n_pulses:
-                beyond = pulse >= n_pulses
-                dropped += int(np.count_nonzero(in_gate & beyond))
-                in_gate &= ~beyond
-            new = np.compress(in_gate, pulse)
+            new = np.compress(in_gate, pulse)  # sorted, as the channel's timestamps are
+            if n_pulses is not None and new.size and new[-1] >= n_pulses:
+                cut = int(np.searchsorted(new, n_pulses))
+                dropped += new.size - cut
+                new = new[:cut]
             if new.size:
                 pending[code].append(new)
         if pending[0] or pending[1]:
@@ -441,7 +441,7 @@ def fold_timetags(
             done = _tally(_pop_below(pending[0], frontier), _pop_below(pending[1], frontier))
             tallied = tuple(map(sum, zip(tallied, done)))
         records += len(timestamps)
-    tallied = tuple(map(sum, zip(tallied, _tally(list(pending[0]), list(pending[1])))))
+    tallied = tuple(map(sum, zip(tallied, _tally(*pending))))
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
     if n_pulses is None:
@@ -456,10 +456,10 @@ def fold_timetags(
 _TABLE_SPAN = 8
 
 
-def _tally(a: list[np.ndarray], b: list[np.ndarray]) -> tuple[int, int, int]:
+def _tally(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[int, int, int]:
     """The distinct pulses of channel A's sorted pieces a, of B's pieces b,
     and of both."""
-    pieces = a + b
+    pieces = [*a, *b]
     if not pieces:
         return 0, 0, 0
     low = min(int(p[0]) for p in pieces)
@@ -478,7 +478,7 @@ def _tally(a: list[np.ndarray], b: list[np.ndarray]) -> tuple[int, int, int]:
     return runs[0].size, runs[1].size, int(np.count_nonzero(merged[1:] == merged[:-1]))
 
 
-def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
+def _distinct(pieces: Sequence[np.ndarray]) -> np.ndarray:
     """The distinct pulses of sorted pieces that go on from one another."""
     run = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
     first = np.ones(run.size, dtype=bool)
@@ -502,15 +502,17 @@ def _pop_below(pieces: deque, frontier: int) -> list[np.ndarray]:
 def records_from_click_arrays(
     click_a: np.ndarray, click_b: np.ndarray, gate: GateConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Synthesize a time-tag stream from per-pulse click indicators.  Each
-    click is tagged at the whole ns nearest its gate's centre, a tie going
-    down: ceil(start + (width - 1 ns) / 2), inside every gate at least
-    1 ns wide; a narrower gate is refused.  Exact for tags below 2**63 ns.
+    """Synthesize a time-tag stream from per-pulse click indicators, two
+    1-d arrays of equal length read by truth value.  Each click is tagged
+    at the whole ns nearest its gate's centre, a tie going down:
+    ceil(start + (width - 1 ns) / 2), inside every gate at least 1 ns
+    wide; a narrower gate is refused.  Exact for tags below 2**63 ns.
     Output is sorted by timestamp, hence per channel too."""
+    from .simulate import _click_indicators  # clicks read as counts_from_click_arrays reads them
     scale, period, offset, width = gate._grid
     if width < scale:
         raise RangeError(f"must be >= 1 ns, got {_echo(gate.gate_width_ns)}", "gate_width_ns")
-    pa, pb = np.flatnonzero(click_a), np.flatnonzero(click_b)
+    pa, pb = map(np.flatnonzero, _click_indicators(click_a, click_b))
     channels = np.repeat(np.array([0, 1], dtype=np.uint8), [pa.size, pb.size])
     # pulse a*scale + b starts a*period + (b*period + offset) / scale ns in: each part fits int64
     a, b = np.divmod(np.concatenate([pa, pb]), scale)

@@ -774,6 +774,25 @@ class TestSweep:
         assert message in err
         assert "mean_n" not in err
 
+    @pytest.mark.parametrize("flag,value", [("--delta", "0.3"), ("--gamma", "0.2"),
+                                            ("--cycles", "10")])
+    def test_sbr0_refuses_the_calibration_flags(self, tmp_path, capsys, flag, value):
+        # the threshold depends on the mean click number alone
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "sbr0", "--start", "0.1", "--stop", "1", "--points", "3",
+                   flag, value, "--output", str(out)])
+        assert rc == 2
+        assert f"error: unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curve_name_comes_first(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        rc = main(["sweep", "--start", "0.1", "sbr0", "--stop", "1", "--points", "3",
+                   "--output", str(out)])
+        assert rc == 2
+        assert "error: argument curve: invalid choice: '0.1'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_critical_negative_start_names_the_flag(self, tmp_path, capsys):
         rc = main(["sweep", "critical", "--start", "-0.1", "--stop", "0.3",
                    "--points", "3", "--output", str(tmp_path / "c.csv")])
@@ -1014,6 +1033,11 @@ class TestDispatch:
         "simulate-h": ["simulate", "-h"],
         "classify-h": ["classify", "-h"],
         "sweep-help": ["sweep", "--help"],
+        "sweep-critical-help": ["sweep", "critical", "--help"],
+        "sbr0-calibration-flag": ["sweep", "sbr0", "--start", "0.1", "--stop", "1",
+                                  "--points", "3", "--output", "{out}", "--gamma", "0.2"],
+        "flag-before-curve": ["sweep", "--start", "0.1", "sbr0", "--stop", "1", "--points", "3",
+                              "--output", "{out}"],
         "missing-input": ["classify"],
         "missing-stop": ["sweep", "sbr0", "--start", "0.1"],
         "bad-eta": ["classify", "--input", "{block}", "--eta", "high"],

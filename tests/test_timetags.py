@@ -993,6 +993,30 @@ class TestIngest:
             ch, ts = read_all(reader(tmp_path / name))
             assert fold_timetags([(ch, ts)], GATE, 5_000) == expect
 
+    @pytest.mark.parametrize("click_a,click_b,n_11", [
+        ([2, 0, 3], [1, 0, 0], 1),  # 2 & 1 is 0, yet both pulse-0 entries are clicks
+        ([0.5, 0.0, 1.0], [1.0, 0.0, 0.25], 2),
+        ([True, False, True], [-2, 0, 6], 2),  # 1 & -2 and 1 & 6 are 0
+    ], ids=("int", "float", "bool-and-int"))
+    def test_click_arrays_are_read_by_truth_value(self, click_a, click_b, n_11):
+        click_a, click_b = np.array(click_a), np.array(click_b)
+        counts = counts_from_click_arrays(click_a, click_b)
+        assert counts.n_11 == n_11
+        folded = fold_timetags([records_from_click_arrays(click_a, click_b, GATE)], GATE, 3)
+        assert folded == counts
+
+    @pytest.mark.parametrize("click_a,click_b,message", [
+        (np.ones(3, bool), np.zeros(1, bool), "must have equal length"),
+        (np.ones((2, 3), bool), np.zeros(6, bool), "must be 1-d arrays"),
+        (np.ones((2, 3), bool), np.zeros((2, 3), bool), "must be 1-d arrays"),
+        (True, False, "must be 1-d arrays"),
+    ], ids=("unequal", "2-d", "both-2-d", "scalars"))
+    def test_click_arrays_must_be_1d_of_equal_length(self, click_a, click_b, message):
+        with pytest.raises(FormatError, match=f"^click_a and click_b {message}$"):
+            counts_from_click_arrays(click_a, click_b)
+        with pytest.raises(FormatError, match=f"^click_a and click_b {message}$"):
+            records_from_click_arrays(click_a, click_b, GATE)
+
 
 COUNTS = ClickCounts(n_all=1000, n_00=900, n_10=60, n_01=38, n_11=2)
 CONFIGS = [
