@@ -19,17 +19,18 @@ exact int64 arithmetic on it for every tag below 2**63 ns, and a period
 below 1 ns, or too long for int64 on that grid, is refused.  A bad gate
 timing or pulse count raises RangeError, a bad record or file FormatError.
 
-Files are read in chunks (65536 records, or about 256 KiB of CSV) that
+Files are read in chunks (32768 records, or about 256 KiB of CSV) that
 fold_timetags folds in turn, carrying per channel only the last
 timestamp and ``pending``: the in-gate pulses not yet tallied, one per
-in-gate record.  After each chunk it pops both channels below the
-frontier, the pulse of the earlier of the two last timestamps: no later
-record lands there, so those pulses are complete.  It tallies them by
-marking a bool table over their span when it is under 8 times their
-count, else by a sort.  Memory is O(chunk) plus the pending pulses; a
-channel with no record yet keeps the frontier at pulse 0, so a stream
-with no record of one channel holds the pulse of every in-gate record
-of the other.
+in-gate record.  It checks each chunk, gates all of its records at
+once, and splits only the in-gate pulses by channel.  After each chunk
+it pops both channels below the frontier, the pulse of the earlier of
+the two last timestamps: no later record lands there, so those pulses
+are complete.  It tallies them by marking a bool table over their span
+when it is under 8 times their count, else by a sort.  Memory is
+O(chunk) plus the pending pulses; a channel with no record yet keeps the
+frontier at pulse 0, so a stream with no record of one channel holds the
+pulse of every in-gate record of the other.
 
 Records come as two 1-d arrays of equal length; each keeps one contract:
 an integer (or bool) channel code 0 (A) or 1 (B), and an integer timestamp
@@ -41,12 +42,13 @@ counted from 0 at the start of the stream.  Two record formats are supported:
   ``B,123`` record per line.  A line may also carry surrounding
   whitespace, a ``+`` sign, leading zeros or ``_`` digit separators;
   LF, CRLF and CR line ends are accepted and blank lines skipped.
-  Malformed lines fail with ``file:line``.  A read block whose lines
-  all have one width and the canonical form ``[AB],[0-9]{1,19}`` (every
-  block that write_timetags_csv wrote, save those where timestamps gain
-  a digit) is parsed as a table of fixed-width rows, with no search for
-  line ends; any other block falls back, whole, to a search for each
-  line's end, which gives the same records and errors.
+  Malformed lines fail with ``file:line``.  Counting back from a read
+  block's end, each run of lines of one width in the canonical form
+  ``[AB],[0-9]{1,19}`` (what write_timetags_csv writes) is parsed as a
+  table of fixed-width rows, with no search for line ends, while runs are
+  at least 512 lines long or reach the block's start.  The lines before
+  them, and a block with a non-canonical row in a run, are parsed by a
+  search for each line's end, which gives the same records and errors.
 * A binary variant: an 8-byte little-endian record count, then 9 bytes
   per record (1 byte channel, ASCII A/B, and an 8-byte little-endian
   unsigned timestamp in ns).
@@ -137,11 +139,11 @@ class GateConfig:
 
 
 def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
-                     last: Sequence = (0, 0), first: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 timestamps of channel A and of channel B, once the
-    records keep the contract of the module docstring, each channel going
-    on from its last.  Else a FormatError, prefixed by where, names the
-    first record bad in itself, or else out of order, counting from first."""
+                     last: Sequence = (0, 0), first: int = 0) -> None:
+    """Return if the records keep the contract of the module docstring,
+    each channel going on from its last.  Else a FormatError, prefixed by
+    where, names the first record bad in itself, or else out of order,
+    counting from first."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
     if channels.ndim != 1 or timestamps.ndim != 1:
         raise FormatError(f"{where}channels and timestamps must be 1-d arrays")
@@ -156,7 +158,7 @@ def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
         ordered = all(t.size == 0 or last[code] <= t[0] and np.all(t[:-1] <= t[1:])
                       for code, t in enumerate(split))
         if ordered and split[0].size + split[1].size == ts.size:  # a code not 0/1 is in neither
-            return split
+            return
     bad_channel = ((channels != 0) & (channels != 1) if int_channels
                    else np.ones(channels.shape, dtype=bool))
     bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if int_times else True)
@@ -194,84 +196,126 @@ def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.nd
 _CSV_FAST_DIGITS = 19
 # records per binary read; bytes per CSV read, small enough that a
 # block's per-line temporaries stay in cache
-_CHUNK_TAGS = 1 << 16
+_CHUNK_TAGS = 1 << 15
 _CSV_CHUNK_BYTES = 1 << 18
+# the fewest rows of a row view that does not reach its block's start
+_CSV_MIN_RUN = 512
 
 
 def iter_timetags_csv(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(channels, timestamps) chunks of a CSV tag file, uint8 codes
-    (0=A, 1=B) and int64 ns, each cut after a line end.  A CR that ends
-    a read waits for the next one, so a CRLF is never split and every
-    error names its line in the whole file."""
-    lineno, tail = 1, b""  # lineno: of the next block's first line
+    (0=A, 1=B) and int64 ns, each cut after a line end.  Each read of
+    _CSV_CHUNK_BYTES lands in one reused buffer, after the unfinished line
+    the last one left; the blocks are parsed as views of it, and every
+    array yielded owns its memory.  A CR that ends a read waits for the
+    next one, so a CRLF is never split and every error names its line in
+    the whole file."""
+    lineno, held, buf = 1, 0, bytearray()  # lineno: of the next block's first line
     with open(path, "rb") as fh:
         while True:
-            more = fh.read(_CSV_CHUNK_BYTES)
-            data, tail = tail + more, b""
-            if more:
-                end = len(data) - data.endswith(b"\r")
-                cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
-                data, tail = data[:cut], data[cut:]
-            elif not data:
+            if len(buf) < held + _CSV_CHUNK_BYTES:  # the first read, or a line longer than it
+                buf = buf[:held] + bytearray(held + _CSV_CHUNK_BYTES)
+            with memoryview(buf) as view:
+                size = held + fh.readinto(view[held:held + _CSV_CHUNK_BYTES])
+            if size > held:
+                end = size - (buf[size - 1] == ord("\r"))
+                cut = max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end)) + 1
+            elif not size:
                 break
-            if b"\r" in data:  # the universal newlines of a text-mode read
-                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if lineno == 1 and data:
-                header, _, data = data.partition(b"\n")
-                if header.decode("ascii", "replace").strip() != CSV_HEADER:
+            else:  # the end of the file ends the last line
+                cut = size
+            data, start, stop = buf, 0, cut
+            if buf.find(b"\r", 0, cut) >= 0:  # the universal newlines of a text-mode read
+                data = bytes(buf[:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                stop = len(data)
+            if lineno == 1 and stop:
+                start = data.find(b"\n", 0, stop) + 1 or stop
+                if data[:start].decode("ascii", "replace").strip() != CSV_HEADER:
                     break  # to the header error below
                 lineno = 2
-            if data:
-                channels, timestamps, lines = _parse_csv_block(path, data, lineno)
+            if start < stop:
+                block = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start)
+                channels, timestamps, lines = _parse_csv_block(path, block, lineno)
                 yield channels, timestamps
                 lineno += lines
+            held = size - cut
+            buf[:held] = buf[cut:size]
     if lineno == 1:
         raise FormatError(f"{path}:1: expected header {CSV_HEADER!r}")
 
 
 def _parse_csv_block(
-    path: str | Path, data: bytes, lineno: int
+    path: str | Path, data: np.ndarray, lineno: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Records of the LF-ended lines in data, the first being line lineno,
-    and the number of LFs in data, which the next block's lineno adds.
-    Lines in the canonical form ``[AB],[0-9]{1,19}`` below 2**63 (what
-    write_timetags_csv emits) are parsed in bulk by _bulk_records, every
-    other line by _parse_csv_line, so both give the same records and errors.
-    A block of one width, its length a multiple of its first line's width w
-    and every w-th byte an LF, is read as an (n, w) row view whose channel,
-    comma and digits are columns, with no search for line ends.  If a row is
-    not canonical (a row that hides an LF never is), the whole block goes
-    to _parse_csv_lines, which finds each line's end and gathers there."""
-    w = data.find(b"\n") + 1  # the first line's width, LF included; 0 if none
-    if 4 <= w <= _CSV_FAST_DIGITS + 3 and len(data) % w == 0 and (
-            data[w - 1::w] == b"\n" * (len(data) // w)):
-        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+    """Records of the LF-ended lines in data (uint8 bytes), the first being
+    line lineno, and the number of LFs in data, which the next block's
+    lineno adds.  Lines in the canonical form ``[AB],[0-9]{1,19}`` below
+    2**63 (what write_timetags_csv emits) are parsed in bulk by
+    _bulk_records, every other line by _parse_csv_line, so both give the
+    same records and errors.  Counting back from the block's end, each run
+    of rows of one width w that end in an LF is read as an (n, w) row view
+    whose channel, comma and digits are columns, with no search for line
+    ends.  Once a run is shorter than _CSV_MIN_RUN rows and does not reach
+    the block's start, _parse_csv_lines finds each line's end in the rest
+    of the block and gathers there.  If a row is not canonical (a row that
+    hides an LF never is), the whole block goes to _parse_csv_lines."""
+    runs, hi = [], data.size  # the block's last runs, last first; the rest is data[:hi]
+    while hi and data[hi - 1] == ord("\n"):
+        line = data[max(hi - _CSV_FAST_DIGITS - 4, 0):hi - 1].tobytes()
+        w = len(line) - line.rfind(b"\n")  # the last line's width, LF included
+        if not 4 <= w <= _CSV_FAST_DIGITS + 3 or (  # or a short run, seen at one byte
+                hi > _CSV_MIN_RUN * w and data[hi - 1 - (_CSV_MIN_RUN - 1) * w] != ord("\n")):
+            break
+        rows = data[hi % w:hi].reshape(-1, w)[::-1]  # from the last row back
+        n = 0  # rows ending in an LF, checked in windows that grow 8-fold, so
+        while n < len(rows):  # that a run costs time in its own length
+            # a strided copy and a contiguous compare beat one strided compare
+            other = rows[n:8 * n + _CSV_MIN_RUN, -1].copy() != ord("\n")
+            k = int(other.argmax())
+            if other[k]:
+                n += k
+                break
+            n += other.size
+        if hi - n * w and data[hi - n * w - 1] != ord("\n"):
+            n -= 1  # its first row does not start a line
+        if n < _CSV_MIN_RUN and hi - n * w:
+            break
+        hi -= n * w
+        runs.append(data[hi:hi + n * w].reshape(n, w))
+    parts = []
+    for rows in reversed(runs):
+        w = rows.shape[1]
         # a strided copy and a contiguous op beat one strided op per column
         channels, timestamps, canonical = _bulk_records(
             rows[:, 0].copy(), rows[:, 1].copy(), lambda k: rows[:, w - 2 - k].copy(), w - 3)
-        if canonical.all():
-            return channels, timestamps, rows.shape[0]
-    return _parse_csv_lines(path, data, lineno)
+        if not canonical.all():
+            return _parse_csv_lines(path, data, lineno)
+        parts.append((channels, timestamps, rows.shape[0]))
+    if hi:
+        parts.insert(0, _parse_csv_lines(path, data[:hi], lineno))
+    if len(parts) == 1:
+        return parts[0]
+    channels, timestamps, lines = zip(*parts)
+    return np.concatenate(channels), np.concatenate(timestamps), sum(lines)
 
 
 def _parse_csv_lines(
-    path: str | Path, data: bytes, lineno: int
+    path: str | Path, data: np.ndarray, lineno: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """_parse_csv_block's general path, for lines of any width and form."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    ends = np.flatnonzero(data == ord("\n"))
     lines = ends.size
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, buf.size)
+    if not (data.size and data[-1] == ord("\n")):
+        ends = np.append(ends, data.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
     # data behind 19 pad bytes and before one, so that shifted views gather
     # every column at ends and each comma at starts without index arithmetic
     pad = _CSV_FAST_DIGITS
-    padded = np.empty(pad + buf.size + 1, dtype=np.uint8)
-    padded[:pad], padded[pad:-1], padded[-1] = ord("0"), buf, ord("\n")
+    padded = np.empty(pad + data.size + 1, dtype=np.uint8)
+    padded[:pad], padded[pad:-1], padded[-1] = ord("0"), data, ord("\n")
     digits = ends - starts - 2
     channels, timestamps, canonical = _bulk_records(
-        buf[starts], np.take(padded[pad + 1:], starts),
+        data[starts], np.take(padded[pad + 1:], starts),
         lambda k: np.take(padded[pad - 1 - k:], ends),
         np.clip(digits, 0, _CSV_FAST_DIGITS).astype(np.uint8))
     canonical &= (digits >= 1) & (digits <= _CSV_FAST_DIGITS)
@@ -279,7 +323,7 @@ def _parse_csv_lines(
     if other.size:
         keep = canonical
         for i, lo, hi in zip(other.tolist(), starts[other].tolist(), ends[other].tolist()):
-            record = _parse_csv_line(path, lineno + i, data[lo:hi])
+            record = _parse_csv_line(path, lineno + i, data[lo:hi].tobytes())
             if record is not None:
                 channels[i], timestamps[i] = record
                 keep[i] = True
@@ -392,7 +436,6 @@ def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndar
                 first = int(np.flatnonzero(channels > 1)[0])
                 raise FormatError(f"{path}: record {start + first}: channel byte "
                                   f"{int(records['channel'][first]):#04x} not A/B")
-            # a contiguous copy: the fold's per-channel split of it is 5x faster
             timestamps = records["timestamp"].astype(np.int64)
             if timestamps.min() < 0:  # a tag >= 2**63 casts below 0
                 first = int(np.flatnonzero(timestamps < 0)[0])
@@ -422,12 +465,18 @@ def fold_timetags(
     last_t, pending = [0, 0], [deque(), deque()]
     tallied, dropped, records = (0, 0, 0), 0, 0
     for channels, timestamps in chunks:
-        for code, t in enumerate(_checked_records("", channels, timestamps, last_t, records)):
-            if t.size == 0:
+        ts, is_b = _chunk_records(channels, timestamps, last_t, records)
+        records += ts.size
+        if not ts.size:
+            continue
+        codes = is_b.tobytes()  # rfind gives each channel's last record, with no reversed copy
+        pulse, in_gate = gate.fold(ts)
+        for code, keep in enumerate((in_gate > is_b, in_gate & is_b)):  # A's in-gate, B's
+            at = codes.rfind(b"\1" if code else b"\0")
+            if at < 0:
                 continue
-            last_t[code] = t[-1]
-            pulse, in_gate = gate.fold(t)
-            new = np.compress(in_gate, pulse)  # sorted, as the channel's timestamps are
+            last_t[code] = int(ts[at])
+            new = np.compress(keep, pulse)  # sorted, as the channel's timestamps are
             if n_pulses is not None and new.size and new[-1] >= n_pulses:
                 cut = int(np.searchsorted(new, n_pulses))
                 dropped += new.size - cut
@@ -440,13 +489,32 @@ def fold_timetags(
             frontier = int(gate.fold(min(last_t))[0])
             done = _tally(_pop_below(pending[0], frontier), _pop_below(pending[1], frontier))
             tallied = tuple(map(sum, zip(tallied, done)))
-        records += len(timestamps)
     tallied = tuple(map(sum, zip(tallied, _tally(*pending))))
     if dropped:
         log.debug("%d in-gate records beyond the pulse window dropped", dropped)
     if n_pulses is None:
         n_pulses = int(gate.fold(max(last_t))[0]) + 1 if records else 0
     return ClickCounts.from_totals(n_pulses, *tallied)
+
+
+def _chunk_records(channels, timestamps, last: Sequence[int], first: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's int64 timestamps and whether each record is of channel B,
+    once the chunk keeps the record contract going on from last, each
+    channel's last timestamp; else _checked_records' FormatError, counting
+    from first.  A chunk of codes 0 and 1, in time order from at or after
+    both last timestamps, keeps it; only a chunk that fails this test gets
+    the exact check, which raises or accepts one sorted per channel only."""
+    channels, timestamps = np.asarray(channels), np.asarray(timestamps)
+    if (channels.ndim == 1 and channels.shape == timestamps.shape and channels.size
+            and channels.dtype.kind in "biu" and timestamps.dtype.kind in "iu"):
+        ts = timestamps.astype(np.int64, copy=False)  # a tag >= 2**63 casts below 0: out of order
+        if ((channels.dtype.kind == "b" or channels.max() <= 1
+             and (channels.dtype.kind == "u" or channels.min() >= 0))
+                and max(last) <= ts[0] and np.all(ts[1:] >= ts[:-1])):
+            return ts, channels.view(bool) if channels.itemsize == 1 else channels != 0
+    _checked_records("", channels, timestamps, last, first)
+    return timestamps.astype(np.int64, copy=False), channels != 0
 
 
 # a merge whose pulses span fewer than this many times the pulses it pops

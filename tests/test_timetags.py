@@ -431,6 +431,92 @@ class TestCsvReaderEquivalence:
             self.assert_reads_line_by_line(tmp_path / "tags.csv", "".join(lines))
 
 
+class TestCsvWidthRuns:
+    """_parse_csv_block reads each long run of one width as a row view and
+    must give the records, line count and errors of _parse_csv_lines."""
+
+    general_path = staticmethod(timetags._parse_csv_lines)  # bound before any monkeypatch
+
+    @staticmethod
+    def lines(stamps, channels=None):
+        channels = [i % 2 for i in range(len(stamps))] if channels is None else channels
+        return [f"{'AB'[c]},{t}\n" for c, t in zip(channels, stamps)]
+
+    def assert_parses_as_lines(self, path, text, lineno=7):
+        data = np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+        try:
+            want = self.general_path(path, data, lineno)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                timetags._parse_csv_block(path, data, lineno)
+            assert str(got.value) == str(exc) and got.value.record == exc.record
+            return
+        got = timetags._parse_csv_block(path, data, lineno)
+        assert got[2] == want[2]
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_many_short_runs(self, tmp_path, seed):
+        # channel A just below 10**8 and B just above it, interleaved at random:
+        # each channel is sorted, and the widths change every few lines
+        rng = np.random.default_rng(seed)
+        n = 3 * timetags._CSV_MIN_RUN
+        streams = [np.sort(rng.integers(10**8 - 10**6, 10**8, n)),
+                   np.sort(rng.integers(10**8, 10**8 + 10**6, n))]
+        channels, stamps = interleave(rng, streams)
+        text = "".join(self.lines(stamps.tolist(), channels.tolist()))
+        self.assert_parses_as_lines(tmp_path / "t.csv", text)
+
+    @pytest.mark.parametrize("row", ["A,12345x7", " B,2345", "A,+2345", ""],
+                             ids=("non-digit", "leading-space", "plus-sign", "blank-lines"))
+    @pytest.mark.parametrize("run", [0, 1, 2])
+    def test_a_non_canonical_row_in_any_run(self, tmp_path, row, run):
+        # three long runs of widths 11, 12 and 13; one row of the given run is
+        # replaced by the row, padded to its width, or by as many blank lines
+        m = timetags._CSV_MIN_RUN + 10
+        stamps = [10**8 - m + i for i in range(2 * m)] + [10**9 + i for i in range(m)]
+        lines = self.lines(stamps)
+        at = run * m + m // 2
+        width = len(lines[at])
+        lines[at] = row.ljust(width - 1, "0") + "\n" if row else "\n" * width
+        self.assert_parses_as_lines(tmp_path / "t.csv", "".join(lines))
+
+    @pytest.mark.parametrize("before,after", [(1, 1), (3, 600), (600, 3), (600, 600),
+                                              (timetags._CSV_MIN_RUN, timetags._CSV_MIN_RUN - 1),
+                                              (2000, 2000)])
+    @pytest.mark.parametrize("power", [1, 3, 8, 18])
+    def test_a_run_that_crosses_a_power_of_ten(self, tmp_path, monkeypatch, power, before, after):
+        stamps = [t for t in range(10**power - before, 10**power + after) if t >= 0]
+        text = "".join(self.lines(stamps))
+        self.assert_parses_as_lines(tmp_path / "t.csv", text)
+        if min(before, after) >= timetags._CSV_MIN_RUN and stamps[0] >= 10**(power - 1):
+            # two runs, both long: no line end is searched for
+
+            def general_path(*args):
+                raise AssertionError("a block of long runs left the row views")
+
+            monkeypatch.setattr(timetags, "_parse_csv_lines", general_path)
+            self.assert_parses_as_lines(tmp_path / "t.csv", text)
+
+    def test_short_first_runs_then_long_ones(self, tmp_path, monkeypatch):
+        # the first block of a file written from time 0: runs of 1, 9, 90,
+        # 900 and 9000 lines, then a longer one; the short ones are searched alone
+        text = "".join(self.lines(range(10_000 + 20_000)))
+        data = np.frombuffer(text.encode(), dtype=np.uint8)
+        searched = []
+
+        def spy(path, block, lineno):
+            searched.append(block.size)
+            return self.general_path(path, block, lineno)
+
+        monkeypatch.setattr(timetags, "_parse_csv_lines", spy)
+        channels, stamps, n = timetags._parse_csv_block("t.csv", data, 2)
+        assert n == 30_000 and np.array_equal(stamps, np.arange(30_000))
+        assert np.array_equal(channels, np.arange(30_000) % 2)
+        assert searched == [len("".join(self.lines(range(100))))]
+
+
 class TestCsvChunkEdges:
     """The CSV reader with reads shrunk so that chunk edges fall on the
     spots under test."""
@@ -466,6 +552,45 @@ class TestCsvChunkEdges:
         monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
         ch, ts = read_all(iter_timetags_csv(path))
         assert ch.tolist() == [0, 1] and ts.tolist() == [10, 2000]
+
+    @staticmethod
+    def reused_buffer_text(rng, bad_line=None):
+        """Lines of many widths and forms, a line of 64 bytes, and bad_line
+        near the end, as CSV text."""
+        lines = [_csv_line(rng) for _ in range(200)]
+        lines.insert(50, f"  A ,  {'0' * 50}12345  \n")  # longer than any read below
+        lines += [f"{'AB'[i % 2]},{10**9 - 50 + i}\n" for i in range(100)]  # a width run
+        if bad_line is not None:
+            lines.insert(-3, bad_line)
+        return "channel,timestamp_ns\n" + "".join(lines)
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 7, 64, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_records_outlive_the_reused_buffer(self, tmp_path, monkeypatch, read_bytes, seed):
+        # every chunk is kept until the reader has read the whole file into its
+        # one buffer: a chunk that viewed it would now hold later bytes
+        path = tmp_path / "tags.csv"
+        path.write_bytes(self.reused_buffer_text(np.random.default_rng(seed)).encode())
+        whole = read_all(iter_timetags_csv(path))
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        chunks = list(iter_timetags_csv(path))
+        assert len(chunks) > 1
+        for got, want in zip(read_all(chunks), whole):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 7])
+    @pytest.mark.parametrize("bad_line", BAD_CSV_LINES[:6])
+    def test_errors_in_small_reads_name_the_whole_file_line(self, tmp_path, monkeypatch,
+                                                              read_bytes, bad_line):
+        path = tmp_path / "tags.csv"
+        path.write_bytes(self.reused_buffer_text(np.random.default_rng(5), bad_line).encode())
+        with pytest.raises(FormatError) as whole:
+            read_all(iter_timetags_csv(path))
+        assert re.match(f"^{re.escape(str(path))}:29\\d: ", str(whole.value))  # near the end
+        monkeypatch.setattr(timetags, "_CSV_CHUNK_BYTES", read_bytes)
+        with pytest.raises(FormatError) as small:
+            read_all(iter_timetags_csv(path))
+        assert str(small.value) == str(whole.value)
 
     @pytest.mark.parametrize("text", ["", "channel,timestamp_n", "channel,count\nA,1\n"])
     def test_header_error_in_small_reads(self, tmp_path, monkeypatch, text):
@@ -935,6 +1060,115 @@ class TestIngest:
         message = "record 4: channel A timestamps are not sorted (599 after 600)"
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             fold_timetags(chunked(channels, timestamps, 4), GATE, 3)
+
+    @pytest.mark.parametrize("kind", [
+        "code-2", "code-255", "int8-code-minus-1", "bool-codes", "uint64-from-2-63",
+        "int64-negative", "float-timestamps", "float-codes", "disorder-inside",
+        "disorder-at-start"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_chunk_test_agrees_with_the_exact_check(self, kind, seed):
+        # two good chunks in time order, then one spoiled by a record of the kind:
+        # the fold raises what _checked_records raises on it, or folds it exactly
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        channels = rng.integers(0, 2, 3 * n).astype(np.uint8)
+        channels[:2] = 0, 1  # the head has a last timestamp of each channel
+        timestamps = np.sort(rng.integers(1000, 500 * 40, 3 * n))
+        head = chunked(channels[:2 * n], timestamps[:2 * n], n)
+        last = [int(timestamps[:2 * n][channels[:2 * n] == code].max()) for code in (0, 1)]
+        ch, ts = channels[2 * n:].copy(), timestamps[2 * n:].copy()
+        i = int(rng.integers(n))
+        if kind in ("code-2", "code-255"):
+            ch[i] = int(kind[5:])
+        elif kind == "int8-code-minus-1":
+            ch = ch.astype(np.int8)
+            ch[i] = -1
+        elif kind == "bool-codes":
+            ch = ch.astype(bool)
+        elif kind == "uint64-from-2-63":
+            ts = ts.astype(np.uint64)
+            ts[i] = 2**63 + int(rng.integers(2**63))
+        elif kind == "int64-negative":
+            ts[i] = -int(rng.integers(1, 2**62))
+        elif kind == "float-timestamps":
+            ts = ts.astype(float)
+        elif kind == "float-codes":
+            ch = ch.astype(float)
+        elif kind == "disorder-at-start":  # the chunk's first record of a channel
+            ts[np.flatnonzero(ch == ch[i])[0]] = last[ch[i]] - 1
+        else:  # two neighbours of one channel, the later one first in time
+            j = i - 1 if i else 1
+            ch[j] = ch[i]
+            ts[max(i, j)] = ts[min(i, j)] - 1
+        try:
+            timetags._checked_records("", ch, ts, last, 2 * n)
+        except FormatError as exc:
+            assert kind != "bool-codes"
+            with pytest.raises(FormatError) as got:
+                fold_timetags([*head, (ch, ts)], GATE)
+            assert str(got.value) == str(exc) and got.value.record == exc.record
+        else:
+            assert kind == "bool-codes"
+            counts = fold_timetags([*head, (ch, ts)], GATE, 40)
+            assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == ingest_oracle(
+                channels, timestamps, 500, 0, 100, 40)
+
+    @pytest.mark.parametrize("case", ["all-a-then-all-b", "first-before-the-other-last"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chunks_sorted_per_channel_only(self, case, seed, monkeypatch):
+        # the chunk test refuses them, and the exact check accepts them
+        rng = np.random.default_rng(seed)
+        period, offset, width = ORACLE_TIMINGS[seed]
+        n_pulses = 60
+        a, b = (np.sort(rng.integers(0, math.floor(n_pulses * period), int(rng.integers(5, 80))))
+                for _ in range(2))
+        b[-1] = math.floor(n_pulses * period)  # past every A record
+        if case == "all-a-then-all-b":
+            chunks = [(np.repeat(np.array([0, 1], dtype=np.uint8), [a.size, b.size]),
+                       np.concatenate([a, b]))]
+        else:  # B's records among A's first ones in time order, then A's others
+            k = a.size // 2
+            first = np.concatenate([a[:k], b])
+            order = np.argsort(first, kind="stable")
+            codes = np.repeat(np.array([0, 1], dtype=np.uint8), [k, b.size])
+            chunks = [(codes[order], first[order]),
+                      (np.zeros(a.size - k, dtype=np.uint8), a[k:])]
+        checked = []
+        exact = timetags._checked_records
+        monkeypatch.setattr(timetags, "_checked_records",
+                            lambda *args: checked.append(args) or exact(*args))
+        counts = fold_timetags(chunks, GateConfig(period, offset, width), n_pulses)
+        assert checked
+        assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == ingest_oracle(
+            *read_all(chunks), period, offset, width, n_pulses)
+
+    @pytest.mark.parametrize("seed", range(0, 60, 6))
+    def test_time_ordered_chunks_skip_the_exact_check(self, seed, monkeypatch):
+        channels, timestamps, gate, n_all, expected = self.oracle_case(seed)
+        order = np.argsort(timestamps, kind="stable")
+        monkeypatch.setattr(timetags, "_checked_records", None)  # calling it would raise
+        counts = fold_timetags(chunked(channels[order], timestamps[order], 7), gate, n_all)
+        assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == expected
+
+    def test_binary_fold_memory_peaks_below_2_mib(self, tmp_path):
+        # 1e6 tags in time order over 2e6 pulses, half of them in the gate: the
+        # fold holds one 32 768-record chunk, its temporaries and the pulses
+        # waiting for the other channel; 1.58 MiB was measured (numpy 2.4)
+        rng = np.random.default_rng(7)
+        n = 1_000_000
+        timestamps = np.sort(rng.integers(0, 2 * n, n) * 500 + rng.integers(0, 200, n))
+        channels = rng.integers(0, 2, n).astype(np.uint8)
+        write_timetags_binary(tmp_path / "tags.bin", channels, timestamps)
+        expected = fold_timetags([(channels, timestamps)], GATE)
+        del channels, timestamps
+        tracemalloc.start()
+        try:
+            counts = fold_timetags(iter_timetags_binary(tmp_path / "tags.bin"), GATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == expected
+        assert peak < 2 * 2**20, peak
 
     def test_three_records_and_unknown_channel(self):
         channels = np.array([0, 1, 0], dtype=np.uint8)
