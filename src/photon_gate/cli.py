@@ -135,13 +135,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+# the flags only a time-tag file reads, parsed as None so that a counts block
+# refuses one given, and the value each takes when not given
+_TIMETAG_DEFAULTS = {"format": "csv", "pulse_period_ns": 500.0, "gate_offset_ns": 0.0,
+                     "gate_width_ns": 100.0}
+
+
 def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, PhotonStats, Verdict]:
     from .timetags import GateConfig, fold_timetags, iter_timetags_binary, iter_timetags_csv
-    gate = GateConfig(
-        pulse_period_ns=args.pulse_period_ns,
-        gate_offset_ns=args.gate_offset_ns,
-        gate_width_ns=args.gate_width_ns,
-    )
+    for name, default in _TIMETAG_DEFAULTS.items():
+        if getattr(args, name) is None:  # set, so main names a gate field as its flag
+            setattr(args, name, default)
+    gate = GateConfig(args.pulse_period_ns, args.gate_offset_ns, args.gate_width_ns)
     chunks = (iter_timetags_csv if args.format == "csv" else iter_timetags_binary)(args.input)
     try:
         counts = fold_timetags(chunks, gate, args.cycles)
@@ -157,6 +162,9 @@ def _classify_timetags(args: argparse.Namespace) -> tuple[ClickCounts, PhotonSta
 
 def _classify_counts_block(args: argparse.Namespace, counts: ClickCounts,
                            config: SimConfig) -> tuple[ClickCounts, PhotonStats, Verdict]:
+    for name in _TIMETAG_DEFAULTS:
+        if getattr(args, name) is not None:
+            raise RangeError("is a time-tag flag; a counts block does not read it", name)
     # the sampling term is over the pulses the block tallies
     if args.cycles not in (None, counts.n_all):
         raise RangeError(f"must equal the block's pulse count {counts.n_all}, "
@@ -262,14 +270,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     cla = sub.add_parser("classify", help="single-emitter test on recorded data")
     cla.add_argument("--input", required=True, help="counts block or time-tag file")
-    cla.add_argument("--format", choices=("csv", "binary"), default="csv",
-                     help="time-tag file layout (counts blocks are auto-detected)")
-    cla.add_argument("--pulse-period-ns", type=_ns, default=500.0,
-                     help="float or ratio n/d; -5/2 as --pulse-period-ns=-5/2")
-    cla.add_argument("--gate-offset-ns", type=_ns, default=0.0,
-                     help="float or ratio n/d; -5/2 as --gate-offset-ns=-5/2")
-    cla.add_argument("--gate-width-ns", type=_ns, default=100.0,
-                     help="float or ratio n/d; -5/2 as --gate-width-ns=-5/2")
+    cla.add_argument("--format", choices=("csv", "binary"),
+                     help="time-tag file layout, csv by default; a counts block refuses it")
+    cla.add_argument("--pulse-period-ns", type=_ns,
+                     help="float or ratio n/d, 500 by default; -5/2 as --pulse-period-ns=-5/2")
+    cla.add_argument("--gate-offset-ns", type=_ns,
+                     help="float or ratio n/d, 0 by default; -5/2 as --gate-offset-ns=-5/2")
+    cla.add_argument("--gate-width-ns", type=_ns,
+                     help="float or ratio n/d, 100 by default; -5/2 as --gate-width-ns=-5/2")
     cla.add_argument("--eta", type=float, help="detection efficiency calibration")
     cla.add_argument("--delta", type=float, help="channel imbalance")
     cla.add_argument("--gamma", type=float, help="background photons per pulse")

@@ -34,9 +34,13 @@ pulse of every in-gate record of the other.
 
 Records come as two 1-d arrays of equal length; each keeps one contract:
 an integer (or bool) channel code 0 (A) or 1 (B), and an integer timestamp
-in [0, 2**63) ns, nondecreasing per channel.  _checked_records holds it, so
-the writers refuse what fold_timetags refuses; a fold error names ``record N``,
-counted from 0 at the start of the stream.  Two record formats are supported:
+in [0, 2**63) ns, nondecreasing per channel.  One check, _checked_records,
+holds it for each chunk of fold_timetags and for both writers.  After the
+1-d and length tests it accepts an empty chunk, or integer codes all 0 or 1
+in time order from both channels' last timestamps, else sorted per channel.
+Only a refused chunk is searched for its first bad record, which the error
+names as ``record N``, counted from 0 at the start of the stream.  Two
+record formats are supported:
 
 * CSV with header ``channel,timestamp_ns`` and one ``A,123`` or
   ``B,123`` record per line.  A line may also carry surrounding
@@ -138,12 +142,12 @@ class GateConfig:
 # ---------------------------------------------------------------- CSV --
 
 
-def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
-                     last: Sequence = (0, 0), first: int = 0) -> None:
-    """Return if the records keep the contract of the module docstring,
-    each channel going on from its last.  Else a FormatError, prefixed by
-    where, names the first record bad in itself, or else out of order,
-    counting from first."""
+def _checked_records(where: str, channels, timestamps, last: Sequence[int] = (0, 0),
+                     first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The records' int64 timestamps and whether each is of channel B, once
+    they keep the contract of the module docstring, each channel going on
+    from its last timestamp.  Else a FormatError, prefixed by where, names
+    the first record bad in itself, or else out of order, counting from first."""
     channels, timestamps = np.asarray(channels), np.asarray(timestamps)
     if channels.ndim != 1 or timestamps.ndim != 1:
         raise FormatError(f"{where}channels and timestamps must be 1-d arrays")
@@ -152,13 +156,15 @@ def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
     # a float would be truncated, written as 5.0 or used as a tuple index
     int_channels, int_times = channels.dtype.kind in "biu", timestamps.dtype.kind in "iu"
     if not channels.size or int_channels and int_times:
-        # a uint64 timestamp >= 2**63 casts below 0, out of order as each last is >= 0
-        ts = timestamps.astype(np.int64, copy=False)
-        split = (np.compress(channels == 0, ts), np.compress(channels == 1, ts))
-        ordered = all(t.size == 0 or last[code] <= t[0] and np.all(t[:-1] <= t[1:])
-                      for code, t in enumerate(split))
-        if ordered and split[0].size + split[1].size == ts.size:  # a code not 0/1 is in neither
-            return
+        ts = timestamps.astype(np.int64, copy=False)  # a tag >= 2**63 casts below 0: out of order
+        if (not channels.size or channels.dtype.kind == "b" or channels.max() <= 1
+                and (channels.dtype.kind == "u" or channels.min() >= 0)):
+            is_b = channels.view(bool) if channels.itemsize == 1 else channels != 0
+            # in time order from both last timestamps, else per channel from its own
+            if not ts.size or max(last) <= ts[0] and np.all(ts[1:] >= ts[:-1]) or all(
+                    t.size == 0 or last[code] <= t[0] and np.all(t[:-1] <= t[1:])
+                    for code, t in enumerate((np.compress(~is_b, ts), np.compress(is_b, ts)))):
+                return ts, is_b
     bad_channel = ((channels != 0) & (channels != 1) if int_channels
                    else np.ones(channels.shape, dtype=bool))
     bad = bad_channel | ((timestamps < 0) | (timestamps >= 2**63) if int_times else True)
@@ -185,11 +191,12 @@ def _checked_records(where: str, channels: np.ndarray, timestamps: np.ndarray,
 
 
 def write_timetags_csv(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
-    _checked_records(f"{path}: ", channels, timestamps)
-    lines = [CSV_HEADER]
-    names = [_CHANNEL_NAME[c] for c in np.asarray(channels).tolist()]
-    lines.extend(f"{c},{t}" for c, t in zip(names, np.asarray(timestamps).tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    """Write the records as CSV, the header and then one LF-ended ``A,123`` or
+    ``B,123`` line each.  Records that break the contract raise fold_timetags'
+    FormatError, prefixed by path, before the file is created."""
+    ts, is_b = _checked_records(f"{path}: ", channels, timestamps)
+    lines = (f"{_CHANNEL_NAME[b]},{t}" for b, t in zip(is_b.tolist(), ts.tolist()))
+    Path(path).write_text("\n".join([CSV_HEADER, *lines]) + "\n", encoding="ascii")
 
 
 # 10**19 - 1 < 2**64, so a 19-digit timestamp cannot overflow uint64
@@ -401,12 +408,15 @@ _BIN_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<u8")])
 
 
 def write_timetags_binary(path: str | Path, channels: np.ndarray, timestamps: np.ndarray) -> None:
-    _checked_records(f"{path}: ", channels, timestamps)
-    records = np.empty(len(channels), dtype=_BIN_DTYPE)
-    records["channel"] = np.where(np.equal(channels, 0), ord("A"), ord("B"))
-    records["timestamp"] = timestamps
-    header = np.uint64(len(records)).tobytes()  # little-endian on all supported targets
-    Path(path).write_bytes(header + records.tobytes())
+    """Write the records as an 8-byte little-endian count, then per record the
+    byte A or B and the 8-byte little-endian unsigned timestamp.  Records that
+    break the contract raise fold_timetags' FormatError, prefixed by path,
+    before the file is created."""
+    ts, is_b = _checked_records(f"{path}: ", channels, timestamps)
+    records = np.empty(ts.size, dtype=_BIN_DTYPE)
+    records["channel"] = np.where(is_b, ord("B"), ord("A"))
+    records["timestamp"] = ts
+    Path(path).write_bytes(ts.size.to_bytes(8, "little") + records.tobytes())
 
 
 def iter_timetags_binary(path: str | Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -465,7 +475,7 @@ def fold_timetags(
     last_t, pending = [0, 0], [deque(), deque()]
     tallied, dropped, records = (0, 0, 0), 0, 0
     for channels, timestamps in chunks:
-        ts, is_b = _chunk_records(channels, timestamps, last_t, records)
+        ts, is_b = _checked_records("", channels, timestamps, last_t, records)
         records += ts.size
         if not ts.size:
             continue
@@ -495,26 +505,6 @@ def fold_timetags(
     if n_pulses is None:
         n_pulses = int(gate.fold(max(last_t))[0]) + 1 if records else 0
     return ClickCounts.from_totals(n_pulses, *tallied)
-
-
-def _chunk_records(channels, timestamps, last: Sequence[int], first: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's int64 timestamps and whether each record is of channel B,
-    once the chunk keeps the record contract going on from last, each
-    channel's last timestamp; else _checked_records' FormatError, counting
-    from first.  A chunk of codes 0 and 1, in time order from at or after
-    both last timestamps, keeps it; only a chunk that fails this test gets
-    the exact check, which raises or accepts one sorted per channel only."""
-    channels, timestamps = np.asarray(channels), np.asarray(timestamps)
-    if (channels.ndim == 1 and channels.shape == timestamps.shape and channels.size
-            and channels.dtype.kind in "biu" and timestamps.dtype.kind in "iu"):
-        ts = timestamps.astype(np.int64, copy=False)  # a tag >= 2**63 casts below 0: out of order
-        if ((channels.dtype.kind == "b" or channels.max() <= 1
-             and (channels.dtype.kind == "u" or channels.min() >= 0))
-                and max(last) <= ts[0] and np.all(ts[1:] >= ts[:-1])):
-            return ts, channels.view(bool) if channels.itemsize == 1 else channels != 0
-    _checked_records("", channels, timestamps, last, first)
-    return timestamps.astype(np.int64, copy=False), channels != 0
 
 
 # a merge whose pulses span fewer than this many times the pulses it pops

@@ -941,6 +941,21 @@ def test_bad_value_names_the_flag(tmp_path, sim_cfg, capsys, command, flags, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--format", "csv"), ("--format", "binary"),
+    ("--pulse-period-ns", "500"), ("--pulse-period-ns", "0"),
+    ("--gate-offset-ns", "0"), ("--gate-offset-ns", "-1"),
+    ("--gate-width-ns", "100"), ("--gate-width-ns", "-1"),
+])
+def test_counts_block_refuses_time_tag_flags(tmp_path, sim_cfg, capsys, flag, value):
+    # a block holds its tallies, so a gate or layout flag would be ignored
+    block = tmp_path / "run.counts"
+    write_counts_block(block, ClickCounts(1000, 950, 25, 24, 1), read_sim_config(sim_cfg))
+    assert main(["classify", "--input", str(block), f"{flag}={value}"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {flag} is a time-tag flag; a counts block does not read it\n")
+
+
 class TestRepeatedCalls:
     """main(argv) called again and again in one process, as a batch driver
     or the benchmark calls it."""

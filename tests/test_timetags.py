@@ -639,6 +639,34 @@ class TestWriterChecks:
         got_ch, got_ts = read_all(reader(path))
         assert got_ch.tolist() == [0, 1, 1] and got_ts.tolist() == [1, 2, 3]
 
+    @pytest.mark.parametrize("writer", [write_timetags_csv, write_timetags_binary],
+                             ids=("csv", "binary"))
+    def test_time_ordered_int8_code_minus_1_is_refused(self, tmp_path, writer):
+        # in time order, so only the code test stands between -1 and channel B
+        path = tmp_path / "tags"
+        message = f"{path}: record 2: channel code -1 is not 0 (A) or 1 (B)"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            writer(path, np.array([0, 1, -1, 0], dtype=np.int8), np.array([1, 2, 3, 4]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("writer,reader", [(write_timetags_csv, iter_timetags_csv),
+                                               (write_timetags_binary, iter_timetags_binary)],
+                             ids=("csv", "binary"))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_streams_sorted_per_channel_only(self, tmp_path, writer, reader, seed):
+        # channels that cross in time: the file reads back as written and folds alike
+        rng = np.random.default_rng(seed)
+        streams = [np.sort(rng.integers(0, 500 * 200, int(rng.integers(50, 400))))
+                   for _ in range(2)]
+        channels, timestamps = interleave(rng, streams)
+        assert np.any(np.diff(timestamps) < 0)
+        path = tmp_path / "tags"
+        writer(path, channels, timestamps)
+        got_ch, got_ts = read_all(reader(path))
+        assert np.array_equal(got_ch, channels) and np.array_equal(got_ts, timestamps)
+        assert (fold_timetags(reader(path), GATE, 200)
+                == fold_timetags([(channels, timestamps)], GATE, 200))
+
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
@@ -1115,8 +1143,8 @@ class TestIngest:
 
     @pytest.mark.parametrize("case", ["all-a-then-all-b", "first-before-the-other-last"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_chunks_sorted_per_channel_only(self, case, seed, monkeypatch):
-        # the chunk test refuses them, and the exact check accepts them
+    def test_chunks_sorted_per_channel_only(self, case, seed):
+        # out of time order, so only the per-channel order test accepts them
         rng = np.random.default_rng(seed)
         period, offset, width = ORACLE_TIMINGS[seed]
         n_pulses = 60
@@ -1133,20 +1161,15 @@ class TestIngest:
             codes = np.repeat(np.array([0, 1], dtype=np.uint8), [k, b.size])
             chunks = [(codes[order], first[order]),
                       (np.zeros(a.size - k, dtype=np.uint8), a[k:])]
-        checked = []
-        exact = timetags._checked_records
-        monkeypatch.setattr(timetags, "_checked_records",
-                            lambda *args: checked.append(args) or exact(*args))
         counts = fold_timetags(chunks, GateConfig(period, offset, width), n_pulses)
-        assert checked
         assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == ingest_oracle(
             *read_all(chunks), period, offset, width, n_pulses)
 
     @pytest.mark.parametrize("seed", range(0, 60, 6))
-    def test_time_ordered_chunks_skip_the_exact_check(self, seed, monkeypatch):
+    def test_time_ordered_chunks_skip_the_exact_check(self, seed):
+        # accepted by the whole-chunk time-order test alone
         channels, timestamps, gate, n_all, expected = self.oracle_case(seed)
         order = np.argsort(timestamps, kind="stable")
-        monkeypatch.setattr(timetags, "_checked_records", None)  # calling it would raise
         counts = fold_timetags(chunked(channels[order], timestamps[order], 7), gate, n_all)
         assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == expected
 
