@@ -6,13 +6,10 @@ each source to s photons every pulse carries plus Poissonian light of
 mean lam per pulse, and the simulator samples both parts.
 
 Every part is a row of independent Bernoulli trials, one per pulse, and
-_hits samples only a row's successes: the gap from one success to the
-next is geometric, 1 + floor(X) with X = E / -log(1 - p) and E a
-standard exponential.  The cost of a block therefore grows with its
-detections, not with its pulses or photons.  A Poissonian row with
-p > 1/2 is drawn as its misses instead, at the miss probability
-exp(-lam * eta_i / 2), and one with p = 1 draws nothing, so it costs
-min(hits, misses) exponentials.
+no row is drawn pulse by pulse.  _hits walks a row's successes: the gap
+from one success to the next is geometric, 1 + floor(X) with
+X = E / -log(1 - p) and E a standard exponential.  The cost of a block
+therefore grows with its detections, not with its pulses or photons.
 
 Each fixed photon is detected with probability eta (the row's p) and
 goes to channel B with probability to_b = (1 - delta) / 2, so A fires
@@ -26,12 +23,18 @@ the gaps carry nothing: the row draws no exponential, every pulse
 detects the photon, and one uniform per pulse routes it.
 
 Poissonian light (coherent pulses and stray background alike) is not
-sampled photon by photon: a Poisson photon number split by independent
+routed photon by photon: a Poisson photon number split by independent
 routing and detection gives independent Poisson counts per channel,
-with mean lam * eta_i / 2 on channel i.  Each detector reports at most
-one click per pulse, so only "any photon" matters: channel i's row has
-p = 1 - exp(-lam * eta_i / 2).  The draws per pulse therefore do not
-grow with lam.
+with mean x = lam * eta_i / 2 on channel i.  Each detector reports at
+most one click per pulse, so channel i's row has p = 1 - exp(-x).  A
+row with p <= 1/2 is placed, not walked: it draws K ~ Poisson(x * n)
+detected photons over the block's n pulses and drops each into a
+uniformly chosen pulse.  A Poisson total split uniformly gives every
+pulse an independent Poisson(x) count, so each pulse clicks with
+probability p, independently: the same row, at no exponential and on
+average x * n <= n log 2 integers.  A row with p > 1/2 walks its misses
+instead, at the miss probability exp(-x), and one with p = 1 draws
+nothing.  The draws per pulse therefore do not grow with lam.
 
 Determinism
 -----------
@@ -45,16 +48,17 @@ and each row makes about a dozen numpy calls) against the working set
 of the block's arrays.  perfbench's simulate workload at 1e6 pulses
 per op and eta 0.1, two runs per size (2 vCPUs, numpy 2.4.6; pulses
 per reference second, in millions, for IdealEmitters(3) with
-EmitterWithBackground and for Coherent(0.5)):
+EmitterWithBackground and for Coherent(0.5); the coherent column was
+measured again once sparse light rows were placed, seeds 1 and 2):
 
     block   ideal, background    coherent           peak RSS (MiB)
-    2**16   227, 239             444, 462           36.4, 36.4
-    2**17   262, 268             545, 568           36.6, 36.5
-    2**18   293, 285             623, 624           37.2, 37.2
-    2**19   295, 295             621, 625           39.0, 39.0
+    2**16   227, 239             605, 650           36.4, 36.4
+    2**17   262, 268             773, 759           36.6, 36.5
+    2**18   293, 285             822, 819           37.2, 37.2
+    2**19   295, 295             758, 797           39.0, 39.0
 
-2**19 gains about 2 % on the fixed-photon sources and nothing on
-Coherent, for 1.8 MiB more peak memory.
+2**19 gains about 2 % on the fixed-photon sources and loses about 5 %
+on Coherent, for 1.8 MiB more peak memory.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ import numpy as np
 
 # SimConfig is defined in model, which loads no numpy; imported here, it
 # is also photon_gate.simulate.SimConfig
-from .model import ClickCounts, FormatError, SimConfig, photon_plan
+from .model import ClickCounts, FormatError, SimConfig, _checked_int, photon_plan
 
 
 def _batch(p: float, n: int) -> int:
@@ -124,7 +128,8 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
     Poissonian light (channel A's row, then channel B's; skipped when
     lam = 0), then per fixed photon (photon 0 of every pulse, then
     photon 1, ...) its detections' row, routed by _hits.  A Poissonian
-    row with p > 1/2 draws its misses instead of its hits."""
+    row with p <= 1/2 draws a Poisson count of detected photons and one
+    uniform pulse per photon; one with p > 1/2 walks its misses."""
     p = config.params
     s, lam = photon_plan(config.source, p)
     child = np.random.SeedSequence(config.seed, spawn_key=(index,))
@@ -139,8 +144,8 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
             if hit > 0.5:  # a dense row: draw its misses
                 half[:] = True
                 half[_hits(rng, math.exp(-x), size)[0]] = False
-            else:
-                half[_hits(rng, hit, size)[0]] = True
+            else:  # a sparse row: place its detected photons
+                half[rng.integers(0, size, rng.poisson(x * size))] = True
     to_b = (1.0 - p.delta) / 2.0  # eta2 / (eta1 + eta2)
     for _ in range(s):
         detected, route = _hits(rng, p.eta, size, to_b)
@@ -149,7 +154,9 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
 
 
 def _map_blocks(config: SimConfig, fn, workers: int) -> list:
-    """fn(click_a, click_b) of every block, in block order."""
+    """fn(click_a, click_b) of every block, in block order, on up to
+    workers threads (a positive integer, else a RangeError)."""
+    workers = _checked_int("workers", workers, "a positive integer", 1)
     cycles, block = config.params.cycles, config.block_size
     blocks = [(i, min(block, cycles - i * block)) for i in range(-(-cycles // block))]
 

@@ -1,6 +1,7 @@
 """Monte Carlo simulator: determinism, the exact click rule, and
 agreement with the closed forms."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -195,10 +196,13 @@ class TestClickRule:
         batch's unused end discarded.  A detected photon goes to B when
         frac(X) < log1p(-p * to_b) / log1p(-p), to_b = eta2 / (eta1 +
         eta2); at eta = 1 every pulse detects it and one uniform per
-        detection routes it instead.  A light row with p > 1/2 walks its
-        misses at the miss probability q and succeeds everywhere else.
-        Coherent pulses carry no fixed photon and Poissonian light of
-        mean mu + gamma; IdealEmitters carry s photons and no light."""
+        detection routes it instead.  A light row of x detected photons
+        per pulse and p = 1 - exp(-x) <= 1/2 draws a Poisson(x * n) count
+        of photons and drops each into a uniform pulse; one with p > 1/2
+        walks its misses at the miss probability exp(-x) and succeeds
+        everywhere else.  Coherent pulses carry no fixed photon and
+        Poissonian light of mean mu + gamma; IdealEmitters carry s
+        photons and no light."""
         eta1, eta2 = params.eta1, params.eta2
         if isinstance(source, IdealEmitters):
             s, lam = source.s, 0.0
@@ -223,17 +227,18 @@ class TestClickRule:
                 start = last + 1
             return hits
 
-        def light(p, q):
-            if p <= 0.5:
-                return [i for i, _ in walk(p)]
+        def light(x):
+            if -math.expm1(-x) <= 0.5:
+                return [rng.integers(0, size) for _ in range(rng.poisson(x * size))]
+            q = math.exp(-x)
             misses = {i for i, _ in walk(q)} if q > 0.0 else set()
             return [i for i in range(size) if i not in misses]
 
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
         if lam > 0.0:
-            for i in light(-math.expm1(-lam * eta1 / 2.0), math.exp(-lam * eta1 / 2.0)):
+            for i in light(lam * eta1 / 2.0):
                 click_a[i] = True
-            for i in light(-math.expm1(-lam * eta2 / 2.0), math.exp(-lam * eta2 / 2.0)):
+            for i in light(lam * eta2 / 2.0):
                 click_b[i] = True
         for _ in range(s):
             for i, to_b in walk(params.eta, eta2 / (eta1 + eta2)):
@@ -260,18 +265,41 @@ class TestClickRule:
             assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
             assert want_a.any() and want_b.any() and (want_a & want_b).any()
 
+    @pytest.mark.parametrize(
+        "source,params,k,size,pinned,digest",
+        [(IdealEmitters(3), DetectionParams(eta=0.1, delta=0.3, cycles=1 << 16), 0, 1 << 16,
+          (47671, 11315, 5746, 804), "21ca9b97d0d16af5"),
+         (IdealEmitters(3), DetectionParams(eta=0.1, delta=0.3, cycles=1 << 16), 3, 1000,
+          (720, 177, 95, 8), "dda2ad1dd8bb371e"),
+         # both light rows dense: eta1 gives x = 1.3, eta2 x = 0.7 > log 2
+         (Coherent(1000.0), DetectionParams(eta=0.002, delta=0.3, gamma=0.2, cycles=1 << 16),
+          0, 1 << 16, (8833, 23591, 9072, 24040), "ac0e77070f73e5ea"),
+         (Coherent(1000.0), DetectionParams(eta=0.002, delta=0.3, gamma=0.2, cycles=1 << 16),
+          3, 1000, (138, 358, 141, 363), "ba078fab869b94f7")],
+        ids=("fixed-3", "fixed-3-block-3", "coherent-dense", "coherent-dense-block-3"),
+    )
+    def test_walked_rows_keep_their_stream(self, source, params, k, size, pinned, digest):
+        # photon rows and dense light rows are walked by _hits; their streams are pinned as
+        # (n_00, n_10, n_01, n_11) and a digest of both click arrays
+        a, b = _block_clicks(SimConfig(source=source, params=params, seed=20), k, size)
+        counts = counts_from_click_arrays(a, b)
+        assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == pinned
+        assert hashlib.sha256(np.packbits(a).tobytes() + np.packbits(b).tobytes()
+                              ).hexdigest()[:16] == digest
+
 
 class TestDrawCost:
-    """A light row costs min(hits, misses) exponentials and a photon row
-    its hits, and a photon row draws uniforms only at eta = 1, one per
-    detection; counted through a recording stand-in for the block's
-    Generator."""
+    """A photon row costs its hits in exponentials and a dense light row
+    its misses; a sparse light row draws one Poisson count and places
+    that many photons by one integer each, with no exponential.  A photon
+    row draws uniforms only at eta = 1, one per detection.  Counted
+    through a recording stand-in for the block's Generator."""
 
     N = 100_000
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        counts = {"standard_exponential": 0, "random": 0}
+        counts = {"standard_exponential": 0, "random": 0, "poisson": 0, "integers": 0}
         generator = np.random.Generator
 
         class Recording:
@@ -285,6 +313,14 @@ class TestDrawCost:
             def random(self, size):
                 counts["random"] += size
                 return self.rng.random(size)
+
+            def poisson(self, lam):
+                counts["poisson"] += 1
+                return self.rng.poisson(lam)
+
+            def integers(self, low, high, size):
+                counts["integers"] += size
+                return self.rng.integers(low, high, size)
 
         monkeypatch.setattr(np.random, "Generator", Recording)
         return counts
@@ -302,8 +338,16 @@ class TestDrawCost:
         # its lesser outcome); light has a row per channel
         rows = [a | b] if isinstance(source, IdealEmitters) else [a, b]
         least = [min(int(r.sum()), self.N - int(r.sum())) for r in rows]
+        # delta = gamma = 0: each light row has x = mu * eta / 2 detected photons per pulse
+        sparse = isinstance(source, Coherent) and -math.expm1(-source.mu * eta / 2.0) <= 0.5
         if sum(least) == 0:  # p = 1 (for Coherent(1e4), exp(-2500) underflows)
             assert drawn["standard_exponential"] == 0
+        elif sparse:
+            # x * N photons per row, Poisson; a pulse two photons share is one hit
+            placed = self.N * source.mu * eta
+            assert drawn["standard_exponential"] == 0 and drawn["poisson"] == 2
+            assert sum(least) <= drawn["integers"]
+            assert abs(drawn["integers"] - placed) < 5.0 * math.sqrt(placed)
         else:
             # each row's batch overshoots its outcomes by at most its 4-sigma margin and 16
             slack = sum(8.0 * math.sqrt(m) + 32 for m in least)
@@ -311,6 +355,8 @@ class TestDrawCost:
         # a photon is routed by the fraction of its gap, or by one uniform per detection at
         # eta = 1, where the row draws no gap; light is never routed
         assert drawn["random"] == (self.N if eta == 1.0 else 0)
+        if not sparse:
+            assert drawn["poisson"] == drawn["integers"] == 0
 
 
 class TestAgainstClosedForms:
@@ -343,6 +389,28 @@ class TestAgainstClosedForms:
     def test_within_four_sigma(self, source, params):
         counts = simulate_pulses(SimConfig(source=source, params=params, seed=777))
         assert max(pulls(counts, source, params)) < 4.0
+
+    def test_rows_either_side_of_the_switch(self):
+        # x = lam * eta_i / 2 is 0.70 on A and 0.68 on B: A's p is just above 1/2 (its misses
+        # are walked) and B's just below (its photons are placed)
+        params = DetectionParams(eta=0.5, delta=0.01 / 0.69, gamma=0.2, cycles=1_000_000)
+        source = Coherent(2.56)
+        x_a, x_b = ((source.mu + params.gamma) * e / 2.0 for e in (params.eta1, params.eta2))
+        assert -math.expm1(-x_a) > 0.5 > -math.expm1(-x_b)
+        counts = simulate_pulses(SimConfig(source=source, params=params, seed=12))
+        assert max(pulls(counts, source, params)) < 5.0
+
+    def test_placed_photons_do_not_cluster(self):
+        # a sparse row is Bernoulli(p) per pulse, so pulses i and i + 1 both click in
+        # (n - 1) p**2 pairs, with variance (n - 1) p**2 (1 - p**2) + 2 (n - 2) (p**3 - p**4)
+        # from pairs that share a pulse
+        n = 1_000_000
+        params = DetectionParams(eta=0.5, cycles=n)
+        a, _ = simulate_click_arrays(SimConfig(source=Coherent(1.2), params=params, seed=13))
+        p = -math.expm1(-0.3)
+        pairs = int(np.count_nonzero(a[:-1] & a[1:]))
+        sigma = math.sqrt((n - 1) * p**2 * (1 - p**2) + 2 * (n - 2) * (p**3 - p**4))
+        assert abs(pairs - (n - 1) * p**2) < 5.0 * sigma
 
     def test_single_emitter_never_coincides(self):
         cfg = SimConfig(
@@ -397,6 +465,13 @@ class TestConfigValidation:
         as_float = SimConfig(**{**fields, field: value})
         assert type(getattr(as_float, field)) is int
         assert simulate_pulses(as_float) == simulate_pulses(as_int)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize("run", [simulate_pulses, simulate_click_arrays])
+    def test_workers(self, run, workers):
+        cfg = SimConfig(source=IdealEmitters(1), params=DetectionParams(eta=0.5), seed=1)
+        with pytest.raises(RangeError, match="^workers must be a positive integer"):
+            run(cfg, workers=workers)
 
     def test_block_size(self):
         with pytest.raises(RangeError):
