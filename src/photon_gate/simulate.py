@@ -6,35 +6,36 @@ each source to s photons every pulse carries plus Poissonian light of
 mean lam per pulse, and the simulator samples both parts.
 
 Every part is a row of independent Bernoulli trials, one per pulse, and
-no row is drawn pulse by pulse.  _hits walks a row's successes: the gap
-from one success to the next is geometric, 1 + floor(X) with
-X = E / -log(1 - p) and E a standard exponential.  The cost of a block
-therefore grows with its detections, not with its pulses or photons.
+no row is drawn pulse by pulse: a photon row is walked and a light row
+placed, so a block's cost grows with its detections (or a bright row's
+misses), not with its pulses or photons.
 
-Each fixed photon is detected with probability eta (the row's p) and
-goes to channel B with probability to_b = (1 - delta) / 2, so A fires
-with eta1/2 and B with eta2/2 per photon.  The route needs no draw of
-its own: frac(X) is independent of floor(X), with P(frac(X) < c) =
-(1 - (1 - p)**c) / p, so a detected photon goes to B exactly when the
-fraction of its own gap is below c = log1p(-p * to_b) / log1p(-p).  A
-photon row therefore costs one exponential per detection and is always
-drawn as its hits, since only a hit's own gap can route it.  At eta = 1
-the gaps carry nothing: the row draws no exponential, every pulse
-detects the photon, and one uniform per pulse routes it.
+_hits walks a photon row's successes: the gap from one success to the
+next is geometric, 1 + floor(X) with X = E / -log(1 - p) and E a
+standard exponential.  Each fixed photon is detected with probability
+eta (the row's p) and goes to channel B with probability
+to_b = (1 - delta) / 2, so A fires with eta1/2 and B with eta2/2 per
+photon.  The route needs no draw of its own: frac(X) is independent of
+floor(X), with P(frac(X) < c) = (1 - (1 - p)**c) / p, so a detected
+photon goes to B exactly when the fraction of its own gap is below
+c = log1p(-p * to_b) / log1p(-p).  A photon row therefore costs one
+exponential per detection and is always drawn as its hits, since only
+a hit's own gap can route it.  At eta = 1 the gaps carry nothing: the
+row draws no exponential, every pulse detects the photon, and one
+uniform per pulse routes it.
 
 Poissonian light (coherent pulses and stray background alike) is not
 routed photon by photon: a Poisson photon number split by independent
 routing and detection gives independent Poisson counts per channel,
 with mean x = lam * eta_i / 2 on channel i.  Each detector reports at
 most one click per pulse, so channel i's row has p = 1 - exp(-x).  A
-row with p <= 1/2 is placed, not walked: it draws K ~ Poisson(x * n)
-detected photons over the block's n pulses and drops each into a
-uniformly chosen pulse.  A Poisson total split uniformly gives every
-pulse an independent Poisson(x) count, so each pulse clicks with
-probability p, independently: the same row, at no exponential and on
-average x * n <= n log 2 integers.  A row with p > 1/2 walks its misses
-instead, at the miss probability exp(-x), and one with p = 1 draws
-nothing.  The draws per pulse therefore do not grow with lam.
+light row drops K ~ Poisson(y * n) marks into uniform pulses of the
+block's n, so each pulse has an independent Poisson(y) mark count.
+With p <= 1/2 the marks are photons (y = x) and the marked pulses
+click; else they are misses, y = -log(1 - exp(-x)), so a pulse is
+marked with probability 1 - exp(-y) = exp(-x), and the rest click.
+The row draws no exponential and on average y * n <= n log 2 integers
+(none at p = 1), so the draws per pulse do not grow with lam.
 
 Determinism
 -----------
@@ -81,10 +82,10 @@ def _batch(p: float, n: int) -> int:
 
 
 def _hits(rng: np.random.Generator, p: float, n: int,
-          to_b: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+          to_b: float) -> tuple[np.ndarray, np.ndarray]:
     """Sorted int64 indices of the successes among n independent
-    Bernoulli(p) trials and, given to_b, a bool mask that routes each
-    success to channel B with probability to_b (None without to_b).
+    Bernoulli(p) trials, and a bool mask that routes each success to
+    channel B with probability to_b.
 
     The gaps between successes are floor(X) + 1 with X = E / lam,
     lam = -log(1 - p) and E a standard exponential, drawn in batches of
@@ -95,20 +96,19 @@ def _hits(rng: np.random.Generator, p: float, n: int,
     shows why).  At p = 1 every trial succeeds, no exponential is drawn,
     and each success routes by one uniform."""
     if p <= 0.0:
-        return np.empty(0, dtype=np.int64), None if to_b is None else np.empty(0, dtype=np.bool_)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.bool_)
     if p >= 1.0:
-        return np.arange(n, dtype=np.int64), None if to_b is None else rng.random(n) < to_b
+        return np.arange(n, dtype=np.int64), rng.random(n) < to_b
     scale = -1.0 / math.log1p(-p)  # 1 / lam
-    cut = None if to_b is None else math.log1p(-p * to_b) / math.log1p(-p)
+    cut = math.log1p(-p * to_b) / math.log1p(-p)
     parts, routes, start = [], [], 0  # start: the first trial not yet decided
     while start < n:
         x = rng.standard_exponential(_batch(p, n - start))
         x *= scale
         # clipped at n before the cast: a gap past n ends the row either way
         hits = np.minimum(x, n, out=x).astype(np.int64)
-        if cut is not None:
-            x -= hits
-            routes.append(x < cut)
+        x -= hits
+        routes.append(x < cut)
         hits += 1
         hits[0] += start - 1
         np.cumsum(hits, out=hits)
@@ -120,16 +120,15 @@ def _hits(rng: np.random.Generator, p: float, n: int,
 
     hits = joined(parts)
     kept = int(np.searchsorted(hits, n))
-    return hits[:kept], None if cut is None else joined(routes)[:kept]
+    return hits[:kept], joined(routes)[:kept]
 
 
 def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Click indicators for one block of pulses.  Draw order is fixed:
     Poissonian light (channel A's row, then channel B's; skipped when
     lam = 0), then per fixed photon (photon 0 of every pulse, then
-    photon 1, ...) its detections' row, routed by _hits.  A Poissonian
-    row with p <= 1/2 draws a Poisson count of detected photons and one
-    uniform pulse per photon; one with p > 1/2 walks its misses."""
+    photon 1, ...) its detections' row, walked by _hits.  A light row
+    places Poisson marks, its hits when p <= 1/2 and else its misses."""
     p = config.params
     s, lam = photon_plan(config.source, p)
     child = np.random.SeedSequence(config.seed, spawn_key=(index,))
@@ -137,15 +136,15 @@ def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray,
     # A's clicks, then B's: a route to B adds size to a click's index
     clicks = np.zeros(2 * size, dtype=np.bool_)
     if lam > 0.0:
-        # drawn before any photon row, so each half is still empty
+        # drawn before any photon row, so each half is still empty: only a dense one is filled
         for half, eta_i in ((clicks[:size], p.eta1), (clicks[size:], p.eta2)):
             x = lam * eta_i / 2.0  # mean photons detected on the channel
-            hit = -math.expm1(-x)
-            if hit > 0.5:  # a dense row: draw its misses
+            dense = -math.expm1(-x) > 0.5
+            # mean marks per pulse: its photons, or a dense row's misses (P(miss) = exp(-x))
+            y = -math.log1p(-math.exp(-x)) if dense else x
+            if dense:
                 half[:] = True
-                half[_hits(rng, math.exp(-x), size)[0]] = False
-            else:  # a sparse row: place its detected photons
-                half[rng.integers(0, size, rng.poisson(x * size))] = True
+            half[rng.integers(0, size, rng.poisson(y * size))] = not dense
     to_b = (1.0 - p.delta) / 2.0  # eta2 / (eta1 + eta2)
     for _ in range(s):
         detected, route = _hits(rng, p.eta, size, to_b)

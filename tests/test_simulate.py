@@ -111,8 +111,9 @@ class TestHits:
     def test_certain_outcomes(self):
         hits, route = _hits(self.rng(), 0.0, 1000, 0.5)
         assert hits.size == 0 and route.dtype == np.bool_ and route.size == 0
-        hits, route = _hits(self.rng(), 1.0, 1000)
-        assert np.array_equal(hits, np.arange(1000)) and route is None
+        hits, route = _hits(self.rng(), 1.0, 1000, 0.5)
+        assert np.array_equal(hits, np.arange(1000))
+        assert route.dtype == np.bool_ and route.size == 1000
 
     def test_vanishing_p_gives_no_hits(self):
         # E / -log1p(-1e-300) is near 1e300: clipped before the int cast
@@ -122,8 +123,8 @@ class TestHits:
     @pytest.mark.parametrize("p", [1e-5, 0.01, 0.1, 0.5, 0.9])
     def test_counts_and_order(self, p):
         n = 1_000_000
-        hits, route = _hits(self.rng(), p, n)
-        assert hits.dtype == np.int64 and route is None
+        hits, route = _hits(self.rng(), p, n, 0.5)
+        assert hits.dtype == np.int64 and route.dtype == np.bool_ and route.shape == hits.shape
         assert np.all(np.diff(hits) > 0) and hits[0] >= 0 and hits[-1] < n
         assert abs(hits.size - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
 
@@ -190,19 +191,20 @@ class TestClickRule:
         """The click rule over the block's own draws, one draw at a time:
         Poissonian light (row A, row B; none for a source without
         Poissonian light), then per fixed photon its detection row.  A
-        row of Bernoulli(p) trials is walked gap by gap: each exponential
-        E gives X = E * (1 / -log(1 - p)) and moves 1 + floor(X) trials on
-        (at most n + 1), in batches of _batch(p, trials left) draws, a
-        batch's unused end discarded.  A detected photon goes to B when
-        frac(X) < log1p(-p * to_b) / log1p(-p), to_b = eta2 / (eta1 +
-        eta2); at eta = 1 every pulse detects it and one uniform per
-        detection routes it instead.  A light row of x detected photons
-        per pulse and p = 1 - exp(-x) <= 1/2 draws a Poisson(x * n) count
-        of photons and drops each into a uniform pulse; one with p > 1/2
-        walks its misses at the miss probability exp(-x) and succeeds
-        everywhere else.  Coherent pulses carry no fixed photon and
-        Poissonian light of mean mu + gamma; IdealEmitters carry s
-        photons and no light."""
+        photon row of Bernoulli(p) trials is walked gap by gap: each
+        exponential E gives X = E * (1 / -log(1 - p)) and moves
+        1 + floor(X) trials on (at most n + 1), in batches of
+        _batch(p, trials left) draws, a batch's unused end discarded.  A
+        detected photon goes to B when frac(X) < log1p(-p * to_b) /
+        log1p(-p), to_b = eta2 / (eta1 + eta2); at eta = 1 every pulse
+        detects it and one uniform per detection routes it instead.  A light row of x detected photons
+        per pulse draws a Poisson(y * n) count of marks and drops each
+        into a uniform pulse: with p = 1 - exp(-x) <= 1/2 the marks are
+        its photons (y = x) and a marked pulse clicks; with p > 1/2 they
+        are its misses, y = -log(1 - exp(-x)), and an unmarked pulse
+        clicks.  Coherent pulses carry no fixed photon and Poissonian
+        light of mean mu + gamma; IdealEmitters carry s photons and no
+        light."""
         eta1, eta2 = params.eta1, params.eta2
         if isinstance(source, IdealEmitters):
             s, lam = source.s, 0.0
@@ -211,7 +213,7 @@ class TestClickRule:
         else:
             s, lam = 1, params.gamma
 
-        def walk(p, to_b=0.0):
+        def walk(p, to_b):
             """(trial, goes to B) of each success."""
             if p == 1.0:
                 return [(i, rng.random() < to_b) for i in range(size)]
@@ -228,11 +230,10 @@ class TestClickRule:
             return hits
 
         def light(x):
-            if -math.expm1(-x) <= 0.5:
-                return [rng.integers(0, size) for _ in range(rng.poisson(x * size))]
-            q = math.exp(-x)
-            misses = {i for i, _ in walk(q)} if q > 0.0 else set()
-            return [i for i in range(size) if i not in misses]
+            dense = -math.expm1(-x) > 0.5
+            y = -math.log1p(-math.exp(-x)) if dense else x
+            marks = {rng.integers(0, size) for _ in range(rng.poisson(y * size))}
+            return [i for i in range(size) if (i in marks) != dense]
 
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
         if lam > 0.0:
@@ -273,14 +274,14 @@ class TestClickRule:
           (720, 177, 95, 8), "dda2ad1dd8bb371e"),
          # both light rows dense: eta1 gives x = 1.3, eta2 x = 0.7 > log 2
          (Coherent(1000.0), DetectionParams(eta=0.002, delta=0.3, gamma=0.2, cycles=1 << 16),
-          0, 1 << 16, (8833, 23591, 9072, 24040), "ac0e77070f73e5ea"),
+          0, 1 << 16, (8807, 23909, 8851, 23969), "fc9b3f7763305a70"),
          (Coherent(1000.0), DetectionParams(eta=0.002, delta=0.3, gamma=0.2, cycles=1 << 16),
-          3, 1000, (138, 358, 141, 363), "ba078fab869b94f7")],
+          3, 1000, (152, 337, 163, 348), "495fe9542ffde826")],
         ids=("fixed-3", "fixed-3-block-3", "coherent-dense", "coherent-dense-block-3"),
     )
     def test_walked_rows_keep_their_stream(self, source, params, k, size, pinned, digest):
-        # photon rows and dense light rows are walked by _hits; their streams are pinned as
-        # (n_00, n_10, n_01, n_11) and a digest of both click arrays
+        # photon rows are walked by _hits and dense light rows place their misses; their
+        # streams are pinned as (n_00, n_10, n_01, n_11) and a digest of both click arrays
         a, b = _block_clicks(SimConfig(source=source, params=params, seed=20), k, size)
         counts = counts_from_click_arrays(a, b)
         assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == pinned
@@ -289,9 +290,9 @@ class TestClickRule:
 
 
 class TestDrawCost:
-    """A photon row costs its hits in exponentials and a dense light row
-    its misses; a sparse light row draws one Poisson count and places
-    that many photons by one integer each, with no exponential.  A photon
+    """A photon row costs its hits in exponentials.  A light row draws one
+    Poisson count and places that many marks by one integer each, with no
+    exponential: its photons when sparse, its misses when dense.  A photon
     row draws uniforms only at eta = 1, one per detection.  Counted
     through a recording stand-in for the block's Generator."""
 
@@ -299,12 +300,15 @@ class TestDrawCost:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
-        counts = {"standard_exponential": 0, "random": 0, "poisson": 0, "integers": 0}
+        counts = {"standard_exponential": 0, "random": 0, "poisson": [], "integers": 0,
+                  "streams": []}
         generator = np.random.Generator
 
         class Recording:
             def __init__(self, bit_generator):
                 self.rng = generator(bit_generator)
+                self.start = repr(bit_generator.state)
+                counts["streams"].append(self)
 
             def standard_exponential(self, size):
                 counts["standard_exponential"] += size
@@ -315,7 +319,7 @@ class TestDrawCost:
                 return self.rng.random(size)
 
             def poisson(self, lam):
-                counts["poisson"] += 1
+                counts["poisson"].append(lam)
                 return self.rng.poisson(lam)
 
             def integers(self, low, high, size):
@@ -338,25 +342,31 @@ class TestDrawCost:
         # its lesser outcome); light has a row per channel
         rows = [a | b] if isinstance(source, IdealEmitters) else [a, b]
         least = [min(int(r.sum()), self.N - int(r.sum())) for r in rows]
-        # delta = gamma = 0: each light row has x = mu * eta / 2 detected photons per pulse
-        sparse = isinstance(source, Coherent) and -math.expm1(-source.mu * eta / 2.0) <= 0.5
-        if sum(least) == 0:  # p = 1 (for Coherent(1e4), exp(-2500) underflows)
+        if isinstance(source, Coherent):
+            # delta = gamma = 0: each light row has x = mu * eta / 2 detected photons per pulse
+            # and y * N marks, Poisson: its photons (y = x) when p = 1 - exp(-x) <= 1/2, else
+            # its misses (y = -log(1 - exp(-x))); a pulse two marks share is one outcome
+            x = source.mu * eta / 2.0
+            y = x if -math.expm1(-x) <= 0.5 else -math.log1p(-math.exp(-x))
+            marks = 2 * self.N * y
             assert drawn["standard_exponential"] == 0
-        elif sparse:
-            # x * N photons per row, Poisson; a pulse two photons share is one hit
-            placed = self.N * source.mu * eta
-            assert drawn["standard_exponential"] == 0 and drawn["poisson"] == 2
+            assert drawn["poisson"] == pytest.approx([self.N * y] * 2)
             assert sum(least) <= drawn["integers"]
-            assert abs(drawn["integers"] - placed) < 5.0 * math.sqrt(placed)
+            assert abs(drawn["integers"] - marks) <= 5.0 * math.sqrt(marks)
+            if marks == 0.0:  # p = 1: exp(-2500) underflows, y = 0, and poisson(0) draws nothing
+                (stream,) = drawn["streams"]
+                assert repr(stream.rng.bit_generator.state) == stream.start
         else:
-            # each row's batch overshoots its outcomes by at most its 4-sigma margin and 16
-            slack = sum(8.0 * math.sqrt(m) + 32 for m in least)
-            assert sum(least) < drawn["standard_exponential"] <= sum(least) + slack
+            if sum(least) == 0:  # eta = 1: no gap to draw
+                assert drawn["standard_exponential"] == 0
+            else:
+                # the batch overshoots the row's hits by at most its 4-sigma margin and 16
+                slack = sum(8.0 * math.sqrt(m) + 32 for m in least)
+                assert sum(least) < drawn["standard_exponential"] <= sum(least) + slack
+            assert drawn["poisson"] == [] and drawn["integers"] == 0
         # a photon is routed by the fraction of its gap, or by one uniform per detection at
         # eta = 1, where the row draws no gap; light is never routed
         assert drawn["random"] == (self.N if eta == 1.0 else 0)
-        if not sparse:
-            assert drawn["poisson"] == drawn["integers"] == 0
 
 
 class TestAgainstClosedForms:
@@ -369,9 +379,11 @@ class TestAgainstClosedForms:
             (IdealEmitters(5), DetectionParams(eta=0.1, delta=0.3, cycles=M)),
             (EmitterWithBackground(), DetectionParams(eta=0.1, delta=0.3, gamma=0.5, cycles=M)),
             (Coherent(0.8), DetectionParams(eta=0.4, delta=0.2, gamma=0.1, cycles=M)),
-            # dense rows (p > 1/2); the light rows are drawn as their misses
+            # dense rows (p > 1/2); the light rows place their misses
             (Coherent(1000.0), DetectionParams(eta=0.1, delta=0.3, gamma=0.2, cycles=M)),
             (Coherent(5.0), DetectionParams(eta=0.5, delta=0.3, gamma=0.2, cycles=M)),
+            # rare misses: x is 4.9 on A and 2.7 on B, so a pulse misses with 0.7 % and 7.0 %
+            (Coherent(15.0), DetectionParams(eta=0.5, delta=0.3, gamma=0.2, cycles=M)),
             (IdealEmitters(3), DetectionParams(eta=0.75, delta=0.3, cycles=M)),
             # eta <= 1 / 1.3 keeps eta1 = eta (1 + delta) at most 1
             (EmitterWithBackground(), DetectionParams(eta=0.75, delta=0.3, gamma=0.2, cycles=M)),
@@ -383,8 +395,8 @@ class TestAgainstClosedForms:
             (IdealEmitters(1), DetectionParams(eta=1.0, delta=0.0, cycles=M)),
         ],
         ids=("two-emitters", "five-unbalanced", "emitter-bg", "coherent", "coherent-bright",
-             "coherent-dense", "three-dense", "emitter-bg-dense", "one-sparse", "one-half",
-             "one-dense", "one-certain"),
+             "coherent-dense", "coherent-rare-miss", "three-dense", "emitter-bg-dense",
+             "one-sparse", "one-half", "one-dense", "one-certain"),
     )
     def test_within_four_sigma(self, source, params):
         counts = simulate_pulses(SimConfig(source=source, params=params, seed=777))
@@ -392,7 +404,7 @@ class TestAgainstClosedForms:
 
     def test_rows_either_side_of_the_switch(self):
         # x = lam * eta_i / 2 is 0.70 on A and 0.68 on B: A's p is just above 1/2 (its misses
-        # are walked) and B's just below (its photons are placed)
+        # are placed) and B's just below (its photons are placed)
         params = DetectionParams(eta=0.5, delta=0.01 / 0.69, gamma=0.2, cycles=1_000_000)
         source = Coherent(2.56)
         x_a, x_b = ((source.mu + params.gamma) * e / 2.0 for e in (params.eta1, params.eta2))
@@ -401,16 +413,19 @@ class TestAgainstClosedForms:
         assert max(pulls(counts, source, params)) < 5.0
 
     def test_placed_photons_do_not_cluster(self):
-        # a sparse row is Bernoulli(p) per pulse, so pulses i and i + 1 both click in
-        # (n - 1) p**2 pairs, with variance (n - 1) p**2 (1 - p**2) + 2 (n - 2) (p**3 - p**4)
-        # from pairs that share a pulse
+        # a light row is Bernoulli per pulse, so pulses i and i + 1 share an outcome of
+        # probability p in (n - 1) p**2 pairs, with variance (n - 1) p**2 (1 - p**2) +
+        # 2 (n - 2) (p**3 - p**4) from pairs that share a pulse.  Placed marks are a sparse
+        # row's clicks (x = 0.3) and a dense row's misses (x = 1, q = exp(-1))
         n = 1_000_000
         params = DetectionParams(eta=0.5, cycles=n)
-        a, _ = simulate_click_arrays(SimConfig(source=Coherent(1.2), params=params, seed=13))
-        p = -math.expm1(-0.3)
-        pairs = int(np.count_nonzero(a[:-1] & a[1:]))
-        sigma = math.sqrt((n - 1) * p**2 * (1 - p**2) + 2 * (n - 2) * (p**3 - p**4))
-        assert abs(pairs - (n - 1) * p**2) < 5.0 * sigma
+        for mu, marked in ((1.2, True), (4.0, False)):
+            a, _ = simulate_click_arrays(SimConfig(source=Coherent(mu), params=params, seed=13))
+            x = mu * params.eta / 2.0
+            p = -math.expm1(-x) if marked else math.exp(-x)
+            pairs = int(np.count_nonzero((a[:-1] == marked) & (a[1:] == marked)))
+            sigma = math.sqrt((n - 1) * p**2 * (1 - p**2) + 2 * (n - 2) * (p**3 - p**4))
+            assert abs(pairs - (n - 1) * p**2) < 5.0 * sigma
 
     def test_single_emitter_never_coincides(self):
         cfg = SimConfig(
