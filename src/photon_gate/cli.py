@@ -121,9 +121,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = replace(config, seed=args.seed)
     if args.cycles is not None:
         config = replace(config, params=replace(config.params, cycles=args.cycles))
-    # one thread: on two vCPUs two workers ran 1e7 pulses 1.3x and 1.5x
-    # faster for IdealEmitters(3) and EmitterWithBackground but lost on
-    # Coherent, whose light rows cost less than the pool (ROADMAP item 18)
+    # one thread: on two vCPUs two workers ran 1e7 pulses of the benchmark's
+    # IdealEmitters(3), EmitterWithBackground and Coherent(0.5) at 0.86-0.90x
+    # the speed of one (ROADMAP item 18)
     log.info("simulating %s pulses", config.params.cycles)
     start = time.perf_counter()
     counts = simulate_pulses(config)

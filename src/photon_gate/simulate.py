@@ -5,37 +5,40 @@ simulator exists to check them mechanically.  model.photon_plan reduces
 each source to s photons every pulse carries plus Poissonian light of
 mean lam per pulse, and the simulator samples both parts.
 
-Every part is a row of independent Bernoulli trials, one per pulse, and
-no row is drawn pulse by pulse: a photon row is walked and a light row
-placed, so a block's cost grows with its detections (or a bright row's
-misses), not with its pulses or photons.
+Every part is a row of independent Bernoulli trials, one per pulse,
+and every row is placed, none drawn pulse by pulse: a row of y marks per
+pulse draws K ~ Poisson(y * n) marks and drops each into a uniform pulse
+of the block's n, so each pulse has an independent Poisson(y) mark count
+and is marked with probability 1 - exp(-y).  Each row marks its lesser
+outcome, so y <= log 2: no row draws more than log 2 integers per pulse
+on average, and none draws an exponential or a uniform float.  A light
+row costs its marks alone, whatever lam is; a photon also pays a few
+passes over a block-long bool scratch that holds its A marks and is
+refilled for the next photon.
 
-_hits walks a photon row's successes: the gap from one success to the
-next is geometric, 1 + floor(X) with X = E / -log(1 - p) and E a
-standard exponential.  Each fixed photon is detected with probability
-eta (the row's p) and goes to channel B with probability
-to_b = (1 - delta) / 2, so A fires with eta1/2 and B with eta2/2 per
-photon.  The route needs no draw of its own: frac(X) is independent of
-floor(X), with P(frac(X) < c) = (1 - (1 - p)**c) / p, so a detected
-photon goes to B exactly when the fraction of its own gap is below
-c = log1p(-p * to_b) / log1p(-p).  A photon row therefore costs one
-exponential per detection and is always drawn as its hits, since only
-a hit's own gap can route it.  At eta = 1 the gaps carry nothing: the
-row draws no exponential, every pulse detects the photon, and one
-uniform per pulse routes it.
+Each fixed photon is detected with probability eta and goes to channel
+B with probability (1 - delta) / 2, so A fires with a = eta1/2 and B
+with eta2/2 per photon, never both.  It is two rows.  Its A row marks
+A's clicks at y = -log(1 - a); a <= 1/2, so y <= log 2.  Its B row is B
+given not A, q = (eta2/2) / (1 - a).  With q <= 1/2 it marks B's clicks
+at y = -log(1 - q), and a mark on a pulse where the photon's own A mark
+landed is dropped; with q > 1/2 (eta > 2 / (3 - delta)) it marks B's
+misses at y = -log(q), and B clicks where neither the photon's own A
+mark nor a miss landed.  By Poisson splitting, either way gives
+P(A) = a and P(B) = (1 - a) q = eta2/2 per pulse, independently across
+pulses and photons, and never both from one photon, so a lone emitter
+never coincides.  At eta = 1 (delta = 0) q = 1 and the B row draws no
+mark: B clicks wherever A did not.
 
 Poissonian light (coherent pulses and stray background alike) is not
 routed photon by photon: a Poisson photon number split by independent
 routing and detection gives independent Poisson counts per channel,
 with mean x = lam * eta_i / 2 on channel i.  Each detector reports at
-most one click per pulse, so channel i's row has p = 1 - exp(-x).  A
-light row drops K ~ Poisson(y * n) marks into uniform pulses of the
-block's n, so each pulse has an independent Poisson(y) mark count.
-With p <= 1/2 the marks are photons (y = x) and the marked pulses
-click; else they are misses, y = -log(1 - exp(-x)), so a pulse is
-marked with probability 1 - exp(-y) = exp(-x), and the rest click.
-The row draws no exponential and on average y * n <= n log 2 integers
-(none at p = 1), so the draws per pulse do not grow with lam.
+most one click per pulse, so channel i's row has p = 1 - exp(-x).  With
+p <= 1/2 its marks are photons (y = x) and the marked pulses click;
+else they are misses, y = -log(1 - exp(-x)), so a pulse is marked with
+probability 1 - exp(-y) = exp(-x), and the rest click.  A row with
+p = 1 draws nothing.
 
 Determinism
 -----------
@@ -45,21 +48,19 @@ SeedSequence(seed), and results are assembled in block order — so they
 depend only on (config), never on scheduling or worker count: one
 config gives byte-identical counts at any worker count.  The block size
 weighs a fixed cost per block (seeding the stream takes about 16 us,
-and each row makes about a dozen numpy calls) against the working set
+and each row makes a few numpy calls) against the working set
 of the block's arrays.  perfbench's simulate workload at 1e6 pulses
-per op and eta 0.1, two runs per size (2 vCPUs, numpy 2.4.6; pulses
-per reference second, in millions, for IdealEmitters(3) with
-EmitterWithBackground and for Coherent(0.5); the coherent column was
-measured again once sparse light rows were placed, seeds 1 and 2):
+per op and eta 0.1, seeds 1 and 2 per size (2 vCPUs, numpy 2.4.6;
+pulses per reference second, in millions, for IdealEmitters(3) with
+EmitterWithBackground and for Coherent(0.5)):
 
     block   ideal, background    coherent           peak RSS (MiB)
-    2**16   227, 239             605, 650           36.4, 36.4
-    2**17   262, 268             773, 759           36.6, 36.5
-    2**18   293, 285             822, 819           37.2, 37.2
-    2**19   295, 295             758, 797           39.0, 39.0
+    2**16   337, 325             652, 643           36.0, 36.0
+    2**17   394, 395             771, 782           36.2, 36.1
+    2**18   423, 415             840, 833           36.6, 36.6
+    2**19   373, 387             747, 778           37.7, 37.6
 
-2**19 gains about 2 % on the fixed-photon sources and loses about 5 %
-on Coherent, for 1.8 MiB more peak memory.
+2**19 loses about 9 % on both, for 1.0 MiB more peak memory.
 """
 
 from __future__ import annotations
@@ -74,82 +75,55 @@ import numpy as np
 from .model import ClickCounts, FormatError, SimConfig, _checked_int, photon_plan
 
 
-def _batch(p: float, n: int) -> int:
-    """Exponentials _hits draws at once for n trials left: the expected
-    successes plus a margin of four standard deviations and 16, so a
-    second batch is rare; never more than n."""
-    return min(n, int(n * p + 4.0 * math.sqrt(n * p)) + 16)
-
-
-def _hits(rng: np.random.Generator, p: float, n: int,
-          to_b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted int64 indices of the successes among n independent
-    Bernoulli(p) trials, and a bool mask that routes each success to
-    channel B with probability to_b.
-
-    The gaps between successes are floor(X) + 1 with X = E / lam,
-    lam = -log(1 - p) and E a standard exponential, drawn in batches of
-    _batch(p, n_left).  A batch that ends before trial n is followed by
-    another from the trial after its last success; the unused end of the
-    last batch is discarded.  A success goes to B when the fraction of
-    its own X is below log1p(-p * to_b) / log1p(-p) (the module docstring
-    shows why).  At p = 1 every trial succeeds, no exponential is drawn,
-    and each success routes by one uniform."""
-    if p <= 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.bool_)
-    if p >= 1.0:
-        return np.arange(n, dtype=np.int64), rng.random(n) < to_b
-    scale = -1.0 / math.log1p(-p)  # 1 / lam
-    cut = math.log1p(-p * to_b) / math.log1p(-p)
-    parts, routes, start = [], [], 0  # start: the first trial not yet decided
-    while start < n:
-        x = rng.standard_exponential(_batch(p, n - start))
-        x *= scale
-        # clipped at n before the cast: a gap past n ends the row either way
-        hits = np.minimum(x, n, out=x).astype(np.int64)
-        x -= hits
-        routes.append(x < cut)
-        hits += 1
-        hits[0] += start - 1
-        np.cumsum(hits, out=hits)
-        parts.append(hits)
-        start = int(hits[-1]) + 1
-
-    def joined(arrays: list[np.ndarray]) -> np.ndarray:
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    hits = joined(parts)
-    kept = int(np.searchsorted(hits, n))
-    return hits[:kept], joined(routes)[:kept]
-
-
 def _block_clicks(config: SimConfig, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Click indicators for one block of pulses.  Draw order is fixed:
     Poissonian light (channel A's row, then channel B's; skipped when
     lam = 0), then per fixed photon (photon 0 of every pulse, then
-    photon 1, ...) its detections' row, walked by _hits.  A light row
-    places Poisson marks, its hits when p <= 1/2 and else its misses."""
+    photon 1, ...) its A row and then its B row.  Each row draws one
+    Poisson count of marks and one uniform pulse per mark: a light row
+    marks its hits when p <= 1/2 and else its misses, a photon's A row
+    its A clicks, and its B row its B clicks given no own A mark when
+    q <= 1/2 and else its B misses."""
     p = config.params
     s, lam = photon_plan(config.source, p)
     child = np.random.SeedSequence(config.seed, spawn_key=(index,))
     rng = np.random.Generator(np.random.SFC64(child))
-    # A's clicks, then B's: a route to B adds size to a click's index
+
+    def marks(y: float) -> np.ndarray:
+        """Pulses of K ~ Poisson(y * size) marks, each uniform."""
+        return rng.integers(0, size, rng.poisson(y * size))
+
+    # one buffer for both channels: as two arrays, a 1e7-pulse Coherent run took about
+    # 94 more minor faults per 2**18-pulse block (2 vCPUs, numpy 2.4.6)
     clicks = np.zeros(2 * size, dtype=np.bool_)
+    click_a, click_b = clicks[:size], clicks[size:]
     if lam > 0.0:
-        # drawn before any photon row, so each half is still empty: only a dense one is filled
-        for half, eta_i in ((clicks[:size], p.eta1), (clicks[size:], p.eta2)):
+        # drawn before any photon row, so each row is still empty
+        for row, eta_i in ((click_a, p.eta1), (click_b, p.eta2)):
             x = lam * eta_i / 2.0  # mean photons detected on the channel
             dense = -math.expm1(-x) > 0.5
             # mean marks per pulse: its photons, or a dense row's misses (P(miss) = exp(-x))
-            y = -math.log1p(-math.exp(-x)) if dense else x
+            row[marks(-math.log1p(-math.exp(-x)) if dense else x)] = True
             if dense:
-                half[:] = True
-            half[rng.integers(0, size, rng.poisson(y * size))] = not dense
-    to_b = (1.0 - p.delta) / 2.0  # eta2 / (eta1 + eta2)
+                np.logical_not(row, out=row)
+    a = p.eta1 / 2.0  # P(A) per photon
+    # P(B | no A): 1 at eta = 1, and held there when eta1 rounds past 1 within tolerance
+    q = min(p.eta2 / 2.0 / (1.0 - a), 1.0)
+    dense_b = q > 0.5
+    y_a, y_b = -math.log1p(-a), (math.log(1.0 / q) if dense_b else -math.log1p(-q))
+    own = np.empty(size, dtype=np.bool_)  # one photon's A marks, refilled for the next
     for _ in range(s):
-        detected, route = _hits(rng, p.eta, size, to_b)
-        clicks[detected + size * route] = True
-    return clicks[:size], clicks[size:]
+        own.fill(False)
+        own[marks(y_a)] = True
+        click_a |= own
+        b = marks(y_b)
+        if dense_b:  # B's misses: B clicks where neither they nor own A landed
+            own[b] = True
+            np.logical_not(own, out=own)
+            click_b |= own
+        else:  # B's clicks, each dropped where own A landed (a repeated pulse writes one value)
+            click_b[b] |= ~own[b]
+    return click_a, click_b
 
 
 def _map_blocks(config: SimConfig, fn, workers: int) -> list:

@@ -1,9 +1,11 @@
 """The committed perf trajectory: each BENCH_<pr>.json at the repository
 root merges the result files of one untraced benchmark run, as README's
-Benchmark section writes it."""
+Benchmark section writes it, and from BENCH_38.json on names the
+measured src/ tree by its sha256."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ def test_bench_file_holds_every_workload(path):
     bench = json.loads(path.read_text())
     assert bench["pr"] == int(path.stem.split("_", 1)[1])
     assert isinstance(bench["commit"], str) and bench["commit"]
+    if bench["pr"] >= 38:  # the measured src/ tree, stamped since BENCH_38.json
+        assert re.fullmatch("[0-9a-f]{64}", bench["src_sha256"])
     for workload in ("simulate", "ingest", "verdicts"):
         result = bench[workload]
         assert result["workload"] == workload and result["traced"] is False

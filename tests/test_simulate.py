@@ -21,7 +21,7 @@ from photon_gate import (
     stats_from_counts,
 )
 from photon_gate.model import photon_plan
-from photon_gate.simulate import _batch, _block_clicks, _hits
+from photon_gate.simulate import _block_clicks
 
 from _oracles import coherent_clicks_per_photon
 
@@ -101,64 +101,6 @@ class TestDeterminism:
         assert counts.n_all == 100_001
 
 
-class TestHits:
-    """_hits: the successes of n Bernoulli(p) trials as geometric gaps."""
-
-    @staticmethod
-    def rng(seed=3):
-        return np.random.Generator(np.random.SFC64(seed))
-
-    def test_certain_outcomes(self):
-        hits, route = _hits(self.rng(), 0.0, 1000, 0.5)
-        assert hits.size == 0 and route.dtype == np.bool_ and route.size == 0
-        hits, route = _hits(self.rng(), 1.0, 1000, 0.5)
-        assert np.array_equal(hits, np.arange(1000))
-        assert route.dtype == np.bool_ and route.size == 1000
-
-    def test_vanishing_p_gives_no_hits(self):
-        # E / -log1p(-1e-300) is near 1e300: clipped before the int cast
-        hits, route = _hits(self.rng(), 1e-300, 1_000_000, 0.5)
-        assert hits.dtype == np.int64 and hits.size == 0 and route.size == 0
-
-    @pytest.mark.parametrize("p", [1e-5, 0.01, 0.1, 0.5, 0.9])
-    def test_counts_and_order(self, p):
-        n = 1_000_000
-        hits, route = _hits(self.rng(), p, n, 0.5)
-        assert hits.dtype == np.int64 and route.dtype == np.bool_ and route.shape == hits.shape
-        assert np.all(np.diff(hits) > 0) and hits[0] >= 0 and hits[-1] < n
-        assert abs(hits.size - n * p) <= 5.0 * math.sqrt(n * p * (1.0 - p))
-
-    @pytest.mark.parametrize("p", [1e-5, 0.01, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("to_b", [0.0, 0.05, 0.35, 0.5, 1.0])
-    def test_route_share(self, p, to_b):
-        # the fraction of each gap routes its success to B with probability to_b, whatever p
-        n = 1_000_000
-        hits, route = _hits(self.rng(), p, n, to_b)
-        assert route.dtype == np.bool_ and route.shape == hits.shape
-        m = hits.size
-        assert abs(int(route.sum()) - m * to_b) <= 5.0 * math.sqrt(m * to_b * (1.0 - to_b))
-        # the routes are independent of the gaps: routed and unrouted successes have one mean
-        # gap (its sd is sqrt(1 - p) / p per success); at p = 1e-5 too few succeed to tell
-        if 0.0 < to_b < 1.0 and 0.01 <= p < 1.0:
-            gaps = np.diff(hits, prepend=-1)
-            sd = math.sqrt(1.0 - p) / p
-            for mask in (route, ~route):
-                assert abs(gaps[mask].mean() - 1.0 / p) <= 5.0 * sd / math.sqrt(mask.sum())
-
-    def test_short_batches_continue(self):
-        class ZeroGaps:
-            batches = 0
-
-            def standard_exponential(self, size):
-                self.batches += 1
-                return np.zeros(size)
-
-        rng = ZeroGaps()
-        hits, route = _hits(rng, 0.1, 1000, 0.5)
-        assert np.array_equal(hits, np.arange(1000))
-        assert rng.batches > 2 and route.size == 1000 and route.all()  # each fraction is 0
-
-
 class TestClickRule:
     """Exact consequences of the click rule."""
 
@@ -172,6 +114,14 @@ class TestClickRule:
         counts = simulate_pulses(cfg)
         assert counts.n_00 == 0 and counts.n_11 == 0
         assert counts.n_10 + counts.n_01 == counts.n_all
+
+    def test_eta1_rounded_past_1_is_still_certain(self):
+        # eta1 = (1 + delta) * eta may pass 1 within DetectionParams' tolerance; here
+        # q = (eta2/2) / (1 - eta1/2) rounds to 1 + 2**-52, and is held at 1
+        params = DetectionParams(eta=1.0, delta=8.699008092678392e-13, cycles=20_000)
+        assert params.eta2 / 2.0 / (1.0 - params.eta1 / 2.0) > 1.0
+        counts = simulate_pulses(SimConfig(source=IdealEmitters(1), params=params, seed=5))
+        assert counts.n_00 == 0 and counts.n_11 == 0
 
     @pytest.mark.parametrize(
         "source,params",
@@ -190,19 +140,18 @@ class TestClickRule:
     def _written_out(rng, size, source, params):
         """The click rule over the block's own draws, one draw at a time:
         Poissonian light (row A, row B; none for a source without
-        Poissonian light), then per fixed photon its detection row.  A
-        photon row of Bernoulli(p) trials is walked gap by gap: each
-        exponential E gives X = E * (1 / -log(1 - p)) and moves
-        1 + floor(X) trials on (at most n + 1), in batches of
-        _batch(p, trials left) draws, a batch's unused end discarded.  A
-        detected photon goes to B when frac(X) < log1p(-p * to_b) /
-        log1p(-p), to_b = eta2 / (eta1 + eta2); at eta = 1 every pulse
-        detects it and one uniform per detection routes it instead.  A light row of x detected photons
-        per pulse draws a Poisson(y * n) count of marks and drops each
-        into a uniform pulse: with p = 1 - exp(-x) <= 1/2 the marks are
-        its photons (y = x) and a marked pulse clicks; with p > 1/2 they
-        are its misses, y = -log(1 - exp(-x)), and an unmarked pulse
-        clicks.  Coherent pulses carry no fixed photon and Poissonian
+        Poissonian light), then per fixed photon its A row and its B row.
+        Every row is placed: it draws a Poisson(y * n) count of marks and
+        drops each into a uniform pulse.  A light row of x detected
+        photons per pulse marks its photons (y = x) when p = 1 - exp(-x)
+        <= 1/2 and a marked pulse clicks; with p > 1/2 it marks its misses,
+        y = -log(1 - exp(-x)), and an unmarked pulse clicks.  A photon's A
+        row marks A's clicks at y = -log(1 - a), a = eta1/2.  Its B row is
+        B given not A, q = (eta2/2) / (1 - a): with q <= 1/2 it marks
+        B's clicks at y = -log(1 - q) and a mark on the photon's own A
+        mark is dropped; with q > 1/2 it marks B's misses at y = -log(q)
+        and B clicks where neither the photon's own A mark nor a miss
+        landed.  Coherent pulses carry no fixed photon and Poissonian
         light of mean mu + gamma; IdealEmitters carry s photons and no
         light."""
         eta1, eta2 = params.eta1, params.eta2
@@ -213,26 +162,13 @@ class TestClickRule:
         else:
             s, lam = 1, params.gamma
 
-        def walk(p, to_b):
-            """(trial, goes to B) of each success."""
-            if p == 1.0:
-                return [(i, rng.random() < to_b) for i in range(size)]
-            cut = math.log1p(-p * to_b) / math.log1p(-p)
-            hits, start = [], 0
-            while start < size:
-                last = start - 1
-                for _ in range(_batch(p, size - start)):
-                    x = min(rng.standard_exponential() * (1.0 / -math.log1p(-p)), size)
-                    last += 1 + int(x)
-                    if last < size:
-                        hits.append((last, x - int(x) < cut))
-                start = last + 1
-            return hits
+        def placed(y):
+            """The pulses a row of y marks per pulse marks."""
+            return {rng.integers(0, size) for _ in range(rng.poisson(y * size))}
 
         def light(x):
             dense = -math.expm1(-x) > 0.5
-            y = -math.log1p(-math.exp(-x)) if dense else x
-            marks = {rng.integers(0, size) for _ in range(rng.poisson(y * size))}
+            marks = placed(-math.log1p(-math.exp(-x)) if dense else x)
             return [i for i in range(size) if (i in marks) != dense]
 
         click_a, click_b = np.zeros(size, bool), np.zeros(size, bool)
@@ -241,9 +177,18 @@ class TestClickRule:
                 click_a[i] = True
             for i in light(lam * eta2 / 2.0):
                 click_b[i] = True
+        a = eta1 / 2.0
+        q = eta2 / 2.0 / (1.0 - a)
         for _ in range(s):
-            for i, to_b in walk(params.eta, eta2 / (eta1 + eta2)):
-                (click_b if to_b else click_a)[i] = True
+            own_a = placed(-math.log1p(-a))
+            if q <= 0.5:
+                to_b = placed(-math.log1p(-q)) - own_a
+            else:
+                to_b = set(range(size)) - own_a - placed(-math.log(q))
+            for i in own_a:
+                click_a[i] = True
+            for i in to_b:
+                click_b[i] = True
         return click_a, click_b
 
     @pytest.mark.parametrize(
@@ -253,8 +198,9 @@ class TestClickRule:
         ids=("fixed-3", "fixed-background", "coherent", "coherent-dense", "fixed-eta-1"),
     )
     def test_block_matches_written_out_rule(self, source, eta, delta):
-        # Coherent(3) makes both light rows dense; at eta = 1 (delta 0 keeps eta1 <= 1) a
-        # photon row draws no exponential and routes by uniforms
+        # Coherent(3) makes both light rows dense; at eta 0.6 and delta 0.25 a photon's B row
+        # has q = 0.36 and marks its clicks; at eta = 1 (delta 0 keeps eta1 <= 1) q = 1, so the
+        # B row marks no miss and B clicks wherever the photon's A did not
         params = DetectionParams(eta=eta, delta=delta, gamma=0.4, cycles=2_500)
         cfg = SimConfig(source=source, params=params, seed=31, block_size=1_000)
         for k, size in ((0, 1_000), (2, 500)):
@@ -269,9 +215,9 @@ class TestClickRule:
     @pytest.mark.parametrize(
         "source,params,k,size,pinned,digest",
         [(IdealEmitters(3), DetectionParams(eta=0.1, delta=0.3, cycles=1 << 16), 0, 1 << 16,
-          (47671, 11315, 5746, 804), "21ca9b97d0d16af5"),
+          (47929, 10930, 5799, 878), "7aa6d3ab2775da67"),
          (IdealEmitters(3), DetectionParams(eta=0.1, delta=0.3, cycles=1 << 16), 3, 1000,
-          (720, 177, 95, 8), "dda2ad1dd8bb371e"),
+          (716, 188, 85, 11), "20e3639153280b04"),
          # both light rows dense: eta1 gives x = 1.3, eta2 x = 0.7 > log 2
          (Coherent(1000.0), DetectionParams(eta=0.002, delta=0.3, gamma=0.2, cycles=1 << 16),
           0, 1 << 16, (8807, 23909, 8851, 23969), "fc9b3f7763305a70"),
@@ -279,9 +225,9 @@ class TestClickRule:
           3, 1000, (152, 337, 163, 348), "495fe9542ffde826")],
         ids=("fixed-3", "fixed-3-block-3", "coherent-dense", "coherent-dense-block-3"),
     )
-    def test_walked_rows_keep_their_stream(self, source, params, k, size, pinned, digest):
-        # photon rows are walked by _hits and dense light rows place their misses; their
-        # streams are pinned as (n_00, n_10, n_01, n_11) and a digest of both click arrays
+    def test_placed_rows_keep_their_stream(self, source, params, k, size, pinned, digest):
+        # a photon's A and B rows and dense light rows place their marks; their streams are
+        # pinned as (n_00, n_10, n_01, n_11) and a digest of both click arrays
         a, b = _block_clicks(SimConfig(source=source, params=params, seed=20), k, size)
         counts = counts_from_click_arrays(a, b)
         assert (counts.n_00, counts.n_10, counts.n_01, counts.n_11) == pinned
@@ -290,11 +236,11 @@ class TestClickRule:
 
 
 class TestDrawCost:
-    """A photon row costs its hits in exponentials.  A light row draws one
-    Poisson count and places that many marks by one integer each, with no
-    exponential: its photons when sparse, its misses when dense.  A photon
-    row draws uniforms only at eta = 1, one per detection.  Counted
-    through a recording stand-in for the block's Generator."""
+    """Every row is placed: it draws one Poisson count and places that
+    many marks by one integer each, with no exponential and no uniform
+    float.  A light row marks its photons when sparse and its misses when
+    dense; a photon draws an A row and a B row.  Counted through a
+    recording stand-in for the block's Generator."""
 
     N = 100_000
 
@@ -338,35 +284,31 @@ class TestDrawCost:
     def test_row_draws_its_lesser_outcome(self, drawn, source, eta):
         params = DetectionParams(eta=eta, cycles=self.N)
         a, b = _block_clicks(SimConfig(source=source, params=params, seed=4), 0, self.N)
-        # a lone photon's row succeeds where either channel clicks (at eta 0.25 its hits are
-        # its lesser outcome); light has a row per channel
-        rows = [a | b] if isinstance(source, IdealEmitters) else [a, b]
-        least = [min(int(r.sum()), self.N - int(r.sum())) for r in rows]
-        if isinstance(source, Coherent):
-            # delta = gamma = 0: each light row has x = mu * eta / 2 detected photons per pulse
-            # and y * N marks, Poisson: its photons (y = x) when p = 1 - exp(-x) <= 1/2, else
-            # its misses (y = -log(1 - exp(-x))); a pulse two marks share is one outcome
-            x = source.mu * eta / 2.0
-            y = x if -math.expm1(-x) <= 0.5 else -math.log1p(-math.exp(-x))
-            marks = 2 * self.N * y
-            assert drawn["standard_exponential"] == 0
-            assert drawn["poisson"] == pytest.approx([self.N * y] * 2)
-            assert sum(least) <= drawn["integers"]
-            assert abs(drawn["integers"] - marks) <= 5.0 * math.sqrt(marks)
-            if marks == 0.0:  # p = 1: exp(-2500) underflows, y = 0, and poisson(0) draws nothing
-                (stream,) = drawn["streams"]
-                assert repr(stream.rng.bit_generator.state) == stream.start
+        # delta = gamma = 0.  A lone photon's A row has y = -log(1 - a) marks per pulse,
+        # a = eta / 2, and its B row q = a / (1 - a): its B clicks, y = -log(1 - q), when
+        # q <= 1/2, else its misses, y = -log(q) (0 at eta = 1); each click of the photon
+        # lies under a mark of its own, so its marks are at least its hits.  Light has a row
+        # per channel of x = mu * eta / 2 detected photons per pulse and marks its photons
+        # (y = x) when p = 1 - exp(-x) <= 1/2, else its misses (y = -log(1 - exp(-x)))
+        if isinstance(source, IdealEmitters):
+            rows = [a | b]
+            p_a = eta / 2.0
+            q = p_a / (1.0 - p_a)
+            ys = [-math.log1p(-p_a), -math.log(q) if q > 0.5 else -math.log1p(-q)]
         else:
-            if sum(least) == 0:  # eta = 1: no gap to draw
-                assert drawn["standard_exponential"] == 0
-            else:
-                # the batch overshoots the row's hits by at most its 4-sigma margin and 16
-                slack = sum(8.0 * math.sqrt(m) + 32 for m in least)
-                assert sum(least) < drawn["standard_exponential"] <= sum(least) + slack
-            assert drawn["poisson"] == [] and drawn["integers"] == 0
-        # a photon is routed by the fraction of its gap, or by one uniform per detection at
-        # eta = 1, where the row draws no gap; light is never routed
-        assert drawn["random"] == (self.N if eta == 1.0 else 0)
+            rows = [a, b]
+            x = source.mu * eta / 2.0
+            ys = [x if -math.expm1(-x) <= 0.5 else -math.log1p(-math.exp(-x))] * 2
+        # a row's lesser outcome: a pulse two marks share is one outcome
+        least = [min(int(r.sum()), self.N - int(r.sum())) for r in rows]
+        marks = self.N * sum(ys)
+        assert drawn["standard_exponential"] == 0 and drawn["random"] == 0
+        assert drawn["poisson"] == pytest.approx([self.N * y for y in ys])
+        assert sum(least) <= drawn["integers"]
+        assert abs(drawn["integers"] - marks) <= 5.0 * math.sqrt(marks)
+        if marks == 0.0:  # p = 1: exp(-2500) underflows, y = 0, and poisson(0) draws nothing
+            (stream,) = drawn["streams"]
+            assert repr(stream.rng.bit_generator.state) == stream.start
 
 
 class TestAgainstClosedForms:
@@ -387,6 +329,11 @@ class TestAgainstClosedForms:
             (IdealEmitters(3), DetectionParams(eta=0.75, delta=0.3, cycles=M)),
             # eta <= 1 / 1.3 keeps eta1 = eta (1 + delta) at most 1
             (EmitterWithBackground(), DetectionParams(eta=0.75, delta=0.3, gamma=0.2, cycles=M)),
+            # a photon's B row has q = 0.486 at eta 0.73 (it marks its clicks) and 0.512 at eta
+            # 0.75 (its misses); the switch is at eta = 2 / (3 - delta) = 0.741
+            (IdealEmitters(2), DetectionParams(eta=0.73, delta=0.3, cycles=M)),
+            (IdealEmitters(2), DetectionParams(eta=0.75, delta=0.3, cycles=M)),
+            (EmitterWithBackground(), DetectionParams(eta=0.73, delta=0.3, gamma=0.2, cycles=M)),
             # one photon: p1 = eta whatever delta is, so only the channel rates see its routing;
             # 1 / 1.3 is the largest eta at delta 0.3, and eta = 1 needs delta = 0
             (IdealEmitters(1), DetectionParams(eta=0.001, delta=0.3, cycles=M)),
@@ -396,6 +343,7 @@ class TestAgainstClosedForms:
         ],
         ids=("two-emitters", "five-unbalanced", "emitter-bg", "coherent", "coherent-bright",
              "coherent-dense", "coherent-rare-miss", "three-dense", "emitter-bg-dense",
+             "two-below-switch", "two-above-switch", "emitter-bg-below-switch",
              "one-sparse", "one-half", "one-dense", "one-certain"),
     )
     def test_within_four_sigma(self, source, params):
