@@ -15,12 +15,10 @@ it to ``sys.exit``.  Exit codes: 0 single (or command succeeded, or
 --help), 1 not single, 3 indeterminate, 2 usage, configuration or file
 errors.  The parser is built on the first call and reused by every later
 one; parsing leaves it unchanged.  A call led by a command name is parsed
-by that command's own parser alone, which then takes about a seventh of
+by that command's own parser alone, which then takes about an eighth of
 a counts-block classify; any other call, or one with arguments that
 parser leaves over, goes through the full parser, which words its usage
-errors.  The environment variable
-PHOTON_GATE_LOG (error | info | debug) sets log verbosity; it is read on
-each call, whose log lines go to the sys.stderr of that call.
+errors.
 
 Only the commands that work on arrays import numpy, each as it runs:
 simulate, a time-tag classify and sweep.  Importing this module, a
@@ -28,17 +26,15 @@ counts-block classify, --help and a usage error load none, as the key =
 value files, the closed forms and the criterion work on plain floats.
 On a 2-vCPU VM a counts-block classify run as a process,
 ``python -m photon_gate.cli classify --input run.counts``, takes a
-median of 76 ms and peaks at 16 MiB RSS; importing numpy would add
-about 140 ms and 14 MiB.
+median of 64 ms and peaks at 15.7 MiB RSS (15 runs); importing numpy
+would add about 140 ms and 14 MiB.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import math
-import os
 import sys
 import time
 from dataclasses import replace
@@ -59,9 +55,6 @@ from .model import (
     _checked_int,
     stats_from_counts,
 )
-
-# by name: run as python -m photon_gate.cli, __name__ is "__main__"
-log = logging.getLogger("photon_gate.cli")
 
 _EXIT_BY_DECISION = {
     Decision.SINGLE: 0,
@@ -124,14 +117,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # one thread: on two vCPUs two workers ran 1e7 pulses of the benchmark's
     # IdealEmitters(3), EmitterWithBackground and Coherent(0.5) at 0.86-0.90x
     # the speed of one (ROADMAP item 18)
-    log.info("simulating %s pulses", config.params.cycles)
     start = time.perf_counter()
     counts = simulate_pulses(config)
     duration = time.perf_counter() - start
     write_counts_block(args.output, counts, config)
     stats = stats_from_counts(counts)
     print(format_report(counts, stats, classify(stats, config.params), duration))
-    log.info("counts written to %s", args.output)
     return 0
 
 
@@ -247,7 +238,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
     with open(args.output, "w", encoding="ascii") as fh:
         fh.write("\n".join([header, *rows]) + "\n")
-    log.info("%d rows written to %s", len(rows), args.output)
     return 0
 
 
@@ -300,28 +290,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, {"simulate": sim, "classify": cla, "sweep": swp}
 
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-_log_handler = logging.StreamHandler()
-_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-
-
-def _setup_logging() -> None:
-    """Point photon_gate's one log handler at this call's stderr, at this
-    call's PHOTON_GATE_LOG level."""
-    level = os.environ.get("PHOTON_GATE_LOG", "error").strip().lower()
-    level = _LOG_LEVELS.get(level, logging.ERROR)
-    package_log = logging.getLogger("photon_gate")
-    if package_log.level != level:  # setLevel clears every logger's cache
-        package_log.setLevel(level)
-    # assigned, not setStream: that flushes the last call's stream, which
-    # may be closed by now
-    _log_handler.stream = sys.stderr
-    package_log.addHandler(_log_handler)  # a no-op once added
-    package_log.propagate = False  # or a host's root handler prints each line again
-
-
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = _build_parser()
     try:

@@ -465,7 +465,7 @@ def fold_timetags(
     """Tally the click patterns of a stream of (channels, timestamps)
     chunks that keep the record contract over the whole stream.  Records
     out of the gate never count; in-gate records at pulse n_pulses or
-    beyond are dropped (with a debug log).  Without n_pulses, the pulse
+    beyond are dropped (with a warning log).  Without n_pulses, the pulse
     count is one past the last record's pulse (0 for no records)."""
     if n_pulses is not None:  # pulse indices are int64
         n_pulses = _checked_int("n_pulses", n_pulses, "a positive integer", 1, 2**63)
@@ -501,7 +501,8 @@ def fold_timetags(
             tallied = tuple(map(sum, zip(tallied, done)))
     tallied = tuple(map(sum, zip(tallied, _tally(*pending))))
     if dropped:
-        log.debug("%d in-gate records beyond the pulse window dropped", dropped)
+        log.warning("%d in-gate records beyond the pulse window [0, %d) dropped",
+                    dropped, n_pulses)
     if n_pulses is None:
         n_pulses = int(gate.fold(max(last_t))[0]) + 1 if records else 0
     return ClickCounts.from_totals(n_pulses, *tallied)
